@@ -50,7 +50,12 @@ def _cmd_run(args) -> int:
     if args.epochs is not None:
         cfg.epochs = args.epochs
     if args.seeds:
-        cfg.seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+        try:
+            cfg.seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+        except ValueError:
+            raise ConfigError(
+                f"--seeds takes comma-separated integers, got {args.seeds!r}"
+            ) from None
     if args.out:
         cfg.out = args.out
     rows = harness.run_experiment(cfg, sweep_steps=args.sweep_steps)

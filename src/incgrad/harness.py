@@ -18,14 +18,18 @@ import numpy as np
 from .datasets import generate_synthetic, load_libsvm
 from .errors import ConfigError, DivergenceError
 from .objectives import FiniteSumObjective, Regularizer, make_loss
-from .solvers import METHOD_INFO, StepSizePolicy, prox_gradient_optimum, run
+from .solvers import (
+    _PARAM_FREE,
+    METHOD_INFO,
+    StepSizePolicy,
+    prox_gradient_optimum,
+    run,
+)
 
 SUBOPT_FLOOR = 1e-16
 SUBOPT_NEG_TOL = -1e-12
 SWEEP_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 CSV_HEADER = "method,seed,grad_evals_per_n,suboptimality,dist_sq"
-
-_STEP_FREE = {"sdca", "sdca_variant5", "midpoint"}
 
 
 @dataclass
@@ -70,22 +74,31 @@ class ExperimentConfig:
         if extra:
             raise ConfigError(f"unknown config keys: {sorted(extra)}")
         methods = [MethodSpec.from_config(m) for m in raw.get("methods", [])]
-        return cls(
-            dataset=raw.get("dataset", {}),
-            loss=raw.get("loss", "squared"),
-            l2=float(raw.get("l2", 0.0)),
-            l1=float(raw.get("l1", 0.0)),
-            methods=methods,
-            epochs=int(raw.get("epochs", 10)),
-            seeds=[int(s) for s in raw.get("seeds", [0])],
-            trace_every=int(raw.get("trace_every", 1)),
-            out=raw.get("out"),
-        )
+        try:
+            return cls(
+                dataset=raw.get("dataset", {}),
+                loss=raw.get("loss", "squared"),
+                l2=float(raw.get("l2", 0.0)),
+                l1=float(raw.get("l1", 0.0)),
+                methods=methods,
+                epochs=int(raw.get("epochs", 10)),
+                seeds=[int(s) for s in raw.get("seeds", [0])],
+                trace_every=int(raw.get("trace_every", 1)),
+                out=raw.get("out"),
+            )
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad config value: {exc}") from None
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                raw = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{path}: malformed JSON ({exc})") from None
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{path}: the config must be a JSON object")
+        return cls.from_dict(raw)
 
 
 @dataclass
@@ -124,7 +137,7 @@ def validate_config(cfg: ExperimentConfig):
             raise ConfigError(f"{spec.name} supports only an L2 regulariser")
         if spec.name == "saga_lazy" and cfg.loss != "squared":
             raise ConfigError("saga_lazy only covers squared loss")
-        if spec.policy is not None and spec.name in _STEP_FREE:
+        if spec.policy is not None and spec.name in _PARAM_FREE:
             raise ConfigError(f"{spec.name} is parameter free")
 
 
@@ -136,12 +149,17 @@ def build_dataset(cfg: ExperimentConfig):
                            normalize=bool(ds_cfg.get("normalize", False)))
     if "synthetic" in ds_cfg:
         s = ds_cfg["synthetic"]
-        return generate_synthetic(
-            s.get("kind", "ridge"), int(s["n"]), int(s["d"]),
-            density=float(s.get("density", 1.0)),
-            noise=float(s.get("noise", 0.1)),
-            seed=int(s.get("seed", 0)),
-            normalize=bool(s.get("normalize", False)))
+        try:
+            sizes = dict(n=int(s["n"]), d=int(s["d"]),
+                         density=float(s.get("density", 1.0)),
+                         noise=float(s.get("noise", 0.1)),
+                         seed=int(s.get("seed", 0)),
+                         normalize=bool(s.get("normalize", False)))
+        except KeyError as exc:
+            raise ConfigError(f"synthetic dataset config needs {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad synthetic dataset value: {exc}") from None
+        return generate_synthetic(s.get("kind", "ridge"), **sizes)
     raise ConfigError("dataset config needs a 'path' or a 'synthetic' entry")
 
 
@@ -166,15 +184,14 @@ def method_objective(ds, cfg, name):
 
 
 def compute_reference_optimum(obj, tol=1e-12, max_iter=1_000_000):
-    """Deterministic proximal gradient with step 1/L run to a fixed
-    point; returns (x_star, F_star)."""
+    """Deterministic accelerated proximal gradient run to a certified
+    fixed point; returns (x_star, F_star)."""
     return prox_gradient_optimum(obj, tol=tol, max_iter=max_iter)
 
 
 def _sweep_gamma(name, obj, x0, cfg, kwargs, reference):
     """Geometric grid around the theory default; picks the step with the
     lowest final suboptimality on the first seed."""
-    from .objectives import estimate_constants
     from .solvers import _resolve_constants, step_size
 
     consts = _resolve_constants(name, obj, None, kwargs.get("explicit_l2", 0.0))
@@ -219,7 +236,7 @@ def run_experiment(cfg: ExperimentConfig, sweep_steps=False):
     for spec in cfg.methods:
         obj, kwargs = method_objective(ds, cfg, spec.name)
         policy = spec.policy
-        if sweep_steps and spec.name not in _STEP_FREE and policy is None:
+        if sweep_steps and spec.name not in _PARAM_FREE and policy is None:
             policy = _sweep_gamma(spec.name, obj, x0, cfg, kwargs, reference)
         for seed in cfg.seeds:
             res = run(spec.name, obj, x0, epochs=cfg.epochs, policy=policy,

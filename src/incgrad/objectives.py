@@ -248,9 +248,12 @@ class FiniteSumObjective:
         """psi_i'(a_i' x) for every i; the scalar gradient weights."""
         return self.loss.deriv(self.margins(x), self.labels)
 
-    def smooth_value(self, x) -> float:
+    def smooth_value(self, x, margins=None) -> float:
+        """f(x); ``margins`` may pass a precomputed ``points @ x``."""
         x = np.asarray(x, float)
-        val = float(np.mean(self.loss.value(self.margins(x), self.labels)))
+        if margins is None:
+            margins = self.margins(x)
+        val = float(np.mean(self.loss.value(margins, self.labels)))
         if self.split_l2:
             val += 0.5 * self.split_l2 * float(x @ x)
         return val

@@ -11,6 +11,7 @@ single :func:`run` driver handles sampling, tracing and bookkeeping.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -679,25 +680,96 @@ def run(method, obj, x0, *, epochs, policy=None, seed=0, rng=None,
     return RunResult(method, records, np.array(iterate()), xbar, evals)
 
 
+def _smooth_lipschitz(obj, max_lipschitz):
+    """Estimate of L_f = kappa lambda_max(A'A / n) + split_l2, the
+    smoothness of the averaged loss, capped at ``max_lipschitz``.
+
+    Matrix-free power iteration (A'A is never formed) from a fixed
+    seeded start, stopped once the estimate changes by at most 1%.  A
+    Rayleigh quotient never exceeds lambda_max, so the estimate can be
+    low, never high; the caller's backtracking covers a low one, which
+    is cheaper than iterating on: the spectra of normalized data have
+    small gaps, and each iteration costs as much as a full gradient.
+    """
+    points = obj.points
+    v = np.random.default_rng(0).standard_normal(obj.d)
+    lip = 0.0
+    for _ in range(100):
+        av = points @ (v / np.linalg.norm(v))
+        lip_new = (obj.loss.curvature_bound * float(av @ av) / obj.n
+                   + obj.split_l2)
+        if abs(lip_new - lip) <= 1e-2 * lip_new:
+            break
+        lip = lip_new
+        v = points.T @ av
+    if not lip_new > 0:
+        return max_lipschitz
+    return min(lip_new, max_lipschitz)
+
+
 def prox_gradient_optimum(obj, tol=1e-12, max_iter=1_000_000, x0=None,
                           consts=None):
-    """Deterministic proximal gradient run to a fixed point.
+    """Accelerated proximal gradient run to a certified fixed point.
 
-    Iterates x <- prox_{1/L}^h(x - (1/L) f'(x)) until the fixed-point
-    residual |x - prox(x - (1/L) f'(x))| drops below ``tol``; raises
-    :class:`OptimumError` if the iteration cap is reached first.
-    Returns (x_star, F_star).
+    Stopping contract: with L_max = ``consts.L`` and the operator
+    T(y) = prox_{1/L_max}^h(y - f'(y) / L_max), the run stops at the
+    first tested point y with |T(y) - y| <= ``tol`` and returns
+    (T(y), F(T(y))); :class:`OptimumError` is raised if ``max_iter``
+    full gradients pass first.  This is the residual test of plain
+    proximal gradient at step 1/L_max, so a returned point carries the
+    same certificate; acceleration only changes which points y get
+    tested.
+
+    Algorithm: FISTA (Beck & Teboulle 2009) with gradient-based adaptive
+    restart (O'Donoghue & Candes 2015).  Each iteration spends one full
+    gradient at the extrapolated point y, which serves both the stopping
+    test and the step x+ = prox_{1/L}^h(y - f'(y) / L).  L starts from a
+    power-iteration estimate of the smoothness of the averaged loss,
+    L_f = kappa lambda_max(A'A / n) + split_l2, and doubles while the
+    sufficient-decrease test f(x+) <= f(y) + f'(y)'(x+ - y) + L/2 |x+ - y|^2
+    fails (with a relative slack of 1e-15 |f(y)| for rounding).  Since
+    lambda_max of the average of the a_i a_i' is at most the average of
+    the |a_i|^2, L_f is at most the mean component constant and so at
+    most L_max: the step 1/L_max always passes the test.  L is capped
+    there, where the step is T(y) itself, so a low estimate costs a few
+    doublings, never convergence.  Momentum restarts whenever
+    (y - x+)'(x+ - x) > 0.
     """
     if consts is None:
         consts = estimate_constants(obj)
-    step = 1.0 / consts.L
+    l_max = consts.L
+    lip = _smooth_lipschitz(obj, l_max)
+    prox = obj.reg.prox if obj.reg.kind != "none" else (lambda gamma, w: w)
+    points = obj.points
     x = np.zeros(obj.d) if x0 is None else np.array(x0, dtype=float)
-    has_prox = obj.reg.kind != "none"
+    mx = points @ x
+    y, my = x, mx
+    t = 1.0
+    residual = math.inf
     for _ in range(max_iter):
-        w = x - step * obj.full_gradient(x)
-        nxt = obj.reg.prox(step, w) if has_prox else w
-        residual = float(np.linalg.norm(nxt - x))
-        x = nxt
+        g = obj.full_gradient(y)
+        ty = prox(1.0 / l_max, y - g / l_max)
+        residual = float(np.linalg.norm(ty - y))
         if residual <= tol:
-            return x, obj.value(x, composite=True)
+            return ty, obj.value(ty, composite=True)
+        fy = obj.smooth_value(y, margins=my)
+        while True:
+            x_new = ty if lip == l_max else prox(1.0 / lip, y - g / lip)
+            m_new = points @ x_new
+            dx = x_new - y
+            bound = fy + float(g @ dx) + 0.5 * lip * float(dx @ dx)
+            if (lip == l_max or obj.smooth_value(x_new, margins=m_new)
+                    <= bound + 1e-15 * abs(fy)):
+                break
+            lip = min(2.0 * lip, l_max)
+        if float((y - x_new) @ (x_new - x)) > 0.0:
+            t = 1.0
+            y, my = x_new, m_new
+        else:
+            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            beta = (t - 1.0) / t_new
+            y = x_new + beta * (x_new - x)
+            my = m_new + beta * (m_new - mx)
+            t = t_new
+        x, mx = x_new, m_new
     raise OptimumError(residual=residual, iterations=max_iter)

@@ -59,6 +59,40 @@ def test_run_missing_file_exits_one(tmp_path):
     assert main(["run", "--config", str(tmp_path / "none.json")]) == 1
 
 
+def _assert_config_error(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+
+
+def test_run_malformed_json_exits_one(tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    p.write_text("{bad")
+    _assert_config_error(["run", "--config", str(p)], capsys)
+
+
+def test_run_synthetic_without_n_exits_one(config_path, tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    cfg = json.loads(config_path.read_text())
+    del cfg["dataset"]["synthetic"]["n"]
+    p.write_text(json.dumps(cfg))
+    _assert_config_error(["run", "--config", str(p)], capsys)
+
+
+@pytest.mark.parametrize("key", ["epochs", "n"])
+def test_run_non_numeric_value_exits_one(config_path, tmp_path, capsys, key):
+    p = tmp_path / "bad.json"
+    cfg = json.loads(config_path.read_text())
+    (cfg["dataset"]["synthetic"] if key == "n" else cfg)[key] = "ten"
+    p.write_text(json.dumps(cfg))
+    _assert_config_error(["run", "--config", str(p)], capsys)
+
+
+def test_run_non_integer_seeds_exits_one(config_path, capsys):
+    _assert_config_error(["run", "--config", str(config_path),
+                          "--seeds", "x"], capsys)
+
+
 def test_optimum_subcommand(config_path, capsys):
     code = main(["optimum", "--config", str(config_path)])
     assert code == 0

@@ -10,6 +10,7 @@ from incgrad import (
     ProblemConstants,
     Regularizer,
     StepSizePolicy,
+    estimate_constants,
     make_loss,
     prox_gradient_optimum,
     run,
@@ -34,6 +35,8 @@ from incgrad.solvers import (
     sdca_variant5_step,
     _blend_entry,
 )
+from incgrad.analysis import fixed_point_residual
+from incgrad.datasets import generate_synthetic
 from conftest import make_random_objective
 
 
@@ -471,6 +474,77 @@ def test_finito_mean_stays_consistent_with_points():
     for j in rng.integers(0, obj.n, size=300):
         finito_step(st, obj, int(j), 0.02)
     assert np.linalg.norm(st.phi_mean - st.phi.mean(axis=0)) <= 1e-9
+
+
+def _reference_optimum(obj):
+    """Plain proximal gradient at step 1/L_max until the fixed-point
+    residual |x+ - x| drops to 1e-12; returns (x_star, F_star, number
+    of full gradients)."""
+    step = 1.0 / estimate_constants(obj).L
+    x = np.zeros(obj.d)
+    for k in range(1, 1_000_001):
+        nxt = obj.reg.prox(step, x - step * obj.full_gradient(x))
+        if np.linalg.norm(nxt - x) <= 1e-12:
+            return nxt, obj.value(nxt, composite=True), k
+        x = nxt
+    raise AssertionError("reference optimum did not converge")
+
+
+def _count_full_gradients(obj):
+    calls = []
+    full_gradient = obj.full_gradient
+
+    def counted(x):
+        calls.append(1)
+        return full_gradient(x)
+
+    obj.full_gradient = counted
+    return calls
+
+
+# (split-in L2, prox regulariser): none, L1, elastic and split L2, plus
+# the mu = 0 lasso, which has no L2 term anywhere
+OPTIMUM_CASES = [
+    ("squared", 0.0, Regularizer()),
+    ("squared", 0.0, Regularizer(l1=0.05)),
+    ("squared", 0.0, Regularizer(l2=0.1, l1=0.05)),
+    ("squared", 0.1, Regularizer()),
+    ("squared", 0.1, Regularizer(l1=0.05)),
+    ("logistic", 0.0, Regularizer()),
+    ("logistic", 0.0, Regularizer(l2=0.1, l1=0.02)),
+    ("logistic", 0.1, Regularizer()),
+    ("logistic", 0.01, Regularizer(l1=0.02)),
+]
+
+
+@pytest.mark.parametrize("case", range(len(OPTIMUM_CASES)))
+def test_prox_gradient_optimum_matches_reference(case):
+    kind, split, reg = OPTIMUM_CASES[case]
+    rng = np.random.default_rng(100 + case)
+    obj = make_random_objective(rng, kind=kind, n=40, d=5, split=split)
+    obj = FiniteSumObjective(obj.dataset, obj.loss, split_l2=split, reg=reg)
+    x_ref, f_ref, _ = _reference_optimum(obj)
+    x_star, f_star = prox_gradient_optimum(obj)
+    assert abs(f_star - f_ref) <= 1e-13 * max(1.0, abs(f_ref))
+    assert np.linalg.norm(x_star - x_ref) <= 1e-8
+    assert fixed_point_residual(obj, x_star) <= 1e-12
+    # a warm start at the optimum is certified by its first full gradient
+    calls = _count_full_gradients(obj)
+    x_again, f_again = prox_gradient_optimum(obj, x0=x_star)
+    assert len(calls) == 1
+    assert np.linalg.norm(x_again - x_star) <= 1e-12
+    assert abs(f_again - f_star) <= 1e-13 * max(1.0, abs(f_star))
+
+
+def test_prox_gradient_optimum_accelerates_ill_conditioned_l1_logistic():
+    ds = generate_synthetic("logistic", n=200, d=50, seed=3, normalize=True)
+    obj = FiniteSumObjective(ds, make_loss("logistic"), split_l2=1e-4,
+                             reg=Regularizer(l1=1e-3))
+    _, f_ref, ref_gradients = _reference_optimum(obj)
+    calls = _count_full_gradients(obj)
+    _, f_star = prox_gradient_optimum(obj)
+    assert abs(f_star - f_ref) <= 1e-13 * max(1.0, abs(f_ref))
+    assert 10 * len(calls) <= ref_gradients
 
 
 def test_prox_gradient_optimum_iteration_cap():
