@@ -54,17 +54,13 @@ class CscMatrix:
         if dense.ndim != 2:
             raise ConfigError("dense input must be 2-D")
         d, n = dense.shape
-        cols = []
-        idxs = []
+        # a boolean mask selects in row-major order of dense.T: column by
+        # column, rows ascending within each column
+        mask = dense.T != 0
         indptr = np.zeros(n + 1, dtype=np.int64)
-        for j in range(n):
-            nz = np.nonzero(dense[:, j])[0]
-            idxs.append(nz)
-            cols.append(dense[nz, j])
-            indptr[j + 1] = indptr[j] + nz.size
-        data = np.concatenate(cols) if cols else np.zeros(0)
-        indices = np.concatenate(idxs) if idxs else np.zeros(0, dtype=np.int64)
-        return cls(data, indices, indptr, (d, n))
+        np.cumsum(np.count_nonzero(mask, axis=1), out=indptr[1:])
+        rows = np.broadcast_to(np.arange(d), (n, d))[mask]
+        return cls(dense.T[mask], rows, indptr, (d, n))
 
     @property
     def nrows(self) -> int:

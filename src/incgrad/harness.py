@@ -41,6 +41,9 @@ class MethodSpec:
     def from_config(cls, entry):
         if isinstance(entry, str):
             return cls(name=entry)
+        if not isinstance(entry, dict):
+            raise ConfigError(
+                f"'methods' entries must be names or objects, got {entry!r}")
         name = entry.get("name")
         if not name:
             raise ConfigError("method entry needs a 'name'")
@@ -73,10 +76,19 @@ class ExperimentConfig:
         extra = set(raw) - known
         if extra:
             raise ConfigError(f"unknown config keys: {sorted(extra)}")
-        methods = [MethodSpec.from_config(m) for m in raw.get("methods", [])]
+        dataset = raw.get("dataset", {})
+        if not isinstance(dataset, dict):
+            raise ConfigError("'dataset' must be an object")
+        methods = raw.get("methods", [])
+        if not isinstance(methods, list):
+            raise ConfigError("'methods' must be a list of method names or objects")
+        methods = [MethodSpec.from_config(m) for m in methods]
+        out = raw.get("out")
+        if out is not None and not isinstance(out, str):
+            raise ConfigError("'out' must be a path string")
         try:
             return cls(
-                dataset=raw.get("dataset", {}),
+                dataset=dataset,
                 loss=raw.get("loss", "squared"),
                 l2=float(raw.get("l2", 0.0)),
                 l1=float(raw.get("l1", 0.0)),
@@ -84,7 +96,7 @@ class ExperimentConfig:
                 epochs=int(raw.get("epochs", 10)),
                 seeds=[int(s) for s in raw.get("seeds", [0])],
                 trace_every=int(raw.get("trace_every", 1)),
-                out=raw.get("out"),
+                out=out,
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad config value: {exc}") from None

@@ -15,7 +15,8 @@ the components merely convex.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +29,15 @@ def sigmoid(u):
     u = np.asarray(u, dtype=float)
     e = np.exp(-np.abs(u))
     return np.where(u >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _sigmoid_scalar(u: float) -> float:
+    """The logistic function on one Python float, same branches as
+    :func:`sigmoid`; ``math.exp`` never overflows on either branch."""
+    if u >= 0:
+        return 1.0 / (1.0 + math.exp(-u))
+    e = math.exp(u)
+    return e / (1.0 + e)
 
 
 class Dataset:
@@ -117,11 +127,7 @@ class LogisticLoss(LossModel):
         return -b * sigmoid(-b * np.asarray(t, float))
 
     def deriv_scalar(self, t, b):
-        u = -b * t
-        if u >= 0:
-            return -b / (1.0 + math.exp(-u))
-        e = math.exp(u)
-        return -b * e / (1.0 + e)
+        return -b * _sigmoid_scalar(-b * t)
 
     def check_labels(self, labels):
         if not np.all(np.abs(labels) == 1.0):
@@ -148,20 +154,21 @@ class Regularizer:
 
     l2: float = 0.0
     l1: float = 0.0
+    # "none", "l2", "l1" or "elastic"; set once from the strengths
+    kind: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.l2 < 0 or self.l1 < 0:
             raise ConfigError("regulariser strengths must be nonnegative")
-
-    @property
-    def kind(self) -> str:
         if self.l1 == 0 and self.l2 == 0:
-            return "none"
-        if self.l1 == 0:
-            return "l2"
-        if self.l2 == 0:
-            return "l1"
-        return "elastic"
+            kind = "none"
+        elif self.l1 == 0:
+            kind = "l2"
+        elif self.l2 == 0:
+            kind = "l1"
+        else:
+            kind = "elastic"
+        object.__setattr__(self, "kind", kind)
 
     def value(self, x):
         x = np.asarray(x, float)
@@ -222,22 +229,15 @@ class FiniteSumObjective:
         self.loss = loss
         self.split_l2 = float(split_l2)
         self.reg = reg if reg is not None else Regularizer()
+        # plain attributes: the step kernels read these on every step
+        self.n = dataset.n
+        self.d = dataset.d
+        self.labels = dataset.labels
 
-    @property
-    def n(self) -> int:
-        return self.dataset.n
-
-    @property
-    def d(self) -> int:
-        return self.dataset.d
-
-    @property
+    @cached_property
     def points(self) -> np.ndarray:
+        """Dense (n, d) row-per-point array, densified on first use."""
         return self.dataset.dense_points()
-
-    @property
-    def labels(self) -> np.ndarray:
-        return self.dataset.labels
 
     # -- smooth part -------------------------------------------------
 
@@ -267,7 +267,7 @@ class FiniteSumObjective:
 
     def full_gradient(self, x) -> np.ndarray:
         x = np.asarray(x, float)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise ValueError("x must be finite")
         g = (self.points.T @ self.loss_coeffs(x)) / self.n
         if self.split_l2:
@@ -287,7 +287,7 @@ class FiniteSumObjective:
         """f_i'(x) = psi_i'(a_i' x) a_i + split_l2 * x."""
         self._check_index(i)
         x = np.asarray(x, float)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise ValueError("x must be finite")
         a = self.points[i]
         c = self.loss.deriv_scalar(float(a @ x), self.labels[i])
@@ -381,7 +381,7 @@ def scalar_loss_prox(obj: FiniteSumObjective, i: int, gamma: float, z,
     if obj.loss.kind == "squared":
         t = (az + gamma * q * b) / (shrink + gamma * q)
     else:
-        t = _solve_margin(obj.loss, b, shrink, gamma * q, az, tol, max_iter)
+        t = _solve_margin(b, shrink, gamma * q, az, tol, max_iter)
 
     coef = obj.loss.deriv_scalar(t, b)
     phi = (z - gamma * coef * a) / shrink
@@ -389,30 +389,33 @@ def scalar_loss_prox(obj: FiniteSumObjective, i: int, gamma: float, z,
     return phi, stored
 
 
-def _solve_margin(loss, b, shrink, gq, az, tol, max_iter):
-    """Root of g(t) = shrink*t + gq*psi'(t) - az, strictly increasing."""
+def _solve_margin(b, shrink, gq, az, tol, max_iter):
+    """Root of g(t) = shrink*t + gq*psi'(t) - az, strictly increasing,
+    for the logistic psi'(t) = -b sigmoid(-b t).  Runs on Python floats:
+    every argument is a scalar, and numpy's per-call cost on 0-d arrays
+    is most of the time of a scalar iteration."""
     if gq == 0.0:
         return az / shrink
     # |psi'| <= 1 for logistic, so the root lies in this bracket
     lo = (az - gq) / shrink
     hi = (az + gq) / shrink
     t = az / shrink
-    for it in range(max_iter):
-        s = sigmoid(np.array(-b * t))
-        g = shrink * t + gq * (-b * float(s)) - az
+    for _ in range(max_iter):
+        s = _sigmoid_scalar(-b * t)
+        g = shrink * t + gq * (-b * s) - az
         if abs(g) <= tol:
             return t
         if g > 0:
             hi = t
         else:
             lo = t
-        dg = shrink + gq * float(s) * (1.0 - float(s))
+        dg = shrink + gq * s * (1.0 - s)
         t_new = t - g / dg
         if not (lo < t_new < hi):
             t_new = 0.5 * (lo + hi)
         t = t_new
-    s = sigmoid(np.array(-b * t))
-    g = shrink * t + gq * (-b * float(s)) - az
+    s = _sigmoid_scalar(-b * t)
+    g = shrink * t + gq * (-b * s) - az
     if abs(g) <= tol:
         return t
     raise ProxSolveError(residual=abs(g), iterations=max_iter)

@@ -130,8 +130,13 @@ class SagaState:
 
 @dataclass
 class SagaUState:
+    """``x`` is the iterate u - gamma * sum_i f_i'(phi_i), kept current by
+    :func:`saga_u_step`; set it with :func:`saga_u_reconstruct` after
+    changing the table by other means."""
+
     u: np.ndarray
     table: GradientTable
+    x: np.ndarray = None
     k: int = 0
 
 
@@ -161,8 +166,9 @@ def saga_u_init(obj, x0, gamma) -> SagaUState:
     """u0 = x0 + gamma * sum_i f_i'(x0), paired with a table at x0."""
     x0 = np.array(x0, dtype=float)
     table = GradientTable.at_point(obj, x0)
-    u0 = x0 + gamma * table.sum()
-    return SagaUState(u=u0, table=table)
+    state = SagaUState(u=x0 + gamma * table.sum(), table=table)
+    state.x = saga_u_reconstruct(state, gamma)
+    return state
 
 
 def finito_init(obj, x0) -> FinitoState:
@@ -295,14 +301,17 @@ def saga_u_step(state: SagaUState, obj, j, gamma) -> SagaUState:
 
     x is reconstructed from u and the table sum, u moves a 1/n fraction
     towards x, and entry j is refreshed at x.  Eliminating u gives back
-    exactly the plain update, so the x sequences coincide.
+    exactly the plain update, so the x sequences coincide.  The
+    reconstruction after the step is kept as ``state.x``, which the
+    next step starts from.
     """
     if obj.reg.kind != "none":
         raise ConfigError("the u-form is only valid without a composite term")
-    x = saga_u_reconstruct(state, gamma)
+    x = state.x
     state.u = state.u + (x - state.u) / obj.n
     entry, _ = _new_gradient(obj, state.table, j, x)
     state.table.update(j, entry)
+    state.x = saga_u_reconstruct(state, gamma)
     state.k += 1
     _check_iterate(x, state.k)
     return state
@@ -613,11 +622,16 @@ def run(method, obj, x0, *, epochs, policy=None, seed=0, rng=None,
         state = sdca_init(obj, x0, mu)
         evals += n
 
-    def iterate():
-        if method == "saga_u":
-            return saga_u_reconstruct(state, gamma)
-        return state.x
-
+    step, *params = {
+        "saga": (saga_step, gamma),
+        "sag": (sag_step, gamma),
+        "saga_explicit_l2": (saga_step_explicit_l2, gamma, explicit_l2),
+        "saga_u": (saga_u_step, gamma),
+        "finito": (finito_step, gamma),
+        "sdca": (sdca_primal_step, mu),
+        "sdca_variant5": (sdca_variant5_step, mu, consts.L),
+        "midpoint": (midpoint_step, mu),
+    }[method]
     extra_l2 = explicit_l2 if method == "saga_explicit_l2" else 0.0
     records = [_record(obj, 0, 0.0, x0, x0, reference, extra_l2=extra_l2)]
     xsum = np.zeros_like(x0)
@@ -646,38 +660,24 @@ def run(method, obj, x0, *, epochs, policy=None, seed=0, rng=None,
                 order = rng.permutation(n)
             else:
                 order = rng.integers(0, n, size=n)
-            for j in order:
-                j = int(j)
-                if method == "saga":
-                    saga_step(state, obj, j, gamma)
-                elif method == "sag":
-                    sag_step(state, obj, j, gamma)
-                elif method == "saga_explicit_l2":
-                    saga_step_explicit_l2(state, obj, j, gamma, explicit_l2)
-                elif method == "saga_u":
-                    saga_u_step(state, obj, j, gamma)
-                elif method == "finito":
-                    finito_step(state, obj, j, gamma)
-                elif method == "sdca":
-                    sdca_primal_step(state, obj, j, mu)
-                elif method == "sdca_variant5":
-                    sdca_variant5_step(state, obj, j, mu, consts.L)
-                else:
-                    midpoint_step(state, obj, j, mu)
+            for j in order.tolist():
+                step(state, obj, j, *params)
                 evals += 1.0
                 steps += 1
-                xsum += iterate()
+                xsum += state.x
         state.table.resync()
         if method in ("sdca", "sdca_variant5"):
             state.x = -(1.0 / (mu * n)) * state.table.sum()
         elif method in ("finito", "midpoint"):
             state.phi_mean = state.phi.mean(axis=0)
+        elif method == "saga_u":
+            state.x = saga_u_reconstruct(state, gamma)
         if (ep + 1) % trace_every == 0 or ep == epochs - 1:
-            records.append(_record(obj, steps, evals, iterate(),
+            records.append(_record(obj, steps, evals, state.x,
                                    xsum / steps, reference, extra_l2=extra_l2))
 
     xbar = xsum / steps if steps else np.array(x0)
-    return RunResult(method, records, np.array(iterate()), xbar, evals)
+    return RunResult(method, records, np.array(state.x), xbar, evals)
 
 
 def _smooth_lipschitz(obj, max_lipschitz):

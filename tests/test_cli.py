@@ -59,10 +59,11 @@ def test_run_missing_file_exits_one(tmp_path):
     assert main(["run", "--config", str(tmp_path / "none.json")]) == 1
 
 
-def _assert_config_error(argv, capsys):
+def _assert_config_error(argv, capsys, mentions=""):
     assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
+    assert mentions in err[0]
 
 
 def test_run_malformed_json_exits_one(tmp_path, capsys):
@@ -86,6 +87,22 @@ def test_run_non_numeric_value_exits_one(config_path, tmp_path, capsys, key):
     (cfg["dataset"]["synthetic"] if key == "n" else cfg)[key] = "ten"
     p.write_text(json.dumps(cfg))
     _assert_config_error(["run", "--config", str(p)], capsys)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("methods", [3]),
+    ("methods", "saga"),
+    ("dataset", "synthetic"),
+    ("out", 5),
+])
+def test_run_wrong_field_type_exits_one(config_path, tmp_path, capsys, key,
+                                        value):
+    p = tmp_path / "bad.json"
+    cfg = json.loads(config_path.read_text())
+    cfg[key] = value
+    p.write_text(json.dumps(cfg))
+    _assert_config_error(["run", "--config", str(p)], capsys,
+                         mentions=f"'{key}'")
 
 
 def test_run_non_integer_seeds_exits_one(config_path, capsys):

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from incgrad import ConfigError, FiniteSumObjective, Regularizer, make_loss
-from incgrad import prox_gradient_optimum
+from incgrad import (
+    ConfigError,
+    CscMatrix,
+    FiniteSumObjective,
+    Regularizer,
+    make_loss,
+    prox_gradient_optimum,
+)
 from incgrad.datasets import generate_synthetic, load_libsvm, save_libsvm
 
 
@@ -115,3 +121,32 @@ def test_planted_model_recovery():
     obj = FiniteSumObjective(ds, make_loss("squared"), split_l2=1e-9)
     x_star, _ = prox_gradient_optimum(obj, tol=1e-13)
     assert np.abs(x_star - w).max() <= 1e-4
+
+
+# ---------------------------------------------------------------------------
+# CSC construction
+
+def _from_dense_loop(dense):
+    """Column-by-column reference for CscMatrix.from_dense."""
+    d, n = dense.shape
+    idxs = [np.nonzero(dense[:, j])[0] for j in range(n)]
+    indptr = np.concatenate([[0], np.cumsum([nz.size for nz in idxs])])
+    data = np.concatenate([dense[nz, j] for j, nz in enumerate(idxs)])
+    return data, np.concatenate(idxs), indptr
+
+
+@pytest.mark.parametrize("shape,density", [
+    ((100, 600), 1.0), ((600, 10000), 1e-3), ((5, 8), 0.4), ((7, 3), 0.0),
+    ((1, 1), 1.0), ((30, 40), 0.05),
+])
+def test_from_dense_matches_column_loop(shape, density):
+    rng = np.random.default_rng(sum(shape))
+    dense = rng.standard_normal(shape) * (rng.random(shape) < density)
+    dense[:, ::3] = 0.0  # empty columns, at the ends and inside
+    m = CscMatrix.from_dense(dense)
+    data, indices, indptr = _from_dense_loop(dense)
+    assert m.shape == shape
+    assert np.array_equal(m.data, data)
+    assert np.array_equal(m.indices, indices)
+    assert np.array_equal(m.indptr, indptr)
+    assert np.array_equal(m.to_dense(), dense)

@@ -11,6 +11,7 @@ from incgrad import (
     make_loss,
     scalar_loss_prox,
 )
+from incgrad.objectives import _solve_margin, sigmoid
 from conftest import central_difference_gradient, make_random_objective
 
 
@@ -36,10 +37,14 @@ def test_component_gradient_stationary_at_own_minimizer():
 
 def test_component_gradient_input_validation(two_quadratics):
     obj, _ = two_quadratics
-    with pytest.raises(IndexError):
-        obj.component_gradient(2, np.array([0.0]))
-    with pytest.raises(ValueError):
-        obj.component_gradient(0, np.array([np.nan]))
+    for i in (2, -1):
+        with pytest.raises(IndexError):
+            obj.component_gradient(i, np.array([0.0]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            obj.component_gradient(0, np.array([bad]))
+        with pytest.raises(ValueError):
+            obj.full_gradient(np.array([bad]))
 
 
 def test_full_gradient_hand_values(two_quadratics):
@@ -201,6 +206,66 @@ def test_scalar_loss_prox_is_true_minimizer():
     for _ in range(300):
         q = phi + rng.standard_normal(3) * 10.0 ** rng.uniform(-5, 0)
         assert base <= total(q) + 1e-10
+
+
+def _solve_margin_numpy(b, shrink, gq, az, tol, max_iter):
+    """The margin solve as it ran on numpy 0-d arrays; the reference for
+    the scalar version."""
+    if gq == 0.0:
+        return az / shrink
+    lo = (az - gq) / shrink
+    hi = (az + gq) / shrink
+    t = az / shrink
+    for _ in range(max_iter):
+        s = sigmoid(np.array(-b * t))
+        g = shrink * t + gq * (-b * float(s)) - az
+        if abs(g) <= tol:
+            return t
+        if g > 0:
+            hi = t
+        else:
+            lo = t
+        dg = shrink + gq * float(s) * (1.0 - float(s))
+        t_new = t - g / dg
+        if not (lo < t_new < hi):
+            t_new = 0.5 * (lo + hi)
+        t = t_new
+    s = sigmoid(np.array(-b * t))
+    g = shrink * t + gq * (-b * float(s)) - az
+    if abs(g) <= tol:
+        return t
+    raise ProxSolveError(residual=abs(g), iterations=max_iter)
+
+
+def test_solve_margin_matches_numpy_reference():
+    tol = 1e-12
+    psi = make_loss("logistic").deriv_scalar
+    magnitudes = np.logspace(-3, 3, 19).tolist()
+    azs = [-m for m in magnitudes] + [0.0] + magnitudes
+    for shrink in (1.0, 1.7):
+        for b in (1.0, -1.0):
+            for az in azs:
+                for gq in np.logspace(-8, 3, 23).tolist():
+                    args = (b, shrink, gq, az, tol, 100)
+                    try:
+                        want = _solve_margin_numpy(*args)
+                    except ProxSolveError:
+                        with pytest.raises(ProxSolveError):
+                            _solve_margin(*args)
+                        continue
+                    t = _solve_margin(*args)
+                    assert abs(t - want) <= 1e-15 * abs(want)
+                    assert abs(shrink * t + gq * psi(t, b) - az) <= tol
+
+
+def test_solve_margin_raises_at_max_iter():
+    for max_iter in (1, 2, 3):
+        with pytest.raises(ProxSolveError):
+            _solve_margin_numpy(1.0, 1.0, 100.0, 0.0, 1e-12, max_iter)
+        with pytest.raises(ProxSolveError) as err:
+            _solve_margin(1.0, 1.0, 100.0, 0.0, 1e-12, max_iter)
+        assert err.value.iterations == max_iter
+        assert err.value.residual > 1e-12
 
 
 def test_scalar_loss_prox_reports_nonconvergence():

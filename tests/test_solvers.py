@@ -635,6 +635,92 @@ def test_run_trace_row_counting(two_quadratics):
     assert np.allclose(np.diff(per_n[1:]), 1.0)
 
 
+def _hand_run(method, obj, x0, gamma, mu, L, epochs, seed):
+    """The run driver written out with per-step dispatch, the saga_u
+    iterate reconstructed from u and the table after every step, and
+    one integer draw stream per epoch; returns the iterate after each
+    epoch and the average iterate."""
+    rng = np.random.default_rng(seed)
+    n = obj.n
+    if method in ("finito", "midpoint"):
+        state = finito_init(obj, x0)
+    elif method in ("sdca", "sdca_variant5"):
+        state = sdca_init(obj, x0, mu)
+    elif method == "saga_u":
+        state = saga_u_init(obj, x0, gamma)
+    else:
+        state = saga_init(obj, x0)
+
+    def iterate():
+        if method == "saga_u":
+            return saga_u_reconstruct(state, gamma)
+        return state.x
+
+    xs, xsum = [], np.zeros_like(x0)
+    for _ in range(epochs):
+        for j in rng.integers(0, n, size=n):
+            j = int(j)
+            if method == "saga":
+                saga_step(state, obj, j, gamma)
+            elif method == "sag":
+                sag_step(state, obj, j, gamma)
+            elif method == "saga_explicit_l2":
+                saga_step_explicit_l2(state, obj, j, gamma, mu)
+            elif method == "saga_u":
+                saga_u_step(state, obj, j, gamma)
+            elif method == "finito":
+                finito_step(state, obj, j, gamma)
+            elif method == "sdca":
+                sdca_primal_step(state, obj, j, mu)
+            elif method == "sdca_variant5":
+                sdca_variant5_step(state, obj, j, mu, L)
+            else:
+                midpoint_step(state, obj, j, mu)
+            xsum += iterate()
+        state.table.resync()
+        if method in ("sdca", "sdca_variant5"):
+            state.x = -(1.0 / (mu * n)) * state.table.sum()
+        elif method in ("finito", "midpoint"):
+            state.phi_mean = state.phi.mean(axis=0)
+        elif method == "saga_u":
+            state.x = saga_u_reconstruct(state, gamma)
+        xs.append(np.array(iterate()))
+    return xs, xsum / (epochs * n)
+
+
+@pytest.mark.parametrize("method,form", [
+    ("saga", "split"), ("saga", "split_l1"), ("sag", "split"),
+    ("saga_u", "split"), ("finito", "split"), ("midpoint", "split"),
+    ("sdca", "separate"), ("sdca_variant5", "separate"),
+    ("saga_explicit_l2", "loss_only"),
+])
+def test_run_equals_hand_loop_of_step_functions(method, form):
+    rng = np.random.default_rng(5)
+    mu, gamma = 0.3, 0.05
+    obj = make_random_objective(rng, kind="logistic", n=12, d=4, split=mu)
+    consts = ProblemConstants(n=12, d=4, L=estimate_constants(obj).L, mu=mu)
+    kwargs = {}
+    if form == "split_l1":
+        obj = FiniteSumObjective(obj.dataset, obj.loss, split_l2=mu,
+                                 reg=Regularizer(l1=0.02))
+    elif form == "separate":
+        obj = FiniteSumObjective(obj.dataset, obj.loss, reg=Regularizer(l2=mu))
+    elif form == "loss_only":
+        obj = FiniteSumObjective(obj.dataset, obj.loss)
+        kwargs["explicit_l2"] = mu
+    if method not in ("sdca", "sdca_variant5", "midpoint"):
+        kwargs["policy"] = StepSizePolicy("manual", gamma=gamma)
+    x0 = rng.standard_normal(4)
+    res = run(method, obj, x0, epochs=3, seed=11, consts=consts, **kwargs)
+    xs, xbar = _hand_run(method, obj, x0, gamma, mu, consts.L, 3, 11)
+    assert [r.k for r in res.records] == [0, 12, 24, 36]
+    for rec, x in zip(res.records[1:], xs):
+        assert np.array_equal(rec.x, x)
+    assert np.array_equal(res.x, xs[-1])
+    assert np.array_equal(res.xbar, xbar)
+    assert np.array_equal(res.records[-1].xbar, xbar)
+
+
 def test_all_methods_reach_common_optimum():
     rng = np.random.default_rng(47)
     n, d = 40, 5
