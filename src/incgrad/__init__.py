@@ -29,6 +29,7 @@ from .solvers import (
     TraceRecord,
     prox_gradient_optimum,
     run,
+    saga_chains,
     step_size,
     svrg_run,
 )
@@ -58,6 +59,7 @@ __all__ = [
     "make_loss",
     "prox_gradient_optimum",
     "run",
+    "saga_chains",
     "scalar_loss_prox",
     "step_size",
     "svrg_run",

@@ -488,10 +488,11 @@ def _check_unbiasedness(rng, trials):
 
 
 def _check_bound_dominance(seed, seeds):
-    """Mean squared distance along runs against twice the closed-form
-    geometric bound, on a small ridge problem."""
+    """Mean squared distance along seeded runs, advanced in lockstep by
+    ``saga_chains``, against twice the closed-form geometric bound, on a
+    small ridge problem."""
     from .datasets import generate_synthetic
-    from .solvers import run
+    from .solvers import run, saga_chains
 
     ds = generate_synthetic("ridge", n=40, d=8, density=1.0, noise=0.4,
                             seed=seed, normalize=True)
@@ -502,13 +503,11 @@ def _check_bound_dominance(seed, seeds):
     x_star, f_star = prox_gradient_optimum(obj)
     x0 = np.zeros(obj.d)
     epochs = 15
-    acc = None
-    for s in range(seeds):
-        res = run("saga", obj, x0, epochs=epochs, seed=1000 + s,
-                  reference=(x_star, f_star))
-        dists = np.array([r.dist_sq for r in res.records])
-        acc = dists if acc is None else acc + dists
-    mean = acc / seeds
+    chains = saga_chains(obj, x0, epochs=epochs,
+                         seeds=range(1000, 1000 + seeds),
+                         reference=(x_star, f_star))
+    mean = sum(np.array([r.dist_sq for r in res.records])
+               for res in chains) / seeds
     ks = [r.k for r in run("saga", obj, x0, epochs=epochs, seed=0,
                            reference=(x_star, f_star)).records]
     worst = -math.inf
@@ -521,7 +520,18 @@ def _check_bound_dominance(seed, seeds):
 def certify(seed=0, instances=1000, lemma_instances=1000, estimator_trials=200,
             moreau_trials=1000, unbiased_trials=100, traj_seeds=200,
             include_trajectory=True):
-    """Run the full property battery; returns a list of PropertyResult."""
+    """Run the full property battery; returns a list of PropertyResult.
+
+    Raises :class:`ConfigError` when a battery would be empty: fewer
+    than one instance, lemma instance, or (with the trajectory check)
+    trajectory seed.
+    """
+    sizes = {"instances": instances, "lemma_instances": lemma_instances}
+    if include_trajectory:
+        sizes["traj_seeds"] = traj_seeds
+    for name, size in sizes.items():
+        if size < 1:
+            raise ConfigError(f"{name} must be at least 1, got {size}")
     results = []
     rng = np.random.default_rng(seed)
 

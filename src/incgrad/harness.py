@@ -204,14 +204,13 @@ def compute_reference_optimum(obj, tol=1e-12, max_iter=1_000_000):
 def _sweep_gamma(name, obj, x0, cfg, kwargs, reference):
     """Geometric grid around the theory default; picks the step with the
     lowest final suboptimality on the first seed."""
-    from .solvers import _resolve_constants, step_size
+    from .solvers import _policy_gamma, _resolve_constants
 
     consts = _resolve_constants(name, obj, None, kwargs.get("explicit_l2", 0.0))
     if name == "finito":
         base = 1.0 / (2.0 * consts.mu * obj.n)
     else:
-        mode = "strongly_convex" if consts.mu > 0 else "adaptive"
-        base = step_size(StepSizePolicy(mode), consts)
+        base = _policy_gamma(None, consts)
     best_gamma, best_val = None, np.inf
     for mult in SWEEP_GRID:
         gamma = base * mult

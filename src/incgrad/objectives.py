@@ -393,17 +393,39 @@ def _solve_margin(b, shrink, gq, az, tol, max_iter):
     """Root of g(t) = shrink*t + gq*psi'(t) - az, strictly increasing,
     for the logistic psi'(t) = -b sigmoid(-b t).  Runs on Python floats:
     every argument is a scalar, and numpy's per-call cost on 0-d arrays
-    is most of the time of a scalar iteration."""
+    is most of the time of a scalar iteration.
+
+    Safeguarded Newton: the step bisects the bracket instead whenever
+    the Newton point leaves it, or |g| is not below half the smallest
+    |g| of the earlier iterates (the ``rtsafe`` safeguard of Numerical
+    Recipes section 9.4, measured against the best iterate so that
+    Newton cannot cycle inside a bracket that no longer shrinks).
+    Iteration bound, in exact arithmetic: every Newton step after the
+    first halves the smallest |g|, which starts at most gq, and every
+    bisection halves the bracket, which starts 2 gq / shrink wide and
+    on which |g| is at most (shrink + gq/4) times its width.  So at most
+
+        2 + log2(gq / tol) + ceil(log2(2 gq (1 + gq / (4 shrink)) / tol))
+
+    iterations are needed: 86 at gq = 1.7, shrink = 1 and tol = 1e-12,
+    and at most 100 for gq up to about 70.  In practice Newton's
+    quadratic convergence needs far fewer: at most 46 on a grid of gq in
+    [1e-8, 1e3] and az in [-60, 60].  In floating point the bound holds
+    while the spacing of doubles near the root, times shrink + gq/4, is
+    under tol.
+    """
     if gq == 0.0:
         return az / shrink
     # |psi'| <= 1 for logistic, so the root lies in this bracket
     lo = (az - gq) / shrink
     hi = (az + gq) / shrink
     t = az / shrink
+    best = math.inf
     for _ in range(max_iter):
         s = _sigmoid_scalar(-b * t)
         g = shrink * t + gq * (-b * s) - az
-        if abs(g) <= tol:
+        size = abs(g)
+        if size <= tol:
             return t
         if g > 0:
             hi = t
@@ -411,8 +433,10 @@ def _solve_margin(b, shrink, gq, az, tol, max_iter):
             lo = t
         dg = shrink + gq * s * (1.0 - s)
         t_new = t - g / dg
-        if not (lo < t_new < hi):
+        if not (lo < t_new < hi and size < 0.5 * best):
             t_new = 0.5 * (lo + hi)
+        if size < best:
+            best = size
         t = t_new
     s = _sigmoid_scalar(-b * t)
     g = shrink * t + gq * (-b * s) - az

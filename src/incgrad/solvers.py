@@ -227,6 +227,14 @@ def step_size(policy: StepSizePolicy, consts: ProblemConstants) -> float:
     return 1.0 / (3.0 * (consts.mu * consts.n + consts.L))
 
 
+def _policy_gamma(policy, consts: ProblemConstants) -> float:
+    """Step of ``policy``; without one, 1/(2(mu n + L)) when mu > 0 and
+    1/(3L) otherwise."""
+    if policy is None:
+        policy = StepSizePolicy("strongly_convex" if consts.mu > 0 else "adaptive")
+    return step_size(policy, consts)
+
+
 # ---------------------------------------------------------------------------
 # single steps
 
@@ -576,9 +584,7 @@ def run(method, obj, x0, *, epochs, policy=None, seed=0, rng=None,
         else:
             raise ConfigError("finito accepts only a manual step size override")
     else:
-        if policy is None:
-            policy = StepSizePolicy("strongly_convex" if mu > 0 else "adaptive")
-        gamma = step_size(policy, consts)
+        gamma = _policy_gamma(policy, consts)
 
     if init not in ("full", "one_by_one"):
         raise ConfigError(f"unknown init mode {init!r}")
@@ -678,6 +684,90 @@ def run(method, obj, x0, *, epochs, policy=None, seed=0, rng=None,
 
     xbar = xsum / steps if steps else np.array(x0)
     return RunResult(method, records, np.array(state.x), xbar, evals)
+
+
+def saga_chains(obj, x0, *, epochs, seeds, policy=None, reference=None) -> list:
+    """One ``saga`` chain per seed, advanced in lockstep as one batch.
+
+    Chain i is ``run("saga", obj, x0, epochs=epochs, seed=seeds[i],
+    policy=policy, reference=reference)``: the same full-pass table at
+    x0, the same index stream (each chain owns ``default_rng(seed)`` and
+    draws an epoch at a time, as ``run`` does), the same update, resync,
+    divergence guard and a trace row after every epoch.  The S iterates
+    form one (S, d) array and the S tables one array whose row i*n + j
+    is chain i's entry j, so a step costs a handful of numpy calls for
+    all chains instead of a few per chain.  Margins come from a row-wise
+    product that need not round like ``run``'s ``a @ x``, so chains
+    match ``run`` to rounding (about 1e-15 relative), not bit for bit:
+    use this for statistics over seeds, and ``run`` where output bytes
+    matter.  A chain failing the guard raises :class:`DivergenceError`
+    at the first step any chain fails, naming that chain's seed.
+    Returns one :class:`RunResult` per seed.
+    """
+    seeds = list(seeds)
+    if not seeds:
+        raise ConfigError("saga_chains needs at least one seed")
+    if epochs < 0:
+        raise ConfigError("epochs must be nonnegative")
+    x0 = np.asarray(x0, dtype=float)
+    consts = _resolve_constants("saga", obj, None, 0.0)
+    _validate_method("saga", obj, consts.mu)
+    gamma = _policy_gamma(policy, consts)
+
+    n, S = obj.n, len(seeds)
+    points, labels, deriv = obj.points, obj.labels, obj.loss.deriv
+    split, prox = obj.split_l2, obj.reg.prox if obj.reg.kind != "none" else None
+    table = GradientTable.at_point(obj, x0)
+    scalar = table.mode == "scalar"
+    entries = (np.tile(table.coeffs, S) if scalar
+               else np.tile(table.vecs, (S, 1)))
+    avg = np.tile(table.avg, (S, 1))
+    x = np.tile(x0, (S, 1))
+    xsum = np.zeros_like(x)
+    base = np.arange(S) * n
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    records = [[_record(obj, 0, 0.0, x0, x0, reference)] for _ in seeds]
+    steps = 0
+
+    for ep in range(epochs):
+        order = np.stack([rng.integers(0, n, size=n) for rng in rngs], axis=1)
+        for js in order:
+            a = points[js]
+            c = deriv(np.einsum("ij,ij->i", a, x), labels[js])
+            rows = base + js
+            g_new = c[:, None] * a
+            if scalar:
+                c_old = entries[rows]
+                g_old = c_old[:, None] * a
+            else:  # a dense table means split_l2 > 0
+                g_new += split * x
+                g_old = entries[rows]
+            w = x - gamma * (g_new - g_old + avg)
+            if prox is not None:
+                w = prox(gamma, w)
+            if scalar:
+                avg += ((c - c_old) / n)[:, None] * a
+                entries[rows] = c
+            else:
+                avg += (g_new - g_old) / n
+                entries[rows] = g_new
+            x = w
+            steps += 1
+            ok = np.einsum("ij,ij->i", x, x) < DIVERGENCE_SQNORM
+            if not ok.all():
+                raise DivergenceError(
+                    steps, detail="non-finite or oversized iterate in the "
+                    f"chain of seed {seeds[int(np.argmin(ok))]}")
+            xsum += x
+        avg = (entries.reshape(S, n) @ points / n if scalar
+               else entries.reshape(S, n, -1).mean(axis=1))
+        for i, chain in enumerate(records):
+            chain.append(_record(obj, steps, float(n + steps), x[i],
+                                 xsum[i] / steps, reference))
+
+    return [RunResult("saga", chain, x[i].copy(),
+                      xsum[i] / steps if steps else x0.copy(), float(n + steps))
+            for i, chain in enumerate(records)]
 
 
 def _smooth_lipschitz(obj, max_lipschitz):

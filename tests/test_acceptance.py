@@ -19,6 +19,7 @@ from incgrad import (
     make_loss,
     prox_gradient_optimum,
     run,
+    saga_chains,
 )
 from incgrad.analysis import (
     LyapunovParams,
@@ -76,26 +77,23 @@ def _ridge_unit_condition(seed=42):
     return obj, consts
 
 
-def _mean_trajectory(obj, consts, policy, seeds, epochs, field):
+def _mean_trajectory(obj, policy, seeds, epochs, field):
+    """Trace steps, the mean of ``field`` over ``seeds`` seeded saga
+    runs (advanced in lockstep by ``saga_chains``), and x*."""
     x_star, f_star = prox_gradient_optimum(obj)
-    x0 = np.zeros(obj.d)
-    acc = None
-    ks = None
-    for s in range(seeds):
-        res = run("saga", obj, x0, epochs=epochs, seed=s, policy=policy,
-                  reference=(x_star, f_star))
-        vals = np.array([getattr(r, field) for r in res.records])
-        acc = vals if acc is None else acc + vals
-        if ks is None:
-            ks = [r.k for r in res.records]
-    return np.array(ks), acc / seeds, x_star
+    chains = saga_chains(obj, np.zeros(obj.d), epochs=epochs,
+                         seeds=range(seeds), policy=policy,
+                         reference=(x_star, f_star))
+    acc = sum(np.array([getattr(r, field) for r in res.records])
+              for res in chains)
+    return np.array([r.k for r in chains[0].records]), acc / seeds, x_star
 
 
 def test_criterion_2_corollary_bound_tracking():
     t0 = time.time()
     obj, consts = _ridge_unit_condition()
     ks, mean_dist, x_star = _mean_trajectory(
-        obj, consts, None, seeds=200, epochs=30, field="dist_sq")
+        obj, None, seeds=200, epochs=30, field="dist_sq")
     x0 = np.zeros(obj.d)
     worst_ratio = 0.0
     for k, m in zip(ks, mean_dist):
@@ -111,7 +109,7 @@ def test_criterion_3_adaptive_bound_tracking():
     t0 = time.time()
     obj, consts = _ridge_unit_condition()
     ks, mean_dist, x_star = _mean_trajectory(
-        obj, consts, StepSizePolicy("adaptive"), seeds=200, epochs=30,
+        obj, StepSizePolicy("adaptive"), seeds=200, epochs=30,
         field="dist_sq")
     x0 = np.zeros(obj.d)
     worst_ratio = 0.0
@@ -131,20 +129,10 @@ def test_criterion_4_non_strongly_convex_rate():
     obj = FiniteSumObjective(ds, make_loss("squared"))
     consts = estimate_constants(obj)
     assert consts.mu == 0.0
-    x_star, f_star = prox_gradient_optimum(obj)
     x0 = np.zeros(d)
-    acc = None
-    ks = None
-    seeds = 200
-    for s in range(seeds):
-        res = run("saga", obj, x0, epochs=30, seed=s,
-                  policy=StepSizePolicy("adaptive"),
-                  reference=(x_star, f_star))
-        vals = np.array([r.subopt_avg for r in res.records])
-        acc = vals if acc is None else acc + vals
-        if ks is None:
-            ks = [r.k for r in res.records]
-    mean_gap = acc / seeds
+    ks, mean_gap, x_star = _mean_trajectory(
+        obj, StepSizePolicy("adaptive"), seeds=200, epochs=30,
+        field="subopt_avg")
     worst_ratio = 0.0
     for k, m in zip(ks, mean_gap):
         if k < n:

@@ -127,6 +127,24 @@ def test_certify_quick(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("argv,mentions", [
+    (["--traj-seeds", "0"], "traj_seeds"),
+    (["--traj-seeds", "-2"], "traj_seeds"),
+    (["--instances", "0", "--lemma-instances", "0"], "instances"),
+    (["--lemma-instances", "0"], "lemma_instances"),
+])
+def test_certify_empty_battery_exits_one(capsys, argv, mentions):
+    _assert_config_error(["certify", *argv], capsys, mentions=mentions)
+
+
+def test_certify_skipped_trajectory_needs_no_seeds(capsys):
+    code = main(["certify", "--instances", "5", "--lemma-instances", "5",
+                 "--traj-seeds", "0", "--skip-trajectory"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "FAIL" not in out and "bound_dominance_trajectory" not in out
+
+
 def test_divergent_run_exits_two(config_path, tmp_path):
     p = tmp_path / "div.json"
     cfg = json.loads(config_path.read_text())

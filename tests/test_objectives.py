@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -209,13 +211,14 @@ def test_scalar_loss_prox_is_true_minimizer():
 
 
 def _solve_margin_numpy(b, shrink, gq, az, tol, max_iter):
-    """The margin solve as it ran on numpy 0-d arrays; the reference for
-    the scalar version."""
+    """The margin solve on numpy 0-d arrays, with the same safeguard;
+    the reference for the scalar version."""
     if gq == 0.0:
         return az / shrink
     lo = (az - gq) / shrink
     hi = (az + gq) / shrink
     t = az / shrink
+    best = np.inf
     for _ in range(max_iter):
         s = sigmoid(np.array(-b * t))
         g = shrink * t + gq * (-b * float(s)) - az
@@ -227,8 +230,9 @@ def _solve_margin_numpy(b, shrink, gq, az, tol, max_iter):
             lo = t
         dg = shrink + gq * float(s) * (1.0 - float(s))
         t_new = t - g / dg
-        if not (lo < t_new < hi):
+        if not (lo < t_new < hi) or abs(g) >= 0.5 * best:
             t_new = 0.5 * (lo + hi)
+        best = min(best, abs(g))
         t = t_new
     s = sigmoid(np.array(-b * t))
     g = shrink * t + gq * (-b * float(s)) - az
@@ -255,6 +259,22 @@ def test_solve_margin_matches_numpy_reference():
                         continue
                     t = _solve_margin(*args)
                     assert abs(t - want) <= 1e-15 * abs(want)
+                    assert abs(shrink * t + gq * psi(t, b) - az) <= tol
+
+
+def test_solve_margin_converges_within_its_bound():
+    # the Newton iteration alone cycles at shrink = 1.7, b = 1,
+    # az = -5.623, gq = 31.62 (iterates near -3.1 and 6.9)
+    tol = 1e-12
+    psi = make_loss("logistic").deriv_scalar
+    for shrink in (1.0, 1.7):
+        for b in (1.0, -1.0):
+            for az in [-5.623] + np.linspace(-60.0, 60.0, 97).tolist():
+                for gq in [31.62] + np.logspace(-8, 3, 34).tolist():
+                    bound = (2 + math.log2(gq / tol) + math.ceil(math.log2(
+                        2 * gq * (1 + gq / (4 * shrink)) / tol)))
+                    t = _solve_margin(b, shrink, gq, az, tol,
+                                      min(100, math.floor(bound)))
                     assert abs(shrink * t + gq * psi(t, b) - az) <= tol
 
 
