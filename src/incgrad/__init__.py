@@ -7,7 +7,13 @@ convergence theory, and a benchmark harness with a CLI.
 """
 
 from .cscmat import CscMatrix
-from .errors import ConfigError, DivergenceError, OptimumError, ProxSolveError
+from .errors import (
+    ConfigError,
+    DivergenceError,
+    InconsistentReferenceError,
+    OptimumError,
+    ProxSolveError,
+)
 from .objectives import (
     Dataset,
     FiniteSumObjective,
@@ -43,6 +49,7 @@ __all__ = [
     "DivergenceError",
     "FiniteSumObjective",
     "GradientTable",
+    "InconsistentReferenceError",
     "LogisticLoss",
     "LossModel",
     "METHOD_INFO",

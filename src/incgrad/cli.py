@@ -12,7 +12,13 @@ import argparse
 import sys
 
 from . import analysis, harness
-from .errors import ConfigError, DivergenceError, OptimumError, ProxSolveError
+from .errors import (
+    ConfigError,
+    DivergenceError,
+    InconsistentReferenceError,
+    OptimumError,
+    ProxSolveError,
+)
 
 
 def _build_parser():
@@ -100,7 +106,8 @@ def main(argv=None) -> int:
     except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (DivergenceError, OptimumError, ProxSolveError, RuntimeError) as exc:
+    except (DivergenceError, InconsistentReferenceError, OptimumError,
+            ProxSolveError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     return code

@@ -89,7 +89,9 @@ class CscMatrix:
         return np.bincount(col_of, weights=self.data**2, minlength=n)
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.shape)
+        """Dense (d, n) array: the transpose of a C-contiguous (n, d)
+        fill, so a point-major copy costs no second array."""
+        out = np.zeros(self.shape[::-1])
         col_of = np.repeat(np.arange(self.ncols), np.diff(self.indptr))
-        out[self.indices, col_of] = self.data
-        return out
+        out[col_of, self.indices] = self.data
+        return out.T

@@ -94,6 +94,9 @@ def save_libsvm(path, dataset: Dataset):
 
 _SYNTH_KINDS = ("ridge", "lasso_ls", "logistic")
 
+# entries per row chunk of the generator's temporaries (1 MB of doubles)
+_CHUNK = 1 << 17
+
 
 def generate_synthetic(kind, n, d, density=1.0, noise=0.1, seed=0,
                        normalize=False) -> Dataset:
@@ -103,6 +106,11 @@ def generate_synthetic(kind, n, d, density=1.0, noise=0.1, seed=0,
     one nonzero per point); labels come from a planted weight vector,
     with additive gaussian noise for the least-squares kinds and
     Bernoulli draws through a logistic link otherwise.
+
+    The (n, d) feature array is the only full-size temporary: the
+    sparsity uniforms and the row norms are taken in row chunks, which
+    gives the same values as whole-array draws (each uniform consumes
+    one 64-bit word of the stream).
     """
     if kind not in _SYNTH_KINDS:
         raise ConfigError(f"unknown synthetic kind {kind!r}")
@@ -111,16 +119,29 @@ def generate_synthetic(kind, n, d, density=1.0, noise=0.1, seed=0,
     if not 0.0 < density <= 1.0:
         raise ConfigError("density must lie in (0, 1]")
     rng = np.random.default_rng(seed)
-    pts = rng.standard_normal((n, d)) / math.sqrt(d)
+    pts = rng.standard_normal((n, d))
+    pts /= math.sqrt(d)
+    rows = max(1, _CHUNK // d)
     if density < 1.0:
-        mask = rng.random((n, d)) < density
-        for i in range(n):
-            if not mask[i].any():
-                mask[i, int(rng.integers(0, d))] = True
-        pts = np.where(mask, pts, 0.0)
+        empty = []
+        for lo in range(0, n, rows):
+            block = pts[lo:lo + rows]
+            drop = rng.random(block.shape) >= density
+            none_kept = drop.all(axis=1)
+            drop[none_kept] = False
+            block[drop] = 0.0
+            empty.extend((lo + np.flatnonzero(none_kept)).tolist())
+        # a row left empty keeps one entry, drawn after all the uniforms
+        for i in empty:
+            j = int(rng.integers(0, d))
+            keep = pts[i, j]
+            pts[i] = 0.0
+            pts[i, j] = keep
     if normalize:
-        norms = np.linalg.norm(pts, axis=1)
-        pts = pts / np.where(norms > 0, norms, 1.0)[:, None]
+        for lo in range(0, n, rows):
+            block = pts[lo:lo + rows]
+            norms = np.linalg.norm(block, axis=1)
+            block /= np.where(norms > 0, norms, 1.0)[:, None]
     w = rng.standard_normal(d)
     margins = pts @ w
     if kind == "logistic":

@@ -28,6 +28,17 @@ class ProxSolveError(RuntimeError):
         )
 
 
+class InconsistentReferenceError(RuntimeError):
+    """A run went below the reference optimum F* by more than rounding."""
+
+    def __init__(self, subopt):
+        self.subopt = subopt
+        super().__init__(
+            f"suboptimality {subopt:.3e} below tolerance; "
+            "reference optimum is inconsistent"
+        )
+
+
 class OptimumError(RuntimeError):
     """Reference-optimum computation hit its iteration cap."""
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import generate_synthetic, load_libsvm
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, InconsistentReferenceError
 from .objectives import FiniteSumObjective, Regularizer, make_loss
 from .solvers import (
     _PARAM_FREE,
@@ -233,9 +233,10 @@ def run_experiment(cfg: ExperimentConfig, sweep_steps=False):
     """Run every (method, seed) pair and collect trace rows.
 
     The reference optimum is computed once on the canonical objective;
-    suboptimality below -1e-12 aborts (the reference would be wrong),
-    values in [-1e-12, 0] clamp to zero, and anything below the floor
-    1e-16 reports as the floor so log-scale plots stay finite.
+    suboptimality below -1e-12 raises :class:`InconsistentReferenceError`
+    (the reference would be wrong), values in [-1e-12, 0] clamp to zero,
+    and anything below the floor 1e-16 reports as the floor so log-scale
+    plots stay finite.
     """
     validate_config(cfg)
     ds = build_dataset(cfg)
@@ -256,9 +257,7 @@ def run_experiment(cfg: ExperimentConfig, sweep_steps=False):
             for rec in res.records:
                 sub = rec.subopt
                 if sub < SUBOPT_NEG_TOL:
-                    raise RuntimeError(
-                        f"suboptimality {sub:.3e} below tolerance; "
-                        "reference optimum is inconsistent")
+                    raise InconsistentReferenceError(sub)
                 sub = max(sub, 0.0)
                 rows.append(ResultRow(
                     method=spec.name, seed=seed,

@@ -71,7 +71,8 @@ class Dataset:
         return self.features.column(i)
 
     def dense_points(self) -> np.ndarray:
-        """Dense (n, d) array of the points, cached."""
+        """Dense (n, d) array of the points, cached; no copy is made of
+        the array ``to_dense`` fills."""
         if self._dense is None:
             self._dense = np.ascontiguousarray(self.features.to_dense().T)
         return self._dense

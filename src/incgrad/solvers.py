@@ -26,6 +26,11 @@ from .objectives import (
 
 DIVERGENCE_SQNORM = 1e24  # |x|^2 guard, i.e. |x| > 1e12
 
+# scalar tables step on the support only below this density, from this
+# many coordinates on (see GradientTable)
+SUPPORT_DENSITY = 0.1
+SUPPORT_MIN_D = 1000
+
 
 def _check_iterate(x, k):
     s = float(x @ x)
@@ -44,6 +49,12 @@ class GradientTable:
     only when split_l2 = 0 so that f_i'(phi_i) = c_i a_i.  The mean is
     maintained incrementally and can be recomputed from scratch with
     :meth:`resync` to shed accumulated rounding.
+
+    On sparse data (density below ``SUPPORT_DENSITY``, d at least
+    ``SUPPORT_MIN_D``; below that the indexing costs what it saves) a
+    scalar table sets ``support``: updates and steps touch only the
+    nonzeros of a_i, with the bits of the dense form, whose
+    c * 0 - c_old * 0 = +-0 off the support is exact.
     """
 
     def __init__(self, obj: FiniteSumObjective, mode: str, coeffs=None,
@@ -54,6 +65,8 @@ class GradientTable:
             raise ConfigError("scalar gradient storage requires split_l2 = 0")
         self.obj = obj
         self.mode = mode
+        self.support = (mode == "scalar" and obj.d >= SUPPORT_MIN_D and
+                        obj.dataset.features.nnz < SUPPORT_DENSITY * obj.n * obj.d)
         self.coeffs = coeffs
         self.vecs = vecs
         self.avg = avg
@@ -91,7 +104,11 @@ class GradientTable:
         n = self.obj.n
         if self.mode == "scalar":
             delta = new - self.coeffs[i]
-            self.avg += (delta / n) * self.obj.points[i]
+            if self.support:
+                idx, vals = self.obj.dataset.point(i)
+                self.avg[idx] += (delta / n) * vals
+            else:
+                self.avg += (delta / n) * self.obj.points[i]
             self.coeffs[i] = new
         else:
             self.avg += (new - self.vecs[i]) / n
@@ -248,6 +265,26 @@ def _new_gradient(obj, table, j, x):
     return g, g
 
 
+def _step_direction(obj, table, j, x, gamma, per_n=False):
+    """(new entry j, gamma * (g_new - g_old + mean)) at x, with
+    g_new - g_old divided by n if ``per_n`` (sag)."""
+    if table.support:
+        idx, a = obj.dataset.point(j)
+        c = obj.loss.deriv_scalar(float(obj.points[j] @ x), obj.labels[j])
+        diff = c * a - table.coeffs[j] * a
+        if per_n:
+            diff /= obj.n
+        out = table.avg.copy()
+        out[idx] = diff + out[idx]
+        out *= gamma
+        return c, out
+    entry, g_new = _new_gradient(obj, table, j, x)
+    diff = g_new - table.gradient(j)
+    if per_n:
+        diff /= obj.n
+    return entry, gamma * (diff + table.avg)
+
+
 def saga_step(state: SagaState, obj, j, gamma) -> SagaState:
     """One update: unbiased corrected direction, then the prox of h.
 
@@ -255,9 +292,8 @@ def saga_step(state: SagaState, obj, j, gamma) -> SagaState:
     x <- prox_gamma^h(w); entry j is replaced by f_j'(x) (the new phi_j
     is the pre-step x and is never materialised).
     """
-    entry, g_new = _new_gradient(obj, state.table, j, state.x)
-    g_old = state.table.gradient(j)
-    w = state.x - gamma * (g_new - g_old + state.table.avg)
+    entry, step = _step_direction(obj, state.table, j, state.x, gamma)
+    w = state.x - step
     if obj.reg.kind != "none":
         w = obj.reg.prox(gamma, w)
     state.table.update(j, entry)
@@ -271,9 +307,9 @@ def sag_step(state: SagaState, obj, j, gamma) -> SagaState:
     """Biased 1/n-weighted variant of the same update, without prox."""
     if obj.reg.kind != "none":
         raise ConfigError("sag has no proximal support; use a smooth objective")
-    entry, g_new = _new_gradient(obj, state.table, j, state.x)
-    g_old = state.table.gradient(j)
-    state.x = state.x - gamma * ((g_new - g_old) / obj.n + state.table.avg)
+    entry, step = _step_direction(obj, state.table, j, state.x, gamma,
+                                  per_n=True)
+    state.x = state.x - step
     state.table.update(j, entry)
     state.k += 1
     _check_iterate(state.x, state.k)
@@ -290,9 +326,8 @@ def saga_step_explicit_l2(state: SagaState, obj, j, gamma, mu) -> SagaState:
         raise ConfigError("gamma * mu >= 1 would flip the iterate scaling")
     if obj.split_l2 != 0.0:
         raise ConfigError("explicit-L2 variant expects loss-only components")
-    entry, g_new = _new_gradient(obj, state.table, j, state.x)
-    g_old = state.table.gradient(j)
-    state.x = (1.0 - gamma * mu) * state.x - gamma * (g_new - g_old + state.table.avg)
+    entry, step = _step_direction(obj, state.table, j, state.x, gamma)
+    state.x = (1.0 - gamma * mu) * state.x - step
     state.table.update(j, entry)
     state.k += 1
     _check_iterate(state.x, state.k)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from incgrad import InconsistentReferenceError, harness
 from incgrad.cli import main
 
 
@@ -151,3 +152,24 @@ def test_divergent_run_exits_two(config_path, tmp_path):
     cfg["methods"] = [{"name": "saga", "step_size": 1e9}]
     p.write_text(json.dumps(cfg))
     assert main(["run", "--config", str(p)]) == 2
+
+
+def test_inconsistent_reference_exits_two(config_path, tmp_path, capsys,
+                                          monkeypatch):
+    optimum = harness.compute_reference_optimum
+
+    def raised_optimum(obj):
+        # an F* above the true optimum, which the runs then go below
+        x_star, f_star = optimum(obj)
+        return x_star, f_star + 1e-3
+
+    monkeypatch.setattr(harness, "compute_reference_optimum", raised_optimum)
+    cfg = harness.ExperimentConfig.from_json(config_path)
+    with pytest.raises(InconsistentReferenceError) as info:
+        harness.run_experiment(cfg)
+    assert info.value.subopt < harness.SUBOPT_NEG_TOL
+    assert main(["run", "--config", str(config_path),
+                 "--out", str(tmp_path / "rows.csv")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: ")
+    assert "reference optimum is inconsistent" in err[0]

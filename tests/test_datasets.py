@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from incgrad import (
     prox_gradient_optimum,
 )
 from incgrad.datasets import generate_synthetic, load_libsvm, save_libsvm
+from incgrad.objectives import Dataset, sigmoid
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +111,72 @@ def test_synthetic_validation():
         generate_synthetic("ridge", 10, 5, density=0.0)
     with pytest.raises(ConfigError):
         generate_synthetic("ridge", 0, 5)
+
+
+def _generate_synthetic_dense(kind, n, d, density=1.0, noise=0.1, seed=0,
+                              normalize=False):
+    """Whole-array reference for generate_synthetic: the same draws, with
+    the uniforms as one (n, d) array and out-of-place masking and
+    scaling."""
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((n, d)) / math.sqrt(d)
+    if density < 1.0:
+        mask = rng.random((n, d)) < density
+        for i in range(n):
+            if not mask[i].any():
+                mask[i, int(rng.integers(0, d))] = True
+        pts = np.where(mask, pts, 0.0)
+    if normalize:
+        norms = np.linalg.norm(pts, axis=1)
+        pts = pts / np.where(norms > 0, norms, 1.0)[:, None]
+    w = rng.standard_normal(d)
+    margins = pts @ w
+    if kind == "logistic":
+        labels = np.where(rng.random(n) < sigmoid(margins), 1.0, -1.0)
+    else:
+        labels = margins + noise * rng.standard_normal(n)
+    return Dataset.from_dense(pts, labels)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("kind", ["ridge", "lasso_ls", "logistic"])
+@pytest.mark.parametrize("n,d,density", [
+    (30, 20, 1.0), (40, 50, 0.3), (60, 3000, 1e-3),
+    (50, 40, 0.005),  # most rows left empty by the uniforms
+])
+def test_synthetic_matches_whole_array_draws(kind, n, d, density, normalize,
+                                             seed):
+    got = generate_synthetic(kind, n, d, density=density, seed=seed,
+                             normalize=normalize)
+    ref = _generate_synthetic_dense(kind, n, d, density=density, seed=seed,
+                                    normalize=normalize)
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got.features, name),
+                              getattr(ref.features, name))
+    assert np.array_equal(got.labels, ref.labels)
+
+
+def test_synthetic_and_densify_keep_one_dense_copy(monkeypatch):
+    n, d = 600, 10_000
+    filled = []
+    to_dense = CscMatrix.to_dense
+
+    def recording_to_dense(self):
+        filled.append(to_dense(self))
+        return filled[-1]
+
+    monkeypatch.setattr(CscMatrix, "to_dense", recording_to_dense)
+    tracemalloc.start()
+    try:
+        ds = generate_synthetic("ridge", n, d, density=1e-3, normalize=True)
+        points = ds.dense_points()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.35 * n * d * 8
+    assert points.shape == (n, d) and points.flags.c_contiguous
+    assert len(filled) == 1 and np.shares_memory(points, filled[0])
 
 
 def test_planted_model_recovery():

@@ -465,6 +465,24 @@ def test_table_incremental_average_drift():
         assert table.resync() <= 1e-9
 
 
+@pytest.mark.parametrize("density,support", [(0.01, True), (1.0, False)])
+def test_table_scalar_update_matches_dense_formula(density, support):
+    ds = generate_synthetic("logistic", n=30, d=1200, density=density,
+                            seed=4, normalize=True)
+    obj = FiniteSumObjective(ds, make_loss("logistic"))
+    rng = np.random.default_rng(8)
+    table = GradientTable.at_point(obj, rng.standard_normal(obj.d))
+    assert table.support is support
+    coeffs, avg = table.coeffs.copy(), table.avg.copy()
+    for j in rng.integers(0, obj.n, size=60).tolist():
+        new = float(rng.standard_normal())
+        avg += ((new - coeffs[j]) / obj.n) * obj.points[j]
+        coeffs[j] = new
+        table.update(j, new)
+        assert np.array_equal(table.avg, avg)
+    assert np.array_equal(table.coeffs, coeffs)
+
+
 def test_table_scalar_mode_requires_no_split():
     rng = np.random.default_rng(42)
     obj = make_random_objective(rng, split=0.5)
@@ -734,6 +752,56 @@ def test_run_equals_hand_loop_of_step_functions(method, form):
     assert np.array_equal(res.x, xs[-1])
     assert np.array_equal(res.xbar, xbar)
     assert np.array_equal(res.records[-1].xbar, xbar)
+
+
+def _dense_scalar_table_run(method, obj, x0, gamma, mu, epochs, seed):
+    """Scalar-table saga, sag and saga_explicit_l2 with every vector
+    formed over all d coordinates: g_new = c a_j, g_old = c_old a_j and
+    the mean update (c - c_old)/n a_j.  Returns the iterate after each
+    epoch."""
+    rng = np.random.default_rng(seed)
+    n, points = obj.n, obj.points
+    coeffs = np.array(obj.loss_coeffs(x0), dtype=float)
+    avg = (points.T @ coeffs) / n
+    x, xs = np.array(x0), []
+    for _ in range(epochs):
+        for j in rng.integers(0, n, size=n).tolist():
+            a = points[j]
+            c = obj.loss.deriv_scalar(float(a @ x), obj.labels[j])
+            g_new, g_old = c * a, coeffs[j] * a
+            if method == "sag":
+                x = x - gamma * ((g_new - g_old) / n + avg)
+            elif method == "saga_explicit_l2":
+                x = (1.0 - gamma * mu) * x - gamma * (g_new - g_old + avg)
+            else:
+                x = obj.reg.prox(gamma, x - gamma * (g_new - g_old + avg))
+            avg += ((c - coeffs[j]) / n) * a
+            coeffs[j] = c
+        avg = (points.T @ coeffs) / n
+        xs.append(x.copy())
+    return xs
+
+
+@pytest.mark.parametrize("density", [0.005, 1.0])
+@pytest.mark.parametrize("method,loss,l1", [
+    ("saga_explicit_l2", "squared", 0.0), ("saga_explicit_l2", "logistic", 0.0),
+    ("sag", "logistic", 0.0), ("saga", "logistic", 1e-3),
+])
+def test_support_steps_equal_dense_scalar_steps(method, loss, l1, density):
+    kind = "ridge" if loss == "squared" else "logistic"
+    ds = generate_synthetic(kind, n=40, d=1500, density=density, seed=6,
+                            normalize=True)
+    obj = FiniteSumObjective(ds, make_loss(loss),
+                             reg=Regularizer(l1=l1) if l1 else None)
+    assert GradientTable.at_point(obj, np.zeros(obj.d)).support is (density < 1)
+    mu, gamma = 0.1, 0.2
+    kwargs = {"explicit_l2": mu} if method == "saga_explicit_l2" else {}
+    x0 = np.random.default_rng(2).standard_normal(obj.d) / 30
+    res = run(method, obj, x0, epochs=3, seed=9,
+              policy=StepSizePolicy("manual", gamma=gamma), **kwargs)
+    xs = _dense_scalar_table_run(method, obj, x0, gamma, mu, 3, 9)
+    for rec, x in zip(res.records[1:], xs):
+        assert np.array_equal(rec.x, x)
 
 
 def test_all_methods_reach_common_optimum():
