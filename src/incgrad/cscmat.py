@@ -6,6 +6,8 @@ import numpy as np
 
 from .errors import ConfigError
 
+_MASK_BYTES = 1 << 20  # from_dense builds its mask in column chunks this size
+
 
 class CscMatrix:
     """A (d, n) sparse matrix in CSC layout.
@@ -55,12 +57,23 @@ class CscMatrix:
             raise ConfigError("dense input must be 2-D")
         d, n = dense.shape
         # a boolean mask selects in row-major order of dense.T: column by
-        # column, rows ascending within each column
-        mask = dense.T != 0
+        # column, rows ascending within each column; masks of about 1 MB
+        # at a time (an empty shape runs one empty chunk, which the
+        # constructor rejects)
+        step = max(1, _MASK_BYTES // max(d, 1))
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.count_nonzero(mask, axis=1), out=indptr[1:])
-        rows = np.broadcast_to(np.arange(d), (n, d))[mask]
-        return cls(dense.T[mask], rows, indptr, (d, n))
+        rows, vals = [], []
+        for lo in range(0, max(n, 1), step):
+            block = dense[:, lo:lo + step].T
+            mask = block != 0
+            counts = indptr[lo + 1:lo + 1 + step]
+            np.cumsum(np.count_nonzero(mask, axis=1), out=counts)
+            counts += indptr[lo]
+            rows.append(np.broadcast_to(np.arange(d), mask.shape)[mask])
+            vals.append(block[mask])
+        if len(vals) == 1:  # no copy of the nonzeros
+            return cls(vals[0], rows[0], indptr, (d, n))
+        return cls(np.concatenate(vals), np.concatenate(rows), indptr, (d, n))
 
     @property
     def nrows(self) -> int:

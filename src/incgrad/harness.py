@@ -11,6 +11,7 @@ variants), computes the reference optimum once, runs every
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,19 @@ SWEEP_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 CSV_HEADER = "method,seed,grad_evals_per_n,suboptimality,dist_sq"
 
 
+def _finite(key, value, kind):
+    """``value`` as a finite ``kind`` (int or float), else a ConfigError
+    naming ``key``; JSON admits NaN and Infinity, which int() turns into
+    ValueError and OverflowError."""
+    try:
+        out = kind(value)
+        if math.isfinite(out):
+            return out
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"bad config value for {key!r}: {value!r}")
+
+
 @dataclass
 class MethodSpec:
     name: str
@@ -51,7 +65,8 @@ class MethodSpec:
         if step is None:
             policy = None
         elif isinstance(step, (int, float)):
-            policy = StepSizePolicy("manual", gamma=float(step))
+            policy = StepSizePolicy("manual",
+                                    gamma=_finite("step_size", step, float))
         else:
             policy = StepSizePolicy(str(step))
         return cls(name=name, policy=policy)
@@ -86,20 +101,20 @@ class ExperimentConfig:
         out = raw.get("out")
         if out is not None and not isinstance(out, str):
             raise ConfigError("'out' must be a path string")
-        try:
-            return cls(
-                dataset=dataset,
-                loss=raw.get("loss", "squared"),
-                l2=float(raw.get("l2", 0.0)),
-                l1=float(raw.get("l1", 0.0)),
-                methods=methods,
-                epochs=int(raw.get("epochs", 10)),
-                seeds=[int(s) for s in raw.get("seeds", [0])],
-                trace_every=int(raw.get("trace_every", 1)),
-                out=out,
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad config value: {exc}") from None
+        seeds = raw.get("seeds", [0])
+        if not isinstance(seeds, list):
+            raise ConfigError("'seeds' must be a list of integers")
+        return cls(
+            dataset=dataset,
+            loss=raw.get("loss", "squared"),
+            l2=_finite("l2", raw.get("l2", 0.0), float),
+            l1=_finite("l1", raw.get("l1", 0.0), float),
+            methods=methods,
+            epochs=_finite("epochs", raw.get("epochs", 10), int),
+            seeds=[_finite("seeds", s, int) for s in seeds],
+            trace_every=_finite("trace_every", raw.get("trace_every", 1), int),
+            out=out,
+        )
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -156,21 +171,23 @@ def validate_config(cfg: ExperimentConfig):
 def build_dataset(cfg: ExperimentConfig):
     ds_cfg = cfg.dataset
     if "path" in ds_cfg:
-        return load_libsvm(ds_cfg["path"],
-                           n_features=ds_cfg.get("n_features"),
+        n_features = ds_cfg.get("n_features")
+        if n_features is not None:
+            n_features = _finite("n_features", n_features, int)
+        return load_libsvm(ds_cfg["path"], n_features=n_features,
                            normalize=bool(ds_cfg.get("normalize", False)))
     if "synthetic" in ds_cfg:
         s = ds_cfg["synthetic"]
+        if not isinstance(s, dict):
+            raise ConfigError("'synthetic' must be an object")
         try:
-            sizes = dict(n=int(s["n"]), d=int(s["d"]),
-                         density=float(s.get("density", 1.0)),
-                         noise=float(s.get("noise", 0.1)),
-                         seed=int(s.get("seed", 0)),
+            sizes = dict(n=_finite("n", s["n"], int), d=_finite("d", s["d"], int),
+                         density=_finite("density", s.get("density", 1.0), float),
+                         noise=_finite("noise", s.get("noise", 0.1), float),
+                         seed=_finite("seed", s.get("seed", 0), int),
                          normalize=bool(s.get("normalize", False)))
         except KeyError as exc:
             raise ConfigError(f"synthetic dataset config needs {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad synthetic dataset value: {exc}") from None
         return generate_synthetic(s.get("kind", "ridge"), **sizes)
     raise ConfigError("dataset config needs a 'path' or a 'synthetic' entry")
 

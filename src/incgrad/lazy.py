@@ -111,9 +111,8 @@ def sparse_saga_lstsq_epoch(data, b, it: LaggedIterate, c, g_avg, gamma, reg,
         scaling = build_lag_scaling(rho, it.k + n)
     elif abs(scaling.rho - rho) > 1e-15:
         raise ConfigError("scaling table was built for a different reg * gamma")
-    in_order = it.k < n
-    for step in range(n):
-        i = step if in_order else int(rng.integers(0, n))
+    order = range(n) if it.k < n else rng.integers(0, n, size=n).tolist()
+    for i in order:
         idx, vals = data.column(i)
         # missed updates for the touched coordinates, then the sparse step
         lagged_update(it, g_avg, idx, scaling, -gamma / it.beta)
@@ -124,10 +123,12 @@ def sparse_saga_lstsq_epoch(data, b, it: LaggedIterate, c, g_avg, gamma, reg,
         it.x[idx] += (-cchange * gamma / it.beta) * vals
         it.touches += idx.size
         it.k += 1
-        # this step's own mean-gradient share, before the mean changes
-        lagged_update(it, g_avg, idx, scaling, -gamma / it.beta)
+        # this step's own mean-gradient share, before the mean changes:
+        # a gap of exactly 1, whose factor s[1] = rho**0 = 1.0 is exact
+        it.x[idx] += (-gamma / it.beta) * g_avg[idx]
+        it.lag[idx] = it.k
         g_avg[idx] += (cchange / n) * vals
-        it.touches += idx.size
+        it.touches += 2 * idx.size
         if it.beta < renorm_threshold:
             _renormalize(it, g_avg, scaling, gamma)
 

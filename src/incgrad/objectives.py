@@ -159,8 +159,8 @@ class Regularizer:
     kind: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.l2 < 0 or self.l1 < 0:
-            raise ConfigError("regulariser strengths must be nonnegative")
+        if not (0 <= self.l2 < math.inf and 0 <= self.l1 < math.inf):
+            raise ConfigError("regulariser strengths must be finite and nonnegative")
         if self.l1 == 0 and self.l2 == 0:
             kind = "none"
         elif self.l1 == 0:
@@ -223,8 +223,8 @@ class FiniteSumObjective:
 
     def __init__(self, dataset: Dataset, loss: LossModel, split_l2: float = 0.0,
                  reg: Regularizer | None = None):
-        if split_l2 < 0:
-            raise ConfigError("split_l2 must be nonnegative")
+        if not 0 <= split_l2 < math.inf:
+            raise ConfigError("split_l2 must be finite and nonnegative")
         loss.check_labels(dataset.labels)
         self.dataset = dataset
         self.loss = loss
@@ -288,10 +288,15 @@ class FiniteSumObjective:
         """f_i'(x) = psi_i'(a_i' x) a_i + split_l2 * x."""
         self._check_index(i)
         x = np.asarray(x, float)
-        if not np.isfinite(x).all():
-            raise ValueError("x must be finite")
         a = self.points[i]
-        c = self.loss.deriv_scalar(float(a @ x), self.labels[i])
+        # the margin checks x: the dot product does not skip zeros and
+        # 0 * inf is nan, so any non-finite coordinate makes t non-finite
+        # (a finite x whose margin overflows is rejected as well); vdot
+        # rounds like a @ x but, unlike the ufunc, warns about neither
+        t = float(np.vdot(a, x))
+        if not math.isfinite(t):
+            raise ValueError("x must be finite")
+        c = self.loss.deriv_scalar(t, self.labels[i])
         g = c * a
         if self.split_l2:
             g = g + self.split_l2 * x

@@ -225,8 +225,9 @@ class StepSizePolicy:
     def __post_init__(self):
         if self.mode not in ("strongly_convex", "average_sc", "adaptive", "manual"):
             raise ConfigError(f"unknown step size mode {self.mode!r}")
-        if self.mode == "manual" and (self.gamma is None or self.gamma <= 0):
-            raise ConfigError("manual step size requires gamma > 0")
+        if self.mode == "manual" and not (
+                self.gamma is not None and 0 < self.gamma < math.inf):
+            raise ConfigError("manual step size requires a finite gamma > 0")
 
 
 def step_size(policy: StepSizePolicy, consts: ProblemConstants) -> float:
@@ -279,7 +280,7 @@ def _step_direction(obj, table, j, x, gamma, per_n=False):
         out *= gamma
         return c, out
     entry, g_new = _new_gradient(obj, table, j, x)
-    diff = g_new - table.gradient(j)
+    diff = g_new - (table.vecs[j] if table.mode == "dense" else table.gradient(j))
     if per_n:
         diff /= obj.n
     return entry, gamma * (diff + table.avg)
@@ -382,20 +383,15 @@ def sdca_primal_step(state: SdcaState, obj, j, mu) -> SdcaState:
     at x = -gamma sum_i f_i'(phi_i).
     """
     gamma = 1.0 / (mu * obj.n)
-    g_old = state.table.gradient(j)
+    g_old = state.table.vecs[j]  # read in place, so diff before update
     z = state.x + gamma * g_old
     phi_j, g_new = scalar_loss_prox(obj, j, gamma, z)
+    diff = g_new - g_old
     state.table.update(j, g_new)
-    state.x = state.x - gamma * (g_new - g_old)
+    state.x = state.x - gamma * diff
     state.k += 1
     _check_iterate(state.x, state.k)
     return state
-
-
-def _blend_entry(table: GradientTable, j, beta, g_at_x):
-    """Stored gradient interpolation (1-beta) old + beta new."""
-    old = table.gradient(j)
-    table.update(j, (1.0 - beta) * old + beta * g_at_x)
 
 
 def sdca_variant5_step(state: SdcaState, obj, j, mu, L) -> SdcaState:
@@ -404,10 +400,11 @@ def sdca_variant5_step(state: SdcaState, obj, j, mu, L) -> SdcaState:
     never formed."""
     beta = mu * obj.n / (L + mu * obj.n)
     gamma = 1.0 / (mu * obj.n)
-    g_old = state.table.gradient(j)
-    g_at_x = obj.component_gradient(j, state.x)
-    _blend_entry(state.table, j, beta, g_at_x)
-    state.x = state.x - gamma * (state.table.gradient(j) - g_old)
+    g_old = state.table.vecs[j]  # read in place, so diff before update
+    new = (1.0 - beta) * g_old + beta * obj.component_gradient(j, state.x)
+    diff = new - g_old
+    state.table.update(j, new)
+    state.x = state.x - gamma * diff
     state.k += 1
     _check_iterate(state.x, state.k)
     return state
@@ -427,8 +424,8 @@ def midpoint_step(state: FinitoState, obj, j, mu) -> FinitoState:
     gamma_p = 1.0 / (mu * (n - 1))
     sum_phi = state.phi_mean * n
     sum_g = state.table.sum()
-    g_old = state.table.gradient(j)
-    z = (sum_phi - state.phi[j]) / (n - 1) - (sum_g - g_old) / (mu * (n - 1))
+    z = ((sum_phi - state.phi[j]) / (n - 1)
+         - (sum_g - state.table.vecs[j]) / (mu * (n - 1)))
     phi_j, g_new = scalar_loss_prox(obj, j, gamma_p, z)
     state.table.update(j, g_new)
     state.phi_mean = state.phi_mean + (phi_j - state.phi[j]) / n
@@ -529,8 +526,7 @@ def svrg_run(obj, x0, gamma, m, epochs, rng, reference=None,
         snap = x.copy()
         g_full = obj.full_gradient(snap)
         evals += obj.n
-        for _ in range(m):
-            j = int(rng.integers(0, obj.n))
+        for j in rng.integers(0, obj.n, size=m).tolist():
             g = obj.component_gradient(j, x) - obj.component_gradient(j, snap) + g_full
             w = x - gamma * g
             x = obj.reg.prox(gamma, w) if has_prox else w

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -104,6 +105,30 @@ def test_run_wrong_field_type_exits_one(config_path, tmp_path, capsys, key,
     p.write_text(json.dumps(cfg))
     _assert_config_error(["run", "--config", str(p)], capsys,
                          mentions=f"'{key}'")
+
+
+@pytest.mark.parametrize("key,value", [
+    ("l1", math.nan), ("l2", math.inf), ("noise", math.nan),
+    ("epochs", math.inf), ("n", math.inf), ("step_size", math.inf),
+    ("step_size", math.nan), ("density", math.nan), ("seeds", -math.inf),
+    ("trace_every", math.nan),
+])
+def test_run_non_finite_value_exits_one(config_path, tmp_path, capsys, key,
+                                        value):
+    # JSON admits NaN and Infinity; each must end as one config error
+    # naming the key, not a traceback or a numerical failure
+    p = tmp_path / "bad.json"
+    cfg = json.loads(config_path.read_text())
+    if key in ("noise", "n", "density"):
+        cfg["dataset"]["synthetic"][key] = value
+    elif key == "step_size":
+        cfg["methods"] = [{"name": "saga", "step_size": value}]
+    else:
+        cfg[key] = [value] if key == "seeds" else value
+    p.write_text(json.dumps(cfg))
+    for command in ("run", "optimum"):
+        _assert_config_error([command, "--config", str(p)], capsys,
+                             mentions=f"'{key}'")
 
 
 def test_run_non_integer_seeds_exits_one(config_path, capsys):

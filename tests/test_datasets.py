@@ -12,6 +12,7 @@ from incgrad import (
     make_loss,
     prox_gradient_optimum,
 )
+from incgrad import cscmat
 from incgrad.datasets import generate_synthetic, load_libsvm, save_libsvm
 from incgrad.objectives import Dataset, sigmoid
 
@@ -205,11 +206,7 @@ def _from_dense_loop(dense):
     return data, np.concatenate(idxs), indptr
 
 
-@pytest.mark.parametrize("shape,density", [
-    ((100, 600), 1.0), ((600, 10000), 1e-3), ((5, 8), 0.4), ((7, 3), 0.0),
-    ((1, 1), 1.0), ((30, 40), 0.05),
-])
-def test_from_dense_matches_column_loop(shape, density):
+def _check_from_dense(shape, density):
     rng = np.random.default_rng(sum(shape))
     dense = rng.standard_normal(shape) * (rng.random(shape) < density)
     dense[:, ::3] = 0.0  # empty columns, at the ends and inside
@@ -220,3 +217,22 @@ def test_from_dense_matches_column_loop(shape, density):
     assert np.array_equal(m.indices, indices)
     assert np.array_equal(m.indptr, indptr)
     assert np.array_equal(m.to_dense(), dense)
+
+
+@pytest.mark.parametrize("shape,density", [
+    ((100, 600), 1.0), ((600, 10000), 1e-3), ((5, 8), 0.4), ((7, 3), 0.0),
+    ((1, 1), 1.0), ((30, 40), 0.05), ((3000, 1000), 0.01),
+])
+def test_from_dense_matches_column_loop(shape, density):
+    # (600, 10000) and (3000, 1000) span several 1 MB mask chunks, the
+    # last one short
+    _check_from_dense(shape, density)
+
+
+@pytest.mark.parametrize("shape,density", [
+    ((5, 8), 0.4), ((7, 3), 0.0), ((30, 40), 0.05), ((100, 60), 1.0),
+])
+def test_from_dense_small_mask_chunks(shape, density, monkeypatch):
+    # 64-byte masks put every column, or a few, in a chunk of its own
+    monkeypatch.setattr(cscmat, "_MASK_BYTES", 64)
+    _check_from_dense(shape, density)

@@ -4,7 +4,9 @@ import pytest
 from incgrad import CscMatrix, ConfigError, Dataset, FiniteSumObjective, make_loss
 from incgrad.datasets import generate_synthetic
 from incgrad.lazy import (
+    BETA_RENORM_THRESHOLD,
     LaggedIterate,
+    _renormalize,
     build_lag_scaling,
     flush_lags,
     lagged_update,
@@ -167,6 +169,51 @@ def test_first_epoch_visits_points_in_order():
     lazy, _ = _lazy_snapshots(obj, gamma, 0.2, 1, seed=77)
     dense = _dense_replay(obj, gamma, 0.2, 1, seed=77)  # epoch 0 in order
     assert np.allclose(lazy[0], dense[0], atol=1e-12)
+
+
+def _scalar_draw_run(obj, gamma, reg, epochs, rng, renorm_threshold):
+    """sparse_saga_lstsq_run with one scalar rng.integers(0, n) per step
+    and both catch-ups of a step through lagged_update; returns the
+    flushed iterate after each epoch."""
+    data, labels = obj.dataset.features, obj.labels
+    d, n = data.shape
+    rho = 1.0 - reg * gamma
+    scaling = build_lag_scaling(rho, n * epochs)
+    it, c = LaggedIterate.zeros(d), np.zeros(n)
+    g_avg = (obj.points.T @ (-labels)) / n
+    xs = []
+    for ep in range(epochs):
+        for step in range(n):
+            i = step if ep == 0 else int(rng.integers(0, n))
+            idx, vals = data.column(i)
+            lagged_update(it, g_avg, idx, scaling, -gamma / it.beta)
+            aix = it.beta * float(vals @ it.x[idx])
+            cchange = aix - c[i]
+            c[i] = aix
+            it.beta *= rho
+            it.x[idx] += (-cchange * gamma / it.beta) * vals
+            it.k += 1
+            lagged_update(it, g_avg, idx, scaling, -gamma / it.beta)
+            g_avg[idx] += (cchange / n) * vals
+            if it.beta < renorm_threshold:
+                _renormalize(it, g_avg, scaling, gamma)
+        xs.append(flush_lags(it, g_avg, scaling, -gamma / it.beta))
+    return xs
+
+
+@pytest.mark.parametrize("renorm_threshold", [BETA_RENORM_THRESHOLD, 2.0])
+def test_lazy_run_equals_scalar_draw_loop(renorm_threshold):
+    ds = generate_synthetic("ridge", n=40, d=30, density=0.1, noise=0.3, seed=9)
+    obj = FiniteSumObjective(ds, make_loss("squared"))
+    gamma = 0.3 / float(ds.sqnorms().max())
+    got_rng, want_rng = np.random.default_rng(4), np.random.default_rng(4)
+    res = sparse_saga_lstsq_run(obj, gamma, 0.4 / gamma, 4, got_rng,
+                                renorm_threshold=renorm_threshold)
+    xs = _scalar_draw_run(obj, gamma, 0.4 / gamma, 4, want_rng, renorm_threshold)
+    for rec, x in zip(res.records[1:], xs):
+        assert np.array_equal(rec.x, x)
+    assert np.array_equal(res.x, xs[-1])
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_zero_column_touches_nothing():

@@ -13,6 +13,7 @@ from incgrad import (
     make_loss,
     scalar_loss_prox,
 )
+from incgrad.datasets import generate_synthetic
 from incgrad.objectives import _solve_margin, sigmoid
 from conftest import central_difference_gradient, make_random_objective
 
@@ -47,6 +48,33 @@ def test_component_gradient_input_validation(two_quadratics):
             obj.component_gradient(0, np.array([bad]))
         with pytest.raises(ValueError):
             obj.full_gradient(np.array([bad]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_component_gradient_rejects_non_finite_where_point_is_zero(bad):
+    # the check rides on the margin a_i' x, so it must see a non-finite
+    # coordinate that the point multiplies by zero
+    dense = Dataset.from_dense([[1.0, 0.0, 2.0, 0.0], [0.0, 3.0, 0.0, 0.0]],
+                               [1.0, -1.0])
+    sparse = generate_synthetic("ridge", n=20, d=300, density=0.01, seed=1)
+    for ds, kind in ((dense, "logistic"), (sparse, "squared")):
+        obj = FiniteSumObjective(ds, make_loss(kind), split_l2=0.1)
+        points = obj.points
+        for i in range(ds.n):
+            for j in np.flatnonzero(points[i] == 0.0)[:5]:
+                x = np.ones(ds.d)
+                x[j] = bad
+                with pytest.raises(ValueError, match="finite"):
+                    obj.component_gradient(i, x)
+
+
+def test_component_gradient_rejects_overflowing_margin():
+    ds = Dataset.from_dense([[1e300, 1e300]], [1.0])
+    obj = FiniteSumObjective(ds, make_loss("squared"))
+    assert obj.component_gradient(0, np.array([1.0, -1.0])) == pytest.approx(
+        [-1e300, -1e300])
+    with pytest.raises(ValueError, match="finite"):
+        obj.component_gradient(0, np.array([1e10, 1e10]))
 
 
 def test_full_gradient_hand_values(two_quadratics):
@@ -98,6 +126,16 @@ def test_composite_equals_smooth_without_regularizer():
 
 # ---------------------------------------------------------------------------
 # prox
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_strengths_must_be_finite_and_nonnegative(bad, two_quadratics):
+    obj, _ = two_quadratics
+    for kwargs in ({"l1": bad}, {"l2": bad}):
+        with pytest.raises(ConfigError):
+            Regularizer(**kwargs)
+    with pytest.raises(ConfigError):
+        FiniteSumObjective(obj.dataset, obj.loss, split_l2=bad)
+
 
 def grid_prox_oracle(reg, gamma, y, lo=-6.0, hi=6.0, num=2_000_001):
     """1-D brute-force minimiser of h(x) + (x-y)^2/(2 gamma)."""

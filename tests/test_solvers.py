@@ -34,9 +34,9 @@ from incgrad.solvers import (
     sdca_init,
     sdca_primal_step,
     sdca_variant5_step,
-    _blend_entry,
 )
 from incgrad.analysis import fixed_point_residual
+from incgrad.objectives import scalar_loss_prox
 from incgrad.datasets import generate_synthetic
 from conftest import make_random_objective
 
@@ -50,6 +50,12 @@ def test_step_size_modes():
     assert step_size(StepSizePolicy("average_sc"), consts) == pytest.approx(1 / 60)
     assert step_size(StepSizePolicy("adaptive"), consts) == pytest.approx(1 / 30)
     assert step_size(StepSizePolicy("manual", gamma=0.1), consts) == 0.1
+
+
+@pytest.mark.parametrize("gamma", [None, 0.0, -1.0, np.nan, np.inf])
+def test_manual_step_size_must_be_finite_and_positive(gamma):
+    with pytest.raises(ConfigError):
+        StepSizePolicy("manual", gamma=gamma)
 
 
 def test_step_size_requires_mu():
@@ -243,6 +249,48 @@ def test_svrg_eval_accounting_three_per_pass(two_quadratics):
     assert per_n == pytest.approx([0.0, 3.0, 6.0, 9.0, 12.0])
 
 
+@pytest.mark.parametrize("n", [1, 2, 40, 50, 600, 10**5, 2**33])
+def test_index_draws_per_pass_equal_scalar_draws(n):
+    # run, svrg_run and the lazy engine draw a pass of indices at once;
+    # that must give the stream and the generator state of scalar draws
+    one, many = np.random.default_rng(n), np.random.default_rng(n)
+    for size in (1, 7, 600):
+        assert (one.integers(0, n, size=size).tolist()
+                == [int(many.integers(0, n)) for _ in range(size)])
+        assert one.bit_generator.state == many.bit_generator.state
+
+
+def _svrg_scalar_draws(obj, x0, gamma, m, epochs, rng):
+    """svrg_run with one scalar rng.integers(0, n) per inner step;
+    returns the iterate after each pass and the average iterate."""
+    x, xs, xsum = np.array(x0, dtype=float), [], np.zeros(obj.d)
+    for _ in range(epochs):
+        snap = x.copy()
+        g_full = obj.full_gradient(snap)
+        for _ in range(m):
+            j = int(rng.integers(0, obj.n))
+            g = obj.component_gradient(j, x) - obj.component_gradient(j, snap) + g_full
+            x = obj.reg.prox(gamma, x - gamma * g)
+            xsum += x
+        xs.append(x.copy())
+    return xs, xsum / (m * epochs)
+
+
+@pytest.mark.parametrize("m", [7, 12, 30])
+@pytest.mark.parametrize("l1", [0.0, 0.02])
+def test_svrg_equals_scalar_draw_loop(m, l1):
+    rng = np.random.default_rng(16)
+    obj = make_random_objective(rng, kind="logistic", n=12, d=4, split=0.1, l1=l1)
+    x0 = rng.standard_normal(4)
+    got_rng, want_rng = np.random.default_rng(3), np.random.default_rng(3)
+    res = svrg_run(obj, x0, gamma=0.3, m=m, epochs=4, rng=got_rng)
+    xs, xbar = _svrg_scalar_draws(obj, x0, 0.3, m, 4, want_rng)
+    for rec, x in zip(res.records[1:], xs):
+        assert np.array_equal(rec.x, x)
+    assert np.array_equal(res.xbar, xbar)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 def test_svrg_requires_inner_steps(two_quadratics):
     obj, _ = two_quadratics
     with pytest.raises(ConfigError):
@@ -354,19 +402,73 @@ def test_sdca_small_l2_completes():
 
 
 def test_variant5_blend_weights():
-    consts_beta = lambda mu, n, L: mu * n / (L + mu * n)
-    assert consts_beta(1.0, 1, 1.0) == pytest.approx(0.5)
-
+    # beta = mu n / (L + mu n): L = 0 gives beta = 1, which replaces
+    # entry j by f_j'(x), and L = inf gives beta = 0, which keeps it
     rng = np.random.default_rng(27)
     obj = _sdca_problem(rng)
-    st = sdca_init(obj, rng.standard_normal(3), mu=0.5)
-    g_x = obj.component_gradient(2, st.x)
-    old = st.table.gradient(2)
-    _blend_entry(st.table, 2, 1.0, g_x)   # full replacement
-    assert np.allclose(st.table.gradient(2), g_x)
-    st.table.update(2, old)
-    _blend_entry(st.table, 2, 0.0, g_x)   # no-op boundary
-    assert np.allclose(st.table.gradient(2), old)
+    mu = 0.5
+    x0 = rng.standard_normal(3)
+    for L, beta in ((0.0, 1.0), (np.inf, 0.0)):
+        assert mu * obj.n / (L + mu * obj.n) == beta
+        st = sdca_init(obj, x0, mu=mu)
+        g_x = obj.component_gradient(2, st.x)
+        old, x_old = st.table.gradient(2), st.x.copy()
+        sdca_variant5_step(st, obj, 2, mu, L)
+        want = g_x if beta == 1.0 else old
+        assert np.array_equal(st.table.gradient(2), want)
+        assert np.allclose(st.x, x_old - (want - old) / (mu * obj.n))
+
+
+def _copying_steps(method, state, obj, js, mu, L):
+    """sdca_primal_step, sdca_variant5_step and midpoint_step written
+    with every stored row read through the copying table.gradient(j)."""
+    n, table = obj.n, state.table
+    for j in js:
+        g_old = table.gradient(j)
+        if method == "sdca":
+            gamma = 1.0 / (mu * n)
+            _, g_new = scalar_loss_prox(obj, j, gamma, state.x + gamma * g_old)
+            table.update(j, g_new)
+            state.x = state.x - gamma * (g_new - g_old)
+        elif method == "sdca_variant5":
+            beta = mu * n / (L + mu * n)
+            g_at_x = obj.component_gradient(j, state.x)
+            table.update(j, (1.0 - beta) * table.gradient(j) + beta * g_at_x)
+            state.x = state.x - (1.0 / (mu * n)) * (table.gradient(j) - g_old)
+        else:
+            z = ((state.phi_mean * n - state.phi[j]) / (n - 1)
+                 - (table.sum() - g_old) / (mu * (n - 1)))
+            phi_j, g_new = scalar_loss_prox(obj, j, 1.0 / (mu * (n - 1)), z)
+            table.update(j, g_new)
+            state.phi_mean = state.phi_mean + (phi_j - state.phi[j]) / n
+            state.phi[j] = phi_j
+            state.x = phi_j
+
+
+@pytest.mark.parametrize("method", ["sdca", "sdca_variant5", "midpoint"])
+def test_in_place_row_reads_equal_copying_steps(method):
+    rng = np.random.default_rng(31)
+    mu = 0.05
+    obj = make_random_objective(rng, kind="logistic", n=15, d=6, split=mu)
+    if method != "midpoint":
+        obj = FiniteSumObjective(obj.dataset, obj.loss, reg=Regularizer(l2=mu))
+    L = estimate_constants(obj).L
+    x0 = rng.standard_normal(6)
+    init = (lambda: finito_init(obj, x0)) if method == "midpoint" else (
+        lambda: sdca_init(obj, x0, mu))
+    step = {"sdca": sdca_primal_step, "midpoint": midpoint_step,
+            "sdca_variant5": lambda st, o, j, m: sdca_variant5_step(st, o, j, m, L)}
+    got, want = init(), init()
+    js = rng.integers(0, obj.n, size=60).tolist()
+    for j in js:
+        step[method](got, obj, j, mu)
+    _copying_steps(method, want, obj, js, mu, L)
+    assert np.array_equal(got.x, want.x)
+    assert np.array_equal(got.table.vecs, want.table.vecs)
+    assert np.array_equal(got.table.avg, want.table.avg)
+    if method == "midpoint":
+        assert np.array_equal(got.phi, want.phi)
+        assert np.array_equal(got.phi_mean, want.phi_mean)
 
 
 def test_variant5_converges():
