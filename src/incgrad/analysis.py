@@ -265,8 +265,10 @@ def lemma_grad_diff_gap(obj, phi, x_star, L) -> float:
 def lemma_wchange_gap(obj, x, phi, x_star, gamma, beta) -> float:
     """Second moment of the pre-prox move, split by a beta-weighted
     Young inequality; the expectation over the sampled component is
-    enumerated exactly."""
-    if beta <= 0:
+    enumerated exactly.  ``beta`` may be a sequence: the gap is then the
+    smallest over its values, all from one set of gradients."""
+    betas = [beta] if np.ndim(beta) == 0 else list(beta)
+    if not betas or any(b <= 0 for b in betas):
         raise ConfigError("beta must be positive")
     x = np.asarray(x, float)
     phi = np.asarray(phi, float)
@@ -281,9 +283,8 @@ def lemma_wchange_gap(obj, x, phi, x_star, gamma, beta) -> float:
     t_phi = float(np.mean(np.sum((g_phi - g_star) ** 2, axis=1)))
     t_x = float(np.mean(np.sum((g_x - g_star) ** 2, axis=1)))
     g_dev = float(np.sum((obj.full_gradient(x) - gs_full) ** 2))
-    rhs = gamma**2 * ((1.0 + 1.0 / beta) * t_phi + (1.0 + beta) * t_x
-                      - beta * g_dev)
-    return rhs - lhs
+    return min(gamma**2 * ((1.0 + 1.0 / b) * t_phi + (1.0 + b) * t_x
+                           - b * g_dev) - lhs for b in betas)
 
 
 _LEMMAS = {
@@ -429,10 +430,9 @@ def _check_lemmas(rng, instances):
         gamma = 1.0 / (2.0 * (consts.mu * n + consts.L))
         betas = (0.5, 1.0, 2.0,
                  (2.0 * consts.mu * n + consts.L) / consts.L)
-        for beta in betas:
-            worst["wchange"] = min(worst["wchange"], lemma_gap(
-                "wchange", obj=obj, x=x, phi=phi, x_star=y, gamma=gamma,
-                beta=beta))
+        worst["wchange"] = min(worst["wchange"], lemma_gap(
+            "wchange", obj=obj, x=x, phi=phi, x_star=y, gamma=gamma,
+            beta=betas))
     return worst
 
 

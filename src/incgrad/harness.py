@@ -33,17 +33,26 @@ SWEEP_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 CSV_HEADER = "method,seed,grad_evals_per_n,suboptimality,dist_sq"
 
 
-def _finite(key, value, kind):
-    """``value`` as a finite ``kind`` (int or float), else a ConfigError
-    naming ``key``; JSON admits NaN and Infinity, which int() turns into
-    ValueError and OverflowError."""
+_EXPECTED = {bool: "true or false", int: "an integer", float: "a finite number"}
+
+
+def _checked(key, value, kind):
+    """``value`` as a ``kind`` (bool, int or float), else a ConfigError
+    naming ``key``.  Nothing is coerced: a flag must be a JSON boolean,
+    and a number a JSON number other than a boolean, finite (JSON
+    parsing admits NaN and Infinity) and, for an int, integral."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
     try:
-        out = kind(value)
-        if math.isfinite(out):
-            return out
-    except (TypeError, ValueError, OverflowError):
+        if kind is bool and isinstance(value, bool):
+            return value
+        if kind is int and number and int(value) == value:
+            return int(value)
+        if kind is float and number and math.isfinite(float(value)):
+            return float(value)
+    except (ValueError, OverflowError):  # int() of NaN or Infinity
         pass
-    raise ConfigError(f"bad config value for {key!r}: {value!r}")
+    raise ConfigError(f"bad config value for {key!r}: {value!r} "
+                      f"(expected {_EXPECTED[kind]})")
 
 
 @dataclass
@@ -66,7 +75,7 @@ class MethodSpec:
             policy = None
         elif isinstance(step, (int, float)):
             policy = StepSizePolicy("manual",
-                                    gamma=_finite("step_size", step, float))
+                                    gamma=_checked("step_size", step, float))
         else:
             policy = StepSizePolicy(str(step))
         return cls(name=name, policy=policy)
@@ -107,12 +116,12 @@ class ExperimentConfig:
         return cls(
             dataset=dataset,
             loss=raw.get("loss", "squared"),
-            l2=_finite("l2", raw.get("l2", 0.0), float),
-            l1=_finite("l1", raw.get("l1", 0.0), float),
+            l2=_checked("l2", raw.get("l2", 0.0), float),
+            l1=_checked("l1", raw.get("l1", 0.0), float),
             methods=methods,
-            epochs=_finite("epochs", raw.get("epochs", 10), int),
-            seeds=[_finite("seeds", s, int) for s in seeds],
-            trace_every=_finite("trace_every", raw.get("trace_every", 1), int),
+            epochs=_checked("epochs", raw.get("epochs", 10), int),
+            seeds=[_checked("seeds", s, int) for s in seeds],
+            trace_every=_checked("trace_every", raw.get("trace_every", 1), int),
             out=out,
         )
 
@@ -173,19 +182,21 @@ def build_dataset(cfg: ExperimentConfig):
     if "path" in ds_cfg:
         n_features = ds_cfg.get("n_features")
         if n_features is not None:
-            n_features = _finite("n_features", n_features, int)
+            n_features = _checked("n_features", n_features, int)
+        normalize = _checked("normalize", ds_cfg.get("normalize", False), bool)
         return load_libsvm(ds_cfg["path"], n_features=n_features,
-                           normalize=bool(ds_cfg.get("normalize", False)))
+                           normalize=normalize)
     if "synthetic" in ds_cfg:
         s = ds_cfg["synthetic"]
         if not isinstance(s, dict):
             raise ConfigError("'synthetic' must be an object")
         try:
-            sizes = dict(n=_finite("n", s["n"], int), d=_finite("d", s["d"], int),
-                         density=_finite("density", s.get("density", 1.0), float),
-                         noise=_finite("noise", s.get("noise", 0.1), float),
-                         seed=_finite("seed", s.get("seed", 0), int),
-                         normalize=bool(s.get("normalize", False)))
+            sizes = dict(n=_checked("n", s["n"], int), d=_checked("d", s["d"], int),
+                         density=_checked("density", s.get("density", 1.0), float),
+                         noise=_checked("noise", s.get("noise", 0.1), float),
+                         seed=_checked("seed", s.get("seed", 0), int),
+                         normalize=_checked("normalize",
+                                            s.get("normalize", False), bool))
         except KeyError as exc:
             raise ConfigError(f"synthetic dataset config needs {exc}") from None
         return generate_synthetic(s.get("kind", "ridge"), **sizes)

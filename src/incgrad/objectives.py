@@ -28,7 +28,8 @@ def sigmoid(u):
     """Numerically stable logistic function, elementwise."""
     u = np.asarray(u, dtype=float)
     e = np.exp(-np.abs(u))
-    return np.where(u >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(u >= 0, 1.0 / d, e / d)
 
 
 def _sigmoid_scalar(u: float) -> float:
@@ -254,7 +255,9 @@ class FiniteSumObjective:
         x = np.asarray(x, float)
         if margins is None:
             margins = self.margins(x)
-        val = float(np.mean(self.loss.value(margins, self.labels)))
+        # np.mean's own sum and division, without its per-call checks
+        vals = self.loss.value(margins, self.labels)
+        val = float(np.add.reduce(vals) / self.n)
         if self.split_l2:
             val += 0.5 * self.split_l2 * float(x @ x)
         return val
@@ -266,11 +269,14 @@ class FiniteSumObjective:
             out += self.reg.value(x)
         return out
 
-    def full_gradient(self, x) -> np.ndarray:
+    def full_gradient(self, x, margins=None) -> np.ndarray:
+        """f'(x); ``margins`` may pass a precomputed ``points @ x``."""
         x = np.asarray(x, float)
         if not np.isfinite(x).all():
             raise ValueError("x must be finite")
-        g = (self.points.T @ self.loss_coeffs(x)) / self.n
+        if margins is None:
+            margins = self.margins(x)
+        g = (self.points.T @ self.loss.deriv(margins, self.labels)) / self.n
         if self.split_l2:
             g = g + self.split_l2 * x
         return g
@@ -333,6 +339,18 @@ class FiniteSumObjective:
             vals = vals + 0.5 * self.split_l2 * np.einsum("ij,ij->i", phi, phi)
         return vals
 
+    def values(self, xs) -> np.ndarray:
+        """F(x) = f(x) + h(x) at every row x of xs, all margins from one
+        einsum (not a BLAS product, whose work buffer would raise peak
+        memory): equal to :meth:`value` up to rounding."""
+        xs = np.asarray(xs, float)
+        margins = np.einsum("ij,kj->ik", xs, self.points)
+        vals = self.loss.value(margins, self.labels)
+        out = np.add.reduce(vals, axis=1) / self.n
+        out += (0.5 * (self.split_l2 + self.reg.l2)
+                * np.einsum("ij,ij->i", xs, xs))
+        return out + self.reg.l1 * np.add.reduce(np.abs(xs), axis=1)
+
     def gradients_at_points(self, phi) -> np.ndarray:
         """(n, d) matrix whose row i is f_i'(phi_i)."""
         phi = np.asarray(phi, float)
@@ -381,7 +399,7 @@ def scalar_loss_prox(obj: FiniteSumObjective, i: int, gamma: float, z,
     b = float(obj.labels[i])
     q = float(obj.dataset.sqnorms()[i])
     sig = obj.split_l2
-    az = float(a @ z)
+    az = float(np.vdot(a, z))
     shrink = 1.0 + gamma * sig
 
     if obj.loss.kind == "squared":

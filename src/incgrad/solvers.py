@@ -260,7 +260,7 @@ def _new_gradient(obj, table, j, x):
     """(table entry value, gradient vector) of f_j at x."""
     if table.mode == "scalar":
         a = obj.points[j]
-        c = obj.loss.deriv_scalar(float(a @ x), obj.labels[j])
+        c = obj.loss.deriv_scalar(float(np.vdot(a, x)), obj.labels[j])
         return c, c * a
     g = obj.component_gradient(j, x)
     return g, g
@@ -271,7 +271,8 @@ def _step_direction(obj, table, j, x, gamma, per_n=False):
     g_new - g_old divided by n if ``per_n`` (sag)."""
     if table.support:
         idx, a = obj.dataset.point(j)
-        c = obj.loss.deriv_scalar(float(obj.points[j] @ x), obj.labels[j])
+        c = obj.loss.deriv_scalar(float(np.vdot(obj.points[j], x)),
+                                  obj.labels[j])
         diff = c * a - table.coeffs[j] * a
         if per_n:
             diff /= obj.n
@@ -357,7 +358,7 @@ def saga_u_step(state: SagaUState, obj, j, gamma) -> SagaUState:
     state.table.update(j, entry)
     state.x = saga_u_reconstruct(state, gamma)
     state.k += 1
-    _check_iterate(x, state.k)
+    _check_iterate(state.x, state.k)
     return state
 
 
@@ -757,7 +758,20 @@ def saga_chains(obj, x0, *, epochs, seeds, policy=None, reference=None) -> list:
     xsum = np.zeros_like(x)
     base = np.arange(S) * n
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    records = [[_record(obj, 0, 0.0, x0, x0, reference)] for _ in seeds]
+    records = [[] for _ in seeds]
+
+    def trace(k, evals, x, xbar):
+        # a row for every chain, F evaluated for all chains at once
+        cols = [[None] * S] * 3
+        if reference is not None:
+            x_star, f_star = reference
+            cols = [c.tolist() for c in (
+                obj.values(x) - f_star, obj.values(xbar) - f_star,
+                np.sum((x - x_star) ** 2, axis=1))]
+        for chain, *row in zip(records, x.copy(), xbar, *cols):
+            chain.append(TraceRecord(k, evals, *row))
+
+    trace(0, 0.0, x, x.copy())
     steps = 0
 
     for ep in range(epochs):
@@ -792,9 +806,7 @@ def saga_chains(obj, x0, *, epochs, seeds, policy=None, reference=None) -> list:
             xsum += x
         avg = (entries.reshape(S, n) @ points / n if scalar
                else entries.reshape(S, n, -1).mean(axis=1))
-        for i, chain in enumerate(records):
-            chain.append(_record(obj, steps, float(n + steps), x[i],
-                                 xsum[i] / steps, reference))
+        trace(steps, float(n + steps), x, xsum / steps)
 
     return [RunResult("saga", chain, x[i].copy(),
                       xsum[i] / steps if steps else x0.copy(), float(n + steps))
@@ -864,33 +876,41 @@ def prox_gradient_optimum(obj, tol=1e-12, max_iter=1_000_000, x0=None,
     points = obj.points
     x = np.zeros(obj.d) if x0 is None else np.array(x0, dtype=float)
     mx = points @ x
-    y, my = x, mx
+    # exact: points @ y as full_gradient forms it, else None; fy: f(y)
+    y, my, exact, fy = x, mx, mx, None
     t = 1.0
     residual = math.inf
     for _ in range(max_iter):
-        g = obj.full_gradient(y)
+        g = obj.full_gradient(y, margins=exact)
         ty = prox(1.0 / l_max, y - g / l_max)
-        residual = float(np.linalg.norm(ty - y))
+        r = ty - y
+        residual = math.sqrt(float(r @ r))  # np.linalg.norm's formula
         if residual <= tol:
             return ty, obj.value(ty, composite=True)
-        fy = obj.smooth_value(y, margins=my)
+        if fy is None and lip < l_max:
+            fy = obj.smooth_value(y, margins=my)
         while True:
             x_new = ty if lip == l_max else prox(1.0 / lip, y - g / lip)
             m_new = points @ x_new
             dx = x_new - y
-            bound = fy + float(g @ dx) + 0.5 * lip * float(dx @ dx)
-            if (lip == l_max or obj.smooth_value(x_new, margins=m_new)
-                    <= bound + 1e-15 * abs(fy)):
+            f_new = None
+            if lip == l_max:  # the step 1/L_max needs no test
+                break
+            f_new = obj.smooth_value(x_new, margins=m_new)
+            if (f_new <= fy + float(g @ dx) + 0.5 * lip * float(dx @ dx)
+                    + 1e-15 * abs(fy)):
                 break
             lip = min(2.0 * lip, l_max)
-        if float((y - x_new) @ (x_new - x)) > 0.0:
+        step = x_new - x
+        if float(dx @ step) < 0.0:  # (y - x_new)'(x_new - x) > 0
             t = 1.0
-            y, my = x_new, m_new
+            y, my, exact, fy = x_new, m_new, m_new, f_new
         else:
             t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             beta = (t - 1.0) / t_new
-            y = x_new + beta * (x_new - x)
+            y = x_new + beta * step
             my = m_new + beta * (m_new - mx)
+            exact = fy = None
             t = t_new
         x, mx = x_new, m_new
     raise OptimumError(residual=residual, iterations=max_iter)

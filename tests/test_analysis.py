@@ -186,13 +186,31 @@ def test_lemma_gaps_nonnegative_randomized():
                              gamma=gamma, beta=beta) >= -1e-12
 
 
+def test_wchange_beta_sequence_is_min_of_scalar_gaps():
+    rng = np.random.default_rng(55)
+    for _ in range(40):
+        obj = random_strongly_convex_objective(rng)
+        consts = estimate_constants(obj)
+        x = rng.standard_normal(obj.d)
+        y = rng.standard_normal(obj.d)
+        phi = rng.standard_normal((obj.n, obj.d))
+        gamma = 1.0 / (2 * (consts.mu * obj.n + consts.L))
+        betas = (0.5, 1.0, 2.0, (2 * consts.mu * obj.n + consts.L) / consts.L)
+        inputs = dict(obj=obj, x=x, phi=phi, x_star=y, gamma=gamma)
+        gaps = [lemma_gap("wchange", beta=b, **inputs) for b in betas]
+        assert all(type(g) is float for g in gaps)
+        assert lemma_gap("wchange", beta=betas, **inputs) == min(gaps)
+        assert lemma_gap("wchange", beta=np.array(betas), **inputs) == min(gaps)
+
+
 def test_lemma_gap_input_validation(two_quadratics):
     obj, consts = two_quadratics
     with pytest.raises(ConfigError):
         lemma_gap("nope")
-    with pytest.raises(ConfigError):
-        lemma_gap("wchange", obj=obj, x=np.zeros(1), phi=np.zeros((2, 1)),
-                  x_star=np.zeros(1), gamma=0.1, beta=0.0)
+    for beta in (0.0, (1.0, -1.0), ()):
+        with pytest.raises(ConfigError):
+            lemma_gap("wchange", obj=obj, x=np.zeros(1), phi=np.zeros((2, 1)),
+                      x_star=np.zeros(1), gamma=0.1, beta=beta)
     with pytest.raises(ConfigError):
         lemma_gap("strong_lb", obj=obj, i=0, x=np.zeros(1), y=np.ones(1),
                   mu=1.0, L=1.0)  # needs L > mu

@@ -198,3 +198,51 @@ def test_inconsistent_reference_exits_two(config_path, tmp_path, capsys,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("numerical failure: ")
     assert "reference optimum is inconsistent" in err[0]
+
+
+@pytest.mark.parametrize("key,value", [
+    ("normalize", "false"), ("normalize", 0), ("epochs", 2.9),
+    ("epochs", True), ("trace_every", 1.5), ("seeds", 0.5), ("n", 20.5),
+    ("d", "4"), ("seed", 2.5), ("step_size", True), ("l2", False),
+    ("density", "1.0"),
+])
+def test_run_coerced_value_exits_one(config_path, tmp_path, capsys, key,
+                                     value):
+    # a value of the wrong JSON type, or a fractional integer, is not
+    # coerced (bool("false") is True, int(2.9) is 2) but reported
+    p = tmp_path / "bad.json"
+    cfg = json.loads(config_path.read_text())
+    if key in ("normalize", "n", "d", "seed", "density"):
+        cfg["dataset"]["synthetic"][key] = value
+    elif key == "step_size":
+        cfg["methods"] = [{"name": "saga", "step_size": value}]
+    else:
+        cfg[key] = [value] if key == "seeds" else value
+    p.write_text(json.dumps(cfg))
+    for command in ("run", "optimum"):
+        _assert_config_error([command, "--config", str(p)], capsys,
+                             mentions=f"'{key}'")
+
+
+@pytest.mark.parametrize("key,value", [("normalize", "no"),
+                                       ("n_features", 3.5)])
+def test_file_dataset_coerced_value_exits_one(tmp_path, capsys, key, value):
+    data = tmp_path / "data.svm"
+    data.write_text("1 1:0.5 2:1.0\n-1 1:1.0 3:0.25\n")
+    cfg = {"dataset": {"path": str(data), key: value}, "loss": "squared",
+           "methods": ["saga"], "epochs": 2}
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(cfg))
+    _assert_config_error(["optimum", "--config", str(p)], capsys,
+                         mentions=f"'{key}'")
+
+
+def test_integral_floats_and_json_booleans_are_accepted(config_path, tmp_path):
+    cfg = json.loads(config_path.read_text())
+    cfg.update(epochs=3.0, seeds=[0.0, 1], trace_every=1.0)
+    cfg["dataset"]["synthetic"].update(n=15.0, normalize=False)
+    p = tmp_path / "ok.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "rows.csv"
+    assert main(["run", "--config", str(p), "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 2 * 4

@@ -110,6 +110,37 @@ def test_gradient_correctness_property_100_pairs():
 # ---------------------------------------------------------------------------
 # objective values
 
+def test_sigmoid_and_smooth_value_equal_their_old_formulas():
+    # 1 + e is formed once, and the mean is np.mean's own sum and division
+    u = np.concatenate([np.linspace(-40, 40, 2001), [0.0, -0.0, 1e-300,
+                                                     -745.0, 710.0]])
+    e = np.exp(-np.abs(u))
+    assert np.array_equal(sigmoid(u),
+                          np.where(u >= 0, 1.0 / (1.0 + e), e / (1.0 + e)))
+    rng = np.random.default_rng(37)
+    for kind, split, n in (("squared", 0.0, 1), ("squared", 0.3, 257),
+                           ("logistic", 0.0, 1000), ("logistic", 0.1, 13)):
+        obj = make_random_objective(rng, kind=kind, n=n, d=7, split=split)
+        x = 3.0 * rng.standard_normal(7)
+        old = float(np.mean(obj.loss.value(obj.points @ x, obj.labels)))
+        if split:
+            old += 0.5 * split * float(x @ x)
+        assert obj.smooth_value(x) == old
+        g = obj.full_gradient(x)
+        assert np.array_equal(obj.full_gradient(x, margins=obj.points @ x), g)
+
+
+def test_values_of_rows_match_value():
+    rng = np.random.default_rng(38)
+    for kind, split, reg in (("squared", 0.2, Regularizer()),
+                             ("logistic", 0.0, Regularizer(l2=0.1, l1=0.05))):
+        obj = make_random_objective(rng, kind=kind, n=30, d=6, split=split)
+        obj = FiniteSumObjective(obj.dataset, obj.loss, split_l2=split, reg=reg)
+        xs = rng.standard_normal((5, 6))
+        want = np.array([obj.value(x, composite=True) for x in xs])
+        assert np.allclose(obj.values(xs), want, rtol=1e-15, atol=0.0)
+
+
 def test_objective_values(two_quadratics):
     obj, _ = two_quadratics
     assert obj.value(np.array([0.0])) == pytest.approx(0.5)
@@ -230,6 +261,27 @@ def test_scalar_loss_prox_optimality_identity(kind, split):
         # the stored value must be the actual component gradient at phi
         assert np.linalg.norm(g - obj.component_gradient(i, phi)) <= 1e-10
         assert np.linalg.norm(g - (z - phi) / gamma) <= 1e-10
+
+
+@pytest.mark.parametrize("kind,split,d", [
+    ("squared", 0.0, 5), ("squared", 0.6, 100), ("logistic", 0.0, 100),
+    ("logistic", 0.4, 5)])
+def test_scalar_loss_prox_equals_matmul_margin_formula(kind, split, d):
+    # the margin a'z is a vdot, bit for bit the matmul a @ z it replaced
+    rng = np.random.default_rng(19)
+    obj = make_random_objective(rng, kind=kind, n=8, d=d, split=split)
+    for i in range(obj.n):
+        gamma = float(10.0 ** rng.uniform(-1.5, 1.0))
+        z = rng.standard_normal(d)
+        a, b = obj.points[i], float(obj.labels[i])
+        q = float(obj.dataset.sqnorms()[i])
+        az, shrink = float(a @ z), 1.0 + gamma * split
+        t = ((az + gamma * q * b) / (shrink + gamma * q) if kind == "squared"
+             else _solve_margin(b, shrink, gamma * q, az, 1e-12, 100))
+        phi = (z - gamma * obj.loss.deriv_scalar(t, b) * a) / shrink
+        got_phi, got_g = scalar_loss_prox(obj, i, gamma, z)
+        assert np.array_equal(got_phi, phi)
+        assert np.array_equal(got_g, (z - phi) / gamma)
 
 
 def test_scalar_loss_prox_is_true_minimizer():

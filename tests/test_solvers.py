@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from incgrad import (
 )
 from incgrad.solvers import (
     SagaState,
+    _smooth_lipschitz,
     finito_init,
     finito_step,
     midpoint_identity_residual,
@@ -206,6 +209,28 @@ def test_u_form_single_component_averaging():
     saga_u_step(st, obj, 0, 0.1)
     # with n = 1 the averaging weight is 1, so u becomes the old iterate
     assert st.u == pytest.approx(x_before)
+
+
+def test_u_form_guard_checks_the_new_iterate():
+    # x_1 = 1.5e13 on this ridge, over the |x| <= 1e12 guard: the u-form
+    # must stop at the same step as the plain update
+    ds = Dataset.from_dense([[1.0], [1.0]], [1.0, 2.0])
+    obj = FiniteSumObjective(ds, make_loss("squared"))
+    policy = StepSizePolicy("manual", gamma=1e13)
+    for method in ("saga", "saga_u"):
+        with pytest.raises(DivergenceError) as err:
+            run(method, obj, np.zeros(1), epochs=3, policy=policy)
+        assert err.value.step == 1, method
+
+
+def test_u_form_guard_checks_the_final_iterate():
+    # one point, one epoch: the only step's result is the run's output
+    ds = Dataset.from_dense([[1.0]], [3.0])
+    obj = FiniteSumObjective(ds, make_loss("squared"))
+    with pytest.raises(DivergenceError) as err:
+        run("saga_u", obj, np.zeros(1), epochs=1,
+            policy=StepSizePolicy("manual", gamma=2.2e13))
+    assert err.value.step == 1
 
 
 def test_u_form_rejects_composite(two_quadratics):
@@ -629,9 +654,9 @@ def _count_full_gradients(obj):
     calls = []
     full_gradient = obj.full_gradient
 
-    def counted(x):
+    def counted(x, **kwargs):
         calls.append(1)
-        return full_gradient(x)
+        return full_gradient(x, **kwargs)
 
     obj.full_gradient = counted
     return calls
@@ -669,6 +694,101 @@ def test_prox_gradient_optimum_matches_reference(case):
     assert len(calls) == 1
     assert np.linalg.norm(x_again - x_star) <= 1e-12
     assert abs(f_again - f_star) <= 1e-13 * max(1.0, abs(f_star))
+
+
+def _frozen_sigmoid(u):
+    e = np.exp(-np.abs(u))
+    return np.where(u >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _frozen_smooth_value(obj, x, margins):
+    val = float(np.mean(obj.loss.value(margins, obj.labels)))
+    if obj.split_l2:
+        val += 0.5 * obj.split_l2 * float(x @ x)
+    return val
+
+
+def _frozen_full_gradient(obj, x):
+    m, b = obj.points @ x, obj.labels
+    c = m - b if obj.loss.kind == "squared" else -b * _frozen_sigmoid(-b * m)
+    g = (obj.points.T @ c) / obj.n
+    return g + obj.split_l2 * x if obj.split_l2 else g
+
+
+def _frozen_fista(obj, tol=1e-12):
+    """The accelerated loop as it stood before f(y), the restart product
+    and exact margins were reused, with the value, gradient and sigmoid
+    formulas of that time: every quantity is formed afresh in every
+    iteration.  Returns (x_star, F_star, number of full gradients)."""
+
+    l_max = estimate_constants(obj).L
+    lip = _smooth_lipschitz(obj, l_max)
+    prox = obj.reg.prox if obj.reg.kind != "none" else (lambda gamma, w: w)
+    points = obj.points
+    x = np.zeros(obj.d)
+    mx = points @ x
+    y, my = x, mx
+    t = 1.0
+    for k in range(1, 1_000_001):
+        g = _frozen_full_gradient(obj, y)
+        ty = prox(1.0 / l_max, y - g / l_max)
+        if float(np.linalg.norm(ty - y)) <= tol:
+            f_star = _frozen_smooth_value(obj, ty, points @ ty)
+            return ty, f_star + obj.reg.value(ty), k
+        fy = _frozen_smooth_value(obj, y, my)
+        while True:
+            x_new = ty if lip == l_max else prox(1.0 / lip, y - g / lip)
+            m_new = points @ x_new
+            dx = x_new - y
+            bound = fy + float(g @ dx) + 0.5 * lip * float(dx @ dx)
+            if (lip == l_max or _frozen_smooth_value(obj, x_new, m_new)
+                    <= bound + 1e-15 * abs(fy)):
+                break
+            lip = min(2.0 * lip, l_max)
+        if float((y - x_new) @ (x_new - x)) > 0.0:
+            t = 1.0
+            y, my = x_new, m_new
+        else:
+            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            beta = (t - 1.0) / t_new
+            y = x_new + beta * (x_new - x)
+            my = m_new + beta * (m_new - mx)
+            t = t_new
+        x, mx = x_new, m_new
+    raise AssertionError("frozen loop did not converge")
+
+
+def _assert_optimum_bits_equal_frozen(obj):
+    x_want, f_want, k_want = _frozen_fista(obj)
+    calls = _count_full_gradients(obj)
+    x_star, f_star = prox_gradient_optimum(obj)
+    assert np.array_equal(x_star, x_want)
+    assert f_star == f_want
+    assert len(calls) == k_want
+
+
+def test_prox_gradient_optimum_bits_equal_frozen_loop_certify_instances():
+    from incgrad.analysis import random_strongly_convex_objective
+
+    rng = np.random.default_rng(2024)
+    for i in range(50):
+        kind = ("squared", "logistic")[i % 2]
+        _assert_optimum_bits_equal_frozen(
+            random_strongly_convex_objective(rng, kind=kind))
+
+
+@pytest.mark.parametrize("kind,loss,n,d,density,l2,l1", [
+    ("logistic", "logistic", 600, 100, 1.0, 1e-3, 0.0),
+    ("logistic", "logistic", 600, 200, 1.0, 1e-4, 1e-3),
+    ("ridge", "squared", 600, 10_000, 1e-3, 0.1, 0.0),
+])
+def test_prox_gradient_optimum_bits_equal_frozen_loop_run_workloads(
+        kind, loss, n, d, density, l2, l1):
+    # the canonical objectives of the three benchmark run configs
+    ds = generate_synthetic(kind, n=n, d=d, density=density, seed=7,
+                            normalize=True)
+    _assert_optimum_bits_equal_frozen(FiniteSumObjective(
+        ds, make_loss(loss), split_l2=l2, reg=Regularizer(l1=l1)))
 
 
 def test_prox_gradient_optimum_accelerates_ill_conditioned_l1_logistic():
@@ -1007,6 +1127,9 @@ def test_saga_chains_each_chain_equals_run(case):
             w = np.asarray(w, float)
             assert np.all(np.abs(np.asarray(g) - w)
                           <= 1e-13 * np.maximum(1.0, np.abs(w)))
+        # the batched trace rows keep each chain's own squared distance
+        for rec in got.records:
+            assert rec.dist_sq == float(np.sum((rec.x - reference[0]) ** 2))
 
 
 def test_saga_chains_divergence_at_the_first_failing_step():
