@@ -1079,6 +1079,54 @@ def test_run_rejects_incompatible_configs(two_quadratics):
             policy=StepSizePolicy("manual", gamma=0.1))
 
 
+ALL_METHODS = ("saga", "saga_u", "sag", "svrg", "finito", "sdca",
+               "sdca_variant5", "midpoint", "saga_explicit_l2", "saga_lazy")
+
+
+@pytest.mark.parametrize("method,start", [
+    (m, s) for m in ALL_METHODS for s in ("zero", "nonzero")
+    if m != "saga_lazy" or s == "zero"])  # the lazy engine starts at 0
+def test_run_zero_epochs_pins_every_method(method, start):
+    # before any pass: one row at x0 with no evaluations charged, the
+    # set-up pass charged to the result (none for svrg), and the
+    # method's own starting point as x
+    mu = 0.2
+    ds = generate_synthetic("ridge", n=9, d=4, density=1.0, noise=0.3, seed=8)
+    loss = make_loss("squared")
+    kwargs = {}
+    if method in ("sdca", "sdca_variant5"):
+        obj = FiniteSumObjective(ds, loss, reg=Regularizer(l2=mu))
+    elif method in ("saga_explicit_l2", "saga_lazy"):
+        obj = FiniteSumObjective(ds, loss)
+        kwargs["explicit_l2"] = mu
+    else:
+        obj = FiniteSumObjective(ds, loss, split_l2=mu)
+    x0 = (np.zeros(4) if start == "zero"
+          else np.random.default_rng(3).standard_normal(4))
+    res = run(method, obj, x0, epochs=0, seed=1, **kwargs)
+    assert len(res.records) == 1
+    assert res.records[0].grad_evals == 0
+    assert res.records[0].k == 0
+    assert np.array_equal(res.records[0].x, x0)
+    assert res.grad_evals == (0 if method == "svrg" else obj.n)
+    if method == "saga_lazy":
+        assert res.xbar is None and res.records[0].xbar is None
+    else:
+        assert np.array_equal(res.xbar, x0)
+        assert np.array_equal(res.records[0].xbar, x0)
+    if method in ("sdca", "sdca_variant5"):
+        table_sum = GradientTable.at_point(obj, x0, mode="dense").sum()
+        want = -(1.0 / (mu * obj.n)) * table_sum
+    elif method == "saga_u":
+        gamma = step_size(StepSizePolicy("strongly_convex"),
+                          estimate_constants(obj))
+        table_sum = GradientTable.at_point(obj, x0).sum()
+        want = (x0 + gamma * table_sum) - gamma * table_sum
+    else:
+        want = x0
+    assert np.array_equal(res.x, want)
+
+
 # ---------------------------------------------------------------------------
 # lockstep chains
 
