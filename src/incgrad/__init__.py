@@ -27,17 +27,17 @@ from .objectives import (
     scalar_loss_prox,
 )
 from .solvers import (
+    METHODS,
     GradientTable,
-    METHOD_INFO,
     RunResult,
     SagaState,
     StepSizePolicy,
     TraceRecord,
+    check_method,
     prox_gradient_optimum,
     run,
     saga_chains,
     step_size,
-    svrg_run,
 )
 
 __version__ = "0.1.0"
@@ -52,7 +52,7 @@ __all__ = [
     "InconsistentReferenceError",
     "LogisticLoss",
     "LossModel",
-    "METHOD_INFO",
+    "METHODS",
     "OptimumError",
     "ProblemConstants",
     "ProxSolveError",
@@ -62,6 +62,7 @@ __all__ = [
     "SquaredLoss",
     "StepSizePolicy",
     "TraceRecord",
+    "check_method",
     "estimate_constants",
     "make_loss",
     "prox_gradient_optimum",
@@ -69,5 +70,4 @@ __all__ = [
     "saga_chains",
     "scalar_loss_prox",
     "step_size",
-    "svrg_run",
 ]

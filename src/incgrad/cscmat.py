@@ -51,19 +51,21 @@ class CscMatrix:
 
     @classmethod
     def from_dense(cls, dense) -> "CscMatrix":
-        """Build from a dense (d, n) array, dropping exact zeros."""
+        """Build from a dense (d, n) array, dropping exact zeros; the
+        arrays built here skip the constructor's checks of outside input."""
         dense = np.asarray(dense, dtype=np.float64)
         if dense.ndim != 2:
             raise ConfigError("dense input must be 2-D")
         d, n = dense.shape
+        if d < 1 or n < 1:
+            raise ConfigError(f"matrix shape {dense.shape} must be at least 1x1")
         # a boolean mask selects in row-major order of dense.T: column by
         # column, rows ascending within each column; masks of about 1 MB
-        # at a time (an empty shape runs one empty chunk, which the
-        # constructor rejects)
-        step = max(1, _MASK_BYTES // max(d, 1))
+        # at a time
+        step = max(1, _MASK_BYTES // d)
         indptr = np.zeros(n + 1, dtype=np.int64)
         rows, vals = [], []
-        for lo in range(0, max(n, 1), step):
+        for lo in range(0, n, step):
             block = dense[:, lo:lo + step].T
             mask = block != 0
             counts = indptr[lo + 1:lo + 1 + step]
@@ -71,9 +73,11 @@ class CscMatrix:
             counts += indptr[lo]
             rows.append(np.broadcast_to(np.arange(d), mask.shape)[mask])
             vals.append(block[mask])
-        if len(vals) == 1:  # no copy of the nonzeros
-            return cls(vals[0], rows[0], indptr, (d, n))
-        return cls(np.concatenate(vals), np.concatenate(rows), indptr, (d, n))
+        out = cls.__new__(cls)
+        out.data, out.indices = ((vals[0], rows[0]) if len(vals) == 1  # no copy
+                                 else (np.concatenate(vals), np.concatenate(rows)))
+        out.indptr, out.shape = indptr, (d, n)
+        return out
 
     @property
     def nrows(self) -> int:
@@ -91,9 +95,6 @@ class CscMatrix:
         """Return (row_indices, values) views of column j."""
         lo, hi = self.indptr[j], self.indptr[j + 1]
         return self.indices[lo:hi], self.data[lo:hi]
-
-    def col_nnz(self, j) -> int:
-        return int(self.indptr[j + 1] - self.indptr[j])
 
     def col_sqnorms(self) -> np.ndarray:
         """Squared euclidean norm of every column."""

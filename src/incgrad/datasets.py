@@ -118,6 +118,8 @@ def generate_synthetic(kind, n, d, density=1.0, noise=0.1, seed=0,
         raise ConfigError("need n >= 1 and d >= 1")
     if not 0.0 < density <= 1.0:
         raise ConfigError("density must lie in (0, 1]")
+    if seed < 0:
+        raise ConfigError(f"'seed' must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     pts = rng.standard_normal((n, d))
     pts /= math.sqrt(d)

@@ -20,9 +20,10 @@ from .datasets import generate_synthetic, load_libsvm
 from .errors import ConfigError, DivergenceError, InconsistentReferenceError
 from .objectives import FiniteSumObjective, Regularizer, make_loss
 from .solvers import (
-    _PARAM_FREE,
-    METHOD_INFO,
     StepSizePolicy,
+    _setup,
+    check_method,
+    method_info,
     prox_gradient_optimum,
     run,
 )
@@ -68,8 +69,8 @@ class MethodSpec:
             raise ConfigError(
                 f"'methods' entries must be names or objects, got {entry!r}")
         name = entry.get("name")
-        if not name:
-            raise ConfigError("method entry needs a 'name'")
+        if not name or not isinstance(name, str):
+            raise ConfigError(f"'methods' entry {entry!r} needs a 'name' string")
         step = entry.get("step_size")
         if step is None:
             policy = None
@@ -113,9 +114,12 @@ class ExperimentConfig:
         seeds = raw.get("seeds", [0])
         if not isinstance(seeds, list):
             raise ConfigError("'seeds' must be a list of integers")
+        loss = raw.get("loss", "squared")
+        if not isinstance(loss, str):
+            raise ConfigError(f"'loss' must be a loss name, got {loss!r}")
         return cls(
             dataset=dataset,
-            loss=raw.get("loss", "squared"),
+            loss=loss,
             l2=_checked("l2", raw.get("l2", 0.0), float),
             l1=_checked("l1", raw.get("l1", 0.0), float),
             methods=methods,
@@ -154,37 +158,31 @@ def validate_config(cfg: ExperimentConfig):
         raise ConfigError("epochs must be >= 1")
     if not cfg.seeds:
         raise ConfigError("seeds must be non-empty")
+    if min(cfg.seeds) < 0:
+        raise ConfigError(f"'seeds' must be nonnegative, got {cfg.seeds}")
     if cfg.trace_every < 1:
         raise ConfigError("trace_every must be >= 1")
     if cfg.l2 < 0 or cfg.l1 < 0:
         raise ConfigError("regulariser strengths must be nonnegative")
-    make_loss(cfg.loss)
+    loss = make_loss(cfg.loss).kind
     for spec in cfg.methods:
-        info = METHOD_INFO.get(spec.name)
-        if info is None:
-            raise ConfigError(f"unknown method {spec.name!r}")
-        if cfg.l1 > 0 and not info["prox"]:
-            raise ConfigError(
-                f"{spec.name} has no proximal support and cannot take an "
-                "L1 regulariser")
-        if info["needs_mu"] and cfg.l2 <= 0:
-            raise ConfigError(f"{spec.name} requires an L2 strength > 0")
-        if info["obj_form"] == "explicit" and cfg.l1 > 0:
-            raise ConfigError(f"{spec.name} supports only an L2 regulariser")
-        if spec.name == "saga_lazy" and cfg.loss != "squared":
-            raise ConfigError("saga_lazy only covers squared loss")
-        if spec.policy is not None and spec.name in _PARAM_FREE:
-            raise ConfigError(f"{spec.name} is parameter free")
+        # the L2 strength is mu in every method's form
+        check_method(spec.name, loss=loss, l1=cfg.l1, mu=cfg.l2,
+                     policy=spec.policy)
 
 
 def build_dataset(cfg: ExperimentConfig):
     ds_cfg = cfg.dataset
     if "path" in ds_cfg:
+        path = ds_cfg["path"]
+        if not isinstance(path, str):
+            raise ConfigError(f"'dataset' 'path' must be a path string, "
+                              f"got {path!r}")
         n_features = ds_cfg.get("n_features")
         if n_features is not None:
             n_features = _checked("n_features", n_features, int)
         normalize = _checked("normalize", ds_cfg.get("normalize", False), bool)
-        return load_libsvm(ds_cfg["path"], n_features=n_features,
+        return load_libsvm(path, n_features=n_features,
                            normalize=normalize)
     if "synthetic" in ds_cfg:
         s = ds_cfg["synthetic"]
@@ -210,17 +208,13 @@ def canonical_objective(ds, cfg) -> FiniteSumObjective:
 
 
 def method_objective(ds, cfg, name):
-    """Objective in the representation the method expects, plus extra
-    keyword arguments for the run driver."""
-    loss = make_loss(cfg.loss)
-    form = METHOD_INFO[name]["obj_form"]
-    if form == "split":
-        reg = Regularizer(l1=cfg.l1)
-        return FiniteSumObjective(ds, loss, split_l2=cfg.l2, reg=reg), {}
-    if form == "separate":
-        return FiniteSumObjective(ds, loss, reg=Regularizer(l2=cfg.l2)), {}
-    # explicit: loss-only objective, the L2 strength rides along
-    return FiniteSumObjective(ds, loss), {"explicit_l2": cfg.l2}
+    """Objective in the form of the method's record (``solvers.Method``),
+    plus extra keyword arguments for the run driver."""
+    form = method_info(name).form
+    obj = FiniteSumObjective(
+        ds, make_loss(cfg.loss), split_l2=cfg.l2 if form == "split" else 0.0,
+        reg=Regularizer(l2=cfg.l2 if form == "separate" else 0.0, l1=cfg.l1))
+    return obj, {"explicit_l2": cfg.l2} if form == "explicit" else {}
 
 
 def compute_reference_optimum(obj, tol=1e-12, max_iter=1_000_000):
@@ -232,13 +226,7 @@ def compute_reference_optimum(obj, tol=1e-12, max_iter=1_000_000):
 def _sweep_gamma(name, obj, x0, cfg, kwargs, reference):
     """Geometric grid around the theory default; picks the step with the
     lowest final suboptimality on the first seed."""
-    from .solvers import _policy_gamma, _resolve_constants
-
-    consts = _resolve_constants(name, obj, None, kwargs.get("explicit_l2", 0.0))
-    if name == "finito":
-        base = 1.0 / (2.0 * consts.mu * obj.n)
-    else:
-        base = _policy_gamma(None, consts)
+    base = _setup(name, obj, explicit_l2=kwargs.get("explicit_l2", 0.0))[2]
     best_gamma, best_val = None, np.inf
     for mult in SWEEP_GRID:
         gamma = base * mult
@@ -276,7 +264,8 @@ def run_experiment(cfg: ExperimentConfig, sweep_steps=False):
     for spec in cfg.methods:
         obj, kwargs = method_objective(ds, cfg, spec.name)
         policy = spec.policy
-        if sweep_steps and spec.name not in _PARAM_FREE and policy is None:
+        if (sweep_steps and policy is None
+                and not method_info(spec.name).param_free):
             policy = _sweep_gamma(spec.name, obj, x0, cfg, kwargs, reference)
         for seed in cfg.seeds:
             res = run(spec.name, obj, x0, epochs=cfg.epochs, policy=policy,

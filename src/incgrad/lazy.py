@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .solvers import RunResult, _record
 
 BETA_RENORM_THRESHOLD = 1e-280
 
@@ -93,8 +92,7 @@ def _renormalize(it: LaggedIterate, g, table: LagScalingTable, gamma: float):
 
 
 def sparse_saga_lstsq_epoch(data, b, it: LaggedIterate, c, g_avg, gamma, reg,
-                            rng, scaling: LagScalingTable | None = None,
-                            renorm_threshold: float = BETA_RENORM_THRESHOLD):
+                            rng, scaling: LagScalingTable):
     """One pass of n lagged steps for squared loss with explicit L2.
 
     ``c[i]`` stores the margin a_i' (beta x) from the last visit of
@@ -107,11 +105,10 @@ def sparse_saga_lstsq_epoch(data, b, it: LaggedIterate, c, g_avg, gamma, reg,
     if reg * gamma >= 1.0:
         raise ConfigError("reg * gamma must be below 1")
     rho = 1.0 - reg * gamma
-    if scaling is None:
-        scaling = build_lag_scaling(rho, it.k + n)
-    elif abs(scaling.rho - rho) > 1e-15:
+    if abs(scaling.rho - rho) > 1e-15:
         raise ConfigError("scaling table was built for a different reg * gamma")
     order = range(n) if it.k < n else rng.integers(0, n, size=n).tolist()
+    threshold = BETA_RENORM_THRESHOLD  # the module value at call time
     for i in order:
         idx, vals = data.column(i)
         # missed updates for the touched coordinates, then the sparse step
@@ -129,24 +126,15 @@ def sparse_saga_lstsq_epoch(data, b, it: LaggedIterate, c, g_avg, gamma, reg,
         it.lag[idx] = it.k
         g_avg[idx] += (cchange / n) * vals
         it.touches += 2 * idx.size
-        if it.beta < renorm_threshold:
+        if it.beta < threshold:
             _renormalize(it, g_avg, scaling, gamma)
 
 
-def sparse_saga_lstsq_run(obj, gamma, reg, epochs, rng, x0=None, reference=None,
-                          trace_every=1,
-                          renorm_threshold=BETA_RENORM_THRESHOLD) -> RunResult:
-    """Drive the lagged engine for several epochs, tracing flushed iterates.
-
-    Starts from the origin (the scalar-storage initialisation c = 0 is
-    exactly the gradient table at zero); a nonzero x0 is rejected.
-    """
-    if obj.loss.kind != "squared":
-        raise ConfigError("the lazy sparse engine only covers squared loss")
-    if obj.split_l2 != 0.0 or obj.reg.kind != "none":
-        raise ConfigError("lazy engine expects loss-only components; "
-                          "the L2 term is the explicit reg argument")
-    if x0 is not None and np.any(np.asarray(x0) != 0):
+def lazy_passes(obj, x0, gamma, reg, epochs, rng):
+    """Engine of ``saga_lazy`` for ``solvers.run``, flushing x only for
+    traced passes.  Starts from the origin: the scalar-storage
+    initialisation c = 0 is exactly the gradient table at zero."""
+    if np.any(x0 != 0):
         raise ConfigError("lazy engine starts at the origin")
     data = obj.dataset.features
     d, n = data.shape
@@ -156,16 +144,11 @@ def sparse_saga_lstsq_run(obj, gamma, reg, epochs, rng, x0=None, reference=None,
     # stored gradients at zero: (c_i - b_i) a_i with c = 0
     g_avg = (obj.points.T @ (-obj.labels)) / n
     evals = n * 1.0
-    zeros = np.zeros(d)
-    records = [_record(obj, 0, 0.0, zeros, None, reference, extra_l2=reg)]
-    for ep in range(epochs):
+    traced = yield 0, evals, it.x, None
+    for _ in range(epochs):
         sparse_saga_lstsq_epoch(data, obj.labels, it, c, g_avg, gamma, reg,
-                                rng, scaling, renorm_threshold)
+                                rng, scaling)
         evals += n
-        if (ep + 1) % trace_every == 0 or ep == epochs - 1:
-            x_true = flush_lags(it, g_avg, scaling, -gamma / it.beta)
-            records.append(_record(obj, it.k, evals, x_true, None, reference,
-                                   extra_l2=reg))
-    x_final = flush_lags(it, g_avg, scaling, -gamma / it.beta) if epochs \
-        else zeros
-    return RunResult("saga_lazy", records, x_final, None, evals)
+        x = flush_lags(it, g_avg, scaling, -gamma / it.beta) if traced else None
+        traced = yield it.k, evals, x, None
+    yield flush_lags(it, g_avg, scaling, -gamma / it.beta) if epochs else np.zeros(d)

@@ -12,10 +12,11 @@ single :func:`run` driver handles sampling, tracing and bookkeeping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import lazy
 from .errors import ConfigError, DivergenceError, OptimumError
 from .objectives import (
     FiniteSumObjective,
@@ -196,11 +197,8 @@ def finito_init(obj, x0) -> FinitoState:
 
 
 def sdca_init(obj, x0, mu) -> SdcaState:
-    """Table at x0; the iterate is the table-implied point -(1/mu n) sum."""
-    if mu <= 0:
-        raise ConfigError("sdca requires a separate L2 regulariser mu > 0")
-    if obj.split_l2 != 0.0:
-        raise ConfigError("sdca works on loss-only components (split_l2 = 0)")
+    """Table at x0; the iterate is the table-implied point -(1/mu n) sum.
+    Needs mu > 0 and loss-only components (see :func:`check_method`)."""
     x0 = np.array(x0, dtype=float)
     table = GradientTable.at_point(obj, x0, mode="dense")
     x = -(1.0 / (mu * obj.n)) * table.sum()
@@ -245,10 +243,15 @@ def step_size(policy: StepSizePolicy, consts: ProblemConstants) -> float:
     return 1.0 / (3.0 * (consts.mu * consts.n + consts.L))
 
 
-def _policy_gamma(policy, consts: ProblemConstants) -> float:
-    """Step of ``policy``; without one, 1/(2(mu n + L)) when mu > 0 and
-    1/(3L) otherwise."""
+def _policy_gamma(method, policy, consts: ProblemConstants):
+    """Step of ``policy`` for ``method``, None if the method is parameter
+    free.  Without a policy: 1/(2 mu n) for finito, otherwise
+    1/(2(mu n + L)) when mu > 0 and 1/(3L) when not."""
+    if METHODS[method].param_free:
+        return None
     if policy is None:
+        if method == "finito":
+            return 1.0 / (2.0 * consts.mu * consts.n)
         policy = StepSizePolicy("strongly_convex" if consts.mu > 0 else "adaptive")
     return step_size(policy, consts)
 
@@ -444,6 +447,98 @@ def midpoint_identity_residual(state: FinitoState, mu) -> float:
 
 
 # ---------------------------------------------------------------------------
+# methods and their rules
+
+@dataclass(frozen=True)
+class Method:
+    """What a method asks of its problem.  ``form`` is where the L2 term
+    goes in the objective ``harness.method_objective`` builds: "split"
+    into every component, "separate" into the regulariser of loss-only
+    components, or "explicit" out of it, as ``run``'s ``explicit_l2``.
+    ``prox``: it applies the prox of the regulariser, so it takes an L1
+    term; ``needs_mu``: it needs mu > 0; ``param_free``: no step size."""
+
+    form: str
+    prox: bool = False
+    needs_mu: bool = False
+    param_free: bool = False
+
+
+METHODS = {
+    "saga": Method("split", prox=True),
+    "saga_u": Method("split"),
+    "sag": Method("split"),
+    "svrg": Method("split", prox=True),
+    "finito": Method("split", needs_mu=True),
+    "sdca": Method("separate", needs_mu=True, param_free=True),
+    "sdca_variant5": Method("separate", needs_mu=True, param_free=True),
+    "midpoint": Method("split", needs_mu=True, param_free=True),
+    "saga_explicit_l2": Method("explicit"),
+    "saga_lazy": Method("explicit"),
+}
+
+
+def method_info(name) -> Method:
+    """The record of method ``name``; ConfigError if there is none."""
+    info = METHODS.get(name) if isinstance(name, str) else None
+    if info is None:
+        raise ConfigError(f"unknown method {name!r}")
+    return info
+
+
+def check_method(name, *, loss, l1, mu, policy=None, n=None, init="full",
+                 sampling="iid") -> Method:
+    """Every rule that ties a method to its problem and run options:
+    ``loss`` is the loss kind, ``l1`` the L1 strength, ``mu`` the L2
+    strength wherever the method's form puts it and ``n`` the number of
+    points, if known.  Returns the method's record."""
+    info = method_info(name)
+    if l1 > 0 and not info.prox:
+        raise ConfigError(f"{name} has no proximal support and cannot take "
+                          "an L1 regulariser")
+    if info.needs_mu and not mu > 0:
+        raise ConfigError(f"{name} requires an L2 strength > 0 (mu > 0)")
+    if name == "midpoint" and n is not None and n < 2:
+        raise ConfigError("midpoint requires n >= 2")
+    if name == "saga_lazy" and loss != "squared":
+        raise ConfigError("the lazy sparse engine only covers squared loss")
+    if policy is not None and info.param_free:
+        raise ConfigError(f"{name} is parameter free; drop the step policy")
+    if policy is not None and name == "finito" and policy.mode != "manual":
+        raise ConfigError("finito accepts only a manual step size override")
+    if init not in ("full", "one_by_one") or sampling not in ("iid", "perm"):
+        raise ConfigError(f"unknown init or sampling mode {init!r}, {sampling!r}")
+    if init != "full" and name not in ("saga", "sag"):
+        raise ConfigError("the one-by-one warm start is only wired for saga/sag")
+    if sampling != "iid" and name in ("svrg", "saga_lazy"):
+        raise ConfigError(f"{name} samples iid only")
+    return info
+
+
+def _setup(method, obj, consts=None, explicit_l2=0.0, policy=None,
+           init="full", sampling="iid"):
+    """Check a run of ``method`` on ``obj``, which must be in the
+    method's form.  Returns the record, the constants (estimated, with mu
+    the form's L2 strength, unless given) and the step (None when the
+    method is parameter free)."""
+    info = method_info(method)
+    split, h_l2 = obj.split_l2 != 0.0, obj.reg.l2 != 0.0
+    if not {"split": not h_l2, "separate": h_l2 and not split,
+            "explicit": not (h_l2 or split)}[info.form]:
+        raise ConfigError(f"{method} needs its objective in the {info.form} "
+                          "form of harness.method_objective")
+    if consts is None:
+        consts = estimate_constants(obj)
+        if info.form == "explicit":  # split-form constants of the scaling
+            consts = replace(consts, L=consts.L + explicit_l2, mu=explicit_l2)
+        elif info.form == "separate":
+            consts = replace(consts, mu=obj.reg.l2)
+    check_method(method, loss=obj.loss.kind, l1=obj.reg.l1, mu=consts.mu,
+                 policy=policy, n=obj.n, init=init, sampling=sampling)
+    return info, consts, _policy_gamma(method, policy, consts)
+
+
+# ---------------------------------------------------------------------------
 # traces and the run driver
 
 @dataclass
@@ -468,23 +563,6 @@ class RunResult:
     grad_evals: float
 
 
-METHOD_INFO = {
-    # obj_form: how the harness should place an L2 term for this method
-    "saga": dict(prox=True, needs_mu=False, obj_form="split"),
-    "saga_u": dict(prox=False, needs_mu=False, obj_form="split"),
-    "saga_explicit_l2": dict(prox=False, needs_mu=False, obj_form="explicit"),
-    "saga_lazy": dict(prox=False, needs_mu=False, obj_form="explicit"),
-    "sag": dict(prox=False, needs_mu=False, obj_form="split"),
-    "svrg": dict(prox=True, needs_mu=False, obj_form="split"),
-    "finito": dict(prox=False, needs_mu=True, obj_form="split"),
-    "sdca": dict(prox=False, needs_mu=True, obj_form="separate"),
-    "sdca_variant5": dict(prox=False, needs_mu=True, obj_form="separate"),
-    "midpoint": dict(prox=False, needs_mu=True, obj_form="split"),
-}
-
-_PARAM_FREE = ("sdca", "sdca_variant5", "midpoint")
-
-
 def _record(obj, k, evals, x, xbar, reference, extra_l2=0.0):
     # extra_l2 covers methods whose L2 term lives outside the objective
     sub = sub_avg = dist = None
@@ -506,77 +584,6 @@ def _record(obj, k, evals, x, xbar, reference, extra_l2=0.0):
                        subopt=sub, subopt_avg=sub_avg, dist_sq=dist)
 
 
-def svrg_run(obj, x0, gamma, m, epochs, rng, reference=None,
-             trace_every=1) -> RunResult:
-    """Outer/inner loop with a snapshot gradient.
-
-    Each outer pass recalibrates: the snapshot moves to the current x
-    and its full gradient is recomputed (n evaluations); every inner
-    step then uses f_j'(x) - f_j'(snapshot) + full, costing 2
-    evaluations, with the prox of h applied after the move.
-    """
-    if m < 1:
-        raise ConfigError("svrg needs at least one inner step per pass")
-    x = np.array(x0, dtype=float)
-    xsum = np.zeros_like(x)
-    k = 0
-    evals = 0.0
-    records = [_record(obj, 0, 0.0, x, x, reference)]
-    has_prox = obj.reg.kind != "none"
-    for outer in range(epochs):
-        snap = x.copy()
-        g_full = obj.full_gradient(snap)
-        evals += obj.n
-        for j in rng.integers(0, obj.n, size=m).tolist():
-            g = obj.component_gradient(j, x) - obj.component_gradient(j, snap) + g_full
-            w = x - gamma * g
-            x = obj.reg.prox(gamma, w) if has_prox else w
-            evals += 2.0
-            k += 1
-            xsum += x
-            _check_iterate(x, k)
-        if (outer + 1) % trace_every == 0 or outer == epochs - 1:
-            records.append(_record(obj, k, evals, x, xsum / k, reference))
-    xbar = xsum / k if k else x.copy()
-    return RunResult("svrg", records, x, xbar, evals)
-
-
-def _resolve_constants(method, obj, consts, explicit_l2):
-    if consts is not None:
-        return consts
-    base = estimate_constants(obj)
-    if method in ("saga_explicit_l2", "saga_lazy"):
-        # equivalent split-form constants for the explicit regulariser
-        return ProblemConstants(n=base.n, d=base.d, L=base.L + explicit_l2,
-                                mu=explicit_l2)
-    if method in ("sdca", "sdca_variant5"):
-        return ProblemConstants(n=base.n, d=base.d, L=base.L, mu=obj.reg.l2)
-    return base
-
-
-def _validate_method(method, obj, mu):
-    if method not in METHOD_INFO:
-        raise ConfigError(f"unknown method {method!r}")
-    reg = obj.reg.kind
-    if method in ("saga_u", "sag", "finito", "midpoint",
-                  "saga_explicit_l2", "saga_lazy") and reg != "none":
-        raise ConfigError(f"{method} does not support a composite regulariser")
-    if method in ("sdca", "sdca_variant5"):
-        if reg != "l2" or obj.reg.l2 <= 0 or obj.split_l2 != 0.0:
-            raise ConfigError(
-                f"{method} needs loss-only components plus a separate L2 "
-                "regulariser with positive strength"
-            )
-    if method in ("finito", "midpoint") and mu <= 0:
-        raise ConfigError(f"{method} requires strong convexity (mu > 0)")
-    if method == "midpoint" and obj.n < 2:
-        raise ConfigError("midpoint requires n >= 2")
-    if method in ("saga_explicit_l2", "saga_lazy") and obj.split_l2 != 0.0:
-        raise ConfigError(f"{method} expects loss-only components")
-    if method == "saga_lazy" and obj.loss.kind != "squared":
-        raise ConfigError("the lazy sparse engine only covers squared loss")
-
-
 def run(method, obj, x0, *, epochs, policy=None, seed=0, rng=None,
         trace_every=1, reference=None, consts=None, init="full",
         sampling="iid", explicit_l2=0.0, inner_steps=None) -> RunResult:
@@ -588,10 +595,17 @@ def run(method, obj, x0, *, epochs, policy=None, seed=0, rng=None,
     the data in order, each step moving along the average of the
     gradients stored so far.  ``sampling`` picks components iid
     uniformly, or epoch-wise without replacement when set to ``'perm'``.
+    ``svrg`` takes ``inner_steps`` steps per pass (default n) after a
+    full gradient at its snapshot, and ``saga_lazy`` runs the lagged
+    sparse engine of :mod:`incgrad.lazy` from the origin.
     A trace row is taken before any work and after every ``trace_every``
     epochs; when ``reference=(x_star, F_star)`` is given the rows carry
     suboptimality and squared distance, both for the iterate and for the
-    running average iterate.
+    running average iterate (``saga_lazy`` keeps no average).
+
+    Each engine is a generator that yields (k, evals, x, xsum) after its
+    set-up and after every pass, then its final iterate; it is sent,
+    before each pass, whether the pass is traced.
     """
     if epochs < 0:
         raise ConfigError("epochs must be nonnegative")
@@ -600,65 +614,50 @@ def run(method, obj, x0, *, epochs, policy=None, seed=0, rng=None,
     if rng is None:
         rng = np.random.default_rng(seed)
     x0 = np.asarray(x0, dtype=float)
-    consts = _resolve_constants(method, obj, consts, explicit_l2)
-    mu = consts.mu
-    _validate_method(method, obj, mu)
-
-    if method in _PARAM_FREE:
-        if policy is not None:
-            raise ConfigError(f"{method} is parameter free; drop the step policy")
-        gamma = None
-    elif method == "finito":
-        if policy is not None and policy.mode == "manual":
-            gamma = policy.gamma
-        elif policy is None:
-            gamma = 1.0 / (2.0 * mu * obj.n)
-        else:
-            raise ConfigError("finito accepts only a manual step size override")
-    else:
-        gamma = _policy_gamma(policy, consts)
-
-    if init not in ("full", "one_by_one"):
-        raise ConfigError(f"unknown init mode {init!r}")
-    if sampling not in ("iid", "perm"):
-        raise ConfigError(f"unknown sampling mode {sampling!r}")
-    heuristic = init == "one_by_one"
-    if heuristic and method not in ("saga", "sag"):
-        raise ConfigError("the one-by-one warm start is only wired for saga/sag")
-
+    info, consts, gamma = _setup(method, obj, consts, explicit_l2, policy,
+                                 init, sampling)
+    extra_l2 = explicit_l2 if info.form == "explicit" else 0.0
     if method == "svrg":
-        if sampling != "iid":
-            raise ConfigError("svrg samples its inner steps iid only")
         m = obj.n if inner_steps is None else int(inner_steps)
-        return svrg_run(obj, x0, gamma, m, epochs, rng,
-                        reference=reference, trace_every=trace_every)
-    if method == "saga_lazy":
-        if sampling != "iid":
-            raise ConfigError("the lazy engine samples iid only")
-        from .lazy import sparse_saga_lstsq_run
-        return sparse_saga_lstsq_run(
-            obj, gamma, explicit_l2, epochs, rng, x0=x0,
-            reference=reference, trace_every=trace_every)
+        passes = _svrg_passes(obj, x0, gamma, m, epochs, rng)
+    elif method == "saga_lazy":
+        passes = lazy.lazy_passes(obj, x0, gamma, explicit_l2, epochs, rng)
+    else:
+        passes = _table_passes(method, obj, x0, gamma, consts.mu, consts.L,
+                               explicit_l2, epochs, rng, init, sampling)
+    k, evals, x, xsum = next(passes)
+    records = [_record(obj, 0, 0.0, x0, None if xsum is None else x0,
+                       reference, extra_l2)]
+    for ep in range(epochs):
+        traced = (ep + 1) % trace_every == 0 or ep == epochs - 1
+        k, evals, x, xsum = passes.send(traced)
+        if traced:
+            records.append(_record(obj, k, evals, x,
+                                   None if xsum is None else xsum / k,
+                                   reference, extra_l2))
+    x = next(passes)
+    xbar = None if xsum is None else (xsum / k if k else np.array(x0))
+    return RunResult(method, records, np.array(x), xbar, evals)
 
+
+def _table_passes(method, obj, x0, gamma, mu, L, explicit_l2, epochs, rng,
+                  init, sampling):
+    """Engine of the table methods (see :func:`run`)."""
     n = obj.n
-    evals = 0.0
-    if method in ("saga", "sag", "saga_explicit_l2"):
-        if heuristic:
-            state = SagaState(x=np.array(x0),
-                              table=GradientTable.zeros(
-                                  obj, "scalar" if obj.split_l2 == 0 else "dense"))
-        else:
-            state = saga_init(obj, x0)
-            evals += n
+    heuristic = init == "one_by_one"
+    evals = 0.0 if heuristic else float(n)  # the full pass at x0
+    if heuristic:
+        state = SagaState(x=np.array(x0),
+                          table=GradientTable.zeros(
+                              obj, "scalar" if obj.split_l2 == 0 else "dense"))
     elif method == "saga_u":
         state = saga_u_init(obj, x0, gamma)
-        evals += n
     elif method in ("finito", "midpoint"):
         state = finito_init(obj, x0)
-        evals += n
-    else:  # sdca variants
+    elif method in ("sdca", "sdca_variant5"):
         state = sdca_init(obj, x0, mu)
-        evals += n
+    else:
+        state = saga_init(obj, x0)
 
     step, *params = {
         "saga": (saga_step, gamma),
@@ -667,13 +666,12 @@ def run(method, obj, x0, *, epochs, policy=None, seed=0, rng=None,
         "saga_u": (saga_u_step, gamma),
         "finito": (finito_step, gamma),
         "sdca": (sdca_primal_step, mu),
-        "sdca_variant5": (sdca_variant5_step, mu, consts.L),
+        "sdca_variant5": (sdca_variant5_step, mu, L),
         "midpoint": (midpoint_step, mu),
     }[method]
-    extra_l2 = explicit_l2 if method == "saga_explicit_l2" else 0.0
-    records = [_record(obj, 0, 0.0, x0, x0, reference, extra_l2=extra_l2)]
     xsum = np.zeros_like(x0)
     steps = 0
+    yield 0, evals, state.x, xsum
 
     for ep in range(epochs):
         if heuristic and ep == 0:
@@ -710,12 +708,40 @@ def run(method, obj, x0, *, epochs, policy=None, seed=0, rng=None,
             state.phi_mean = state.phi.mean(axis=0)
         elif method == "saga_u":
             state.x = saga_u_reconstruct(state, gamma)
-        if (ep + 1) % trace_every == 0 or ep == epochs - 1:
-            records.append(_record(obj, steps, evals, state.x,
-                                   xsum / steps, reference, extra_l2=extra_l2))
+        yield steps, evals, state.x, xsum
+    yield state.x
 
-    xbar = xsum / steps if steps else np.array(x0)
-    return RunResult(method, records, np.array(state.x), xbar, evals)
+
+def _svrg_passes(obj, x0, gamma, m, epochs, rng):
+    """Engine of ``svrg``: an outer/inner loop with a snapshot gradient.
+
+    Each outer pass recalibrates: the snapshot moves to the current x
+    and its full gradient is recomputed (n evaluations); every inner
+    step then uses f_j'(x) - f_j'(snapshot) + full, costing 2
+    evaluations, with the prox of h applied after the move.
+    """
+    if m < 1:
+        raise ConfigError("svrg needs at least one inner step per pass")
+    x = np.array(x0, dtype=float)
+    xsum = np.zeros_like(x)
+    k = 0
+    evals = 0.0
+    has_prox = obj.reg.kind != "none"
+    yield 0, evals, x, xsum
+    for _ in range(epochs):
+        snap = x.copy()
+        g_full = obj.full_gradient(snap)
+        evals += obj.n
+        for j in rng.integers(0, obj.n, size=m).tolist():
+            g = obj.component_gradient(j, x) - obj.component_gradient(j, snap) + g_full
+            w = x - gamma * g
+            x = obj.reg.prox(gamma, w) if has_prox else w
+            evals += 2.0
+            k += 1
+            xsum += x
+            _check_iterate(x, k)
+        yield k, evals, x, xsum
+    yield x
 
 
 def saga_chains(obj, x0, *, epochs, seeds, policy=None, reference=None) -> list:
@@ -742,9 +768,7 @@ def saga_chains(obj, x0, *, epochs, seeds, policy=None, reference=None) -> list:
     if epochs < 0:
         raise ConfigError("epochs must be nonnegative")
     x0 = np.asarray(x0, dtype=float)
-    consts = _resolve_constants("saga", obj, None, 0.0)
-    _validate_method("saga", obj, consts.mu)
-    gamma = _policy_gamma(policy, consts)
+    gamma = _setup("saga", obj, policy=policy)[2]
 
     n, S = obj.n, len(seeds)
     points, labels, deriv = obj.points, obj.labels, obj.loss.deriv

@@ -31,7 +31,6 @@ from incgrad.analysis import (
     random_strongly_convex_objective,
 )
 from incgrad.datasets import generate_synthetic
-from incgrad.lazy import sparse_saga_lstsq_run
 from incgrad.solvers import saga_init, saga_step, saga_step_explicit_l2, \
     saga_u_init, saga_u_reconstruct, saga_u_step, finito_init, midpoint_step, \
     midpoint_identity_residual
@@ -197,8 +196,9 @@ def test_criterion_7_lazy_equals_dense():
         reg = reg_gamma / gamma
         epochs = 3
         seed = trial + 1
-        res = sparse_saga_lstsq_run(obj, gamma, reg, epochs,
-                                    np.random.default_rng(seed))
+        res = run("saga_lazy", obj, np.zeros(d), epochs=epochs,
+                  policy=StepSizePolicy("manual", gamma=gamma),
+                  explicit_l2=reg, rng=np.random.default_rng(seed))
         replay = np.random.default_rng(seed)
         st = saga_init(obj, np.zeros(d))
         dense = []

@@ -96,6 +96,11 @@ def test_run_non_numeric_value_exits_one(config_path, tmp_path, capsys, key):
     ("methods", "saga"),
     ("dataset", "synthetic"),
     ("out", 5),
+    ("loss", ["squared"]),
+    ("methods", [{"name": ["saga"]}]),
+    ("dataset", {"path": 5}),
+    ("dataset", {"path": ["x"]}),
+    ("seeds", [-1]),
 ])
 def test_run_wrong_field_type_exits_one(config_path, tmp_path, capsys, key,
                                         value):
@@ -134,6 +139,8 @@ def test_run_non_finite_value_exits_one(config_path, tmp_path, capsys, key,
 def test_run_non_integer_seeds_exits_one(config_path, capsys):
     _assert_config_error(["run", "--config", str(config_path),
                           "--seeds", "x"], capsys)
+    _assert_config_error(["run", "--config", str(config_path),
+                          "--seeds=-1"], capsys, mentions="'seeds'")
 
 
 def test_optimum_subcommand(config_path, capsys):
@@ -204,7 +211,7 @@ def test_inconsistent_reference_exits_two(config_path, tmp_path, capsys,
     ("normalize", "false"), ("normalize", 0), ("epochs", 2.9),
     ("epochs", True), ("trace_every", 1.5), ("seeds", 0.5), ("n", 20.5),
     ("d", "4"), ("seed", 2.5), ("step_size", True), ("l2", False),
-    ("density", "1.0"),
+    ("density", "1.0"), ("seed", -1),
 ])
 def test_run_coerced_value_exits_one(config_path, tmp_path, capsys, key,
                                      value):

@@ -236,3 +236,9 @@ def test_from_dense_small_mask_chunks(shape, density, monkeypatch):
     # 64-byte masks put every column, or a few, in a chunk of its own
     monkeypatch.setattr(cscmat, "_MASK_BYTES", 64)
     _check_from_dense(shape, density)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_from_dense_rejects_empty_shape(shape):
+    with pytest.raises(ConfigError, match="at least 1x1"):
+        CscMatrix.from_dense(np.zeros(shape))

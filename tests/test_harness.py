@@ -7,15 +7,19 @@ from incgrad import (
     ConfigError,
     Dataset,
     FiniteSumObjective,
+    METHODS,
     Regularizer,
     make_loss,
+    run,
 )
 from incgrad.harness import (
     ExperimentConfig,
     MethodSpec,
     ResultRow,
+    build_dataset,
     compute_reference_optimum,
     emit_csv,
+    method_objective,
     run_experiment,
     validate_config,
 )
@@ -107,6 +111,44 @@ def test_method_spec_parsing():
     spec = MethodSpec.from_config({"name": "svrg", "step_size": "adaptive"})
     assert spec.policy.mode == "adaptive"
     assert MethodSpec.from_config("sag").policy is None
+
+
+# methods each config change must reject, at the config and in run
+REJECTED_BY = {
+    "l1": {"saga_u", "sag", "finito", "sdca", "sdca_variant5", "midpoint",
+           "saga_explicit_l2", "saga_lazy"},
+    "no_l2": {"finito", "sdca", "sdca_variant5", "midpoint"},
+    "logistic": {"saga_lazy"},
+    "policy": {"sdca", "sdca_variant5", "midpoint"},
+}
+
+
+def _raises_config_error(fn):
+    try:
+        fn()
+    except ConfigError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("change", sorted(REJECTED_BY))
+@pytest.mark.parametrize("name", sorted(METHODS))
+def test_validate_config_agrees_with_run(name, change):
+    # validate_config on the config raises exactly when run raises on the
+    # objective method_objective builds from it
+    entry = {"name": name, "step_size": 0.01} if change == "policy" else name
+    raw = {"methods": [entry], "l1": 0.01 if change == "l1" else 0.0,
+           "l2": 0.0 if change == "no_l2" else 0.05}
+    if change == "logistic":
+        raw.update(loss="logistic", dataset={"synthetic": {
+            "kind": "logistic", "n": 20, "d": 5, "seed": 4}})
+    cfg = _base_config(**raw)
+    obj, kwargs = method_objective(build_dataset(cfg), cfg, name)
+    at_config = _raises_config_error(lambda: validate_config(cfg))
+    at_run = _raises_config_error(lambda: run(
+        name, obj, np.zeros(obj.d), epochs=0, policy=cfg.methods[0].policy,
+        **kwargs))
+    assert at_config == at_run == (name in REJECTED_BY[change])
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from incgrad import CscMatrix, ConfigError, Dataset, FiniteSumObjective, make_loss
+from incgrad import lazy
 from incgrad.datasets import generate_synthetic
 from incgrad.lazy import (
     BETA_RENORM_THRESHOLD,
@@ -11,7 +12,6 @@ from incgrad.lazy import (
     flush_lags,
     lagged_update,
     sparse_saga_lstsq_epoch,
-    sparse_saga_lstsq_run,
 )
 from incgrad.solvers import StepSizePolicy, run, saga_init, saga_step_explicit_l2
 
@@ -126,9 +126,13 @@ def _dense_replay(obj, gamma, reg, epochs, seed):
     return snaps
 
 
-def _lazy_snapshots(obj, gamma, reg, epochs, seed, **kw):
-    res = sparse_saga_lstsq_run(obj, gamma, reg, epochs,
-                                np.random.default_rng(seed), **kw)
+def _lazy_run(obj, gamma, reg, epochs, rng):
+    return run("saga_lazy", obj, np.zeros(obj.d), epochs=epochs, rng=rng,
+               policy=StepSizePolicy("manual", gamma=gamma), explicit_l2=reg)
+
+
+def _lazy_snapshots(obj, gamma, reg, epochs, seed):
+    res = _lazy_run(obj, gamma, reg, epochs, np.random.default_rng(seed))
     return [rec.x for rec in res.records[1:]], res
 
 
@@ -172,7 +176,7 @@ def test_first_epoch_visits_points_in_order():
 
 
 def _scalar_draw_run(obj, gamma, reg, epochs, rng, renorm_threshold):
-    """sparse_saga_lstsq_run with one scalar rng.integers(0, n) per step
+    """run("saga_lazy") with one scalar rng.integers(0, n) per step
     and both catch-ups of a step through lagged_update; returns the
     flushed iterate after each epoch."""
     data, labels = obj.dataset.features, obj.labels
@@ -202,13 +206,13 @@ def _scalar_draw_run(obj, gamma, reg, epochs, rng, renorm_threshold):
 
 
 @pytest.mark.parametrize("renorm_threshold", [BETA_RENORM_THRESHOLD, 2.0])
-def test_lazy_run_equals_scalar_draw_loop(renorm_threshold):
+def test_lazy_run_equals_scalar_draw_loop(renorm_threshold, monkeypatch):
     ds = generate_synthetic("ridge", n=40, d=30, density=0.1, noise=0.3, seed=9)
     obj = FiniteSumObjective(ds, make_loss("squared"))
     gamma = 0.3 / float(ds.sqnorms().max())
     got_rng, want_rng = np.random.default_rng(4), np.random.default_rng(4)
-    res = sparse_saga_lstsq_run(obj, gamma, 0.4 / gamma, 4, got_rng,
-                                renorm_threshold=renorm_threshold)
+    monkeypatch.setattr(lazy, "BETA_RENORM_THRESHOLD", renorm_threshold)
+    res = _lazy_run(obj, gamma, 0.4 / gamma, 4, got_rng)
     xs = _scalar_draw_run(obj, gamma, 0.4 / gamma, 4, want_rng, renorm_threshold)
     for rec, x in zip(res.records[1:], xs):
         assert np.array_equal(rec.x, x)
@@ -249,14 +253,14 @@ def test_touch_count_proportional_to_column_nnz():
     assert it.touches == 4 * mat.nnz
 
 
-def test_beta_renormalization_transparent():
+def test_beta_renormalization_transparent(monkeypatch):
     ds = generate_synthetic("ridge", n=20, d=10, density=0.3, noise=0.2, seed=6)
     obj = FiniteSumObjective(ds, make_loss("squared"))
     gamma = 0.3 / float(ds.sqnorms().max())
     reg = 0.45 / gamma  # strong decay so beta moves visibly every step
     plain, _ = _lazy_snapshots(obj, gamma, reg, 3, seed=3)
-    forced, _ = _lazy_snapshots(obj, gamma, reg, 3, seed=3,
-                                renorm_threshold=2.0)
+    monkeypatch.setattr(lazy, "BETA_RENORM_THRESHOLD", 2.0)
+    forced, _ = _lazy_snapshots(obj, gamma, reg, 3, seed=3)
     for a, b in zip(plain, forced):
         assert np.linalg.norm(a - b) <= 1e-9 * max(1.0, np.linalg.norm(a))
 

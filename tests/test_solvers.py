@@ -18,7 +18,6 @@ from incgrad import (
     run,
     saga_chains,
     step_size,
-    svrg_run,
 )
 from incgrad.solvers import (
     SagaState,
@@ -247,8 +246,9 @@ def test_u_form_rejects_composite(two_quadratics):
 def test_svrg_inner_step_at_snapshot_is_full_gradient_step(two_quadratics):
     obj, _ = two_quadratics
     x0 = np.array([1.0])
-    res = svrg_run(obj, x0, gamma=1 / 6, m=1, epochs=1,
-                   rng=np.random.default_rng(0))
+    res = run("svrg", obj, x0, epochs=1, inner_steps=1,
+              policy=StepSizePolicy("manual", gamma=1 / 6),
+              rng=np.random.default_rng(0))
     expected = x0 - (1 / 6) * obj.full_gradient(x0)
     assert res.x == pytest.approx(expected)
 
@@ -258,8 +258,9 @@ def test_svrg_m1_equals_proximal_gradient_descent():
     obj = make_random_objective(rng, split=0.2, l1=0.05, n=8, d=3)
     x0 = rng.standard_normal(3)
     gamma = 0.07
-    res = svrg_run(obj, x0, gamma=gamma, m=1, epochs=12,
-                   rng=np.random.default_rng(5))
+    res = run("svrg", obj, x0, epochs=12, inner_steps=1,
+              policy=StepSizePolicy("manual", gamma=gamma),
+              rng=np.random.default_rng(5))
     x = x0.copy()
     for rec in res.records[1:]:
         x = obj.reg.prox(gamma, x - gamma * obj.full_gradient(x))
@@ -268,15 +269,16 @@ def test_svrg_m1_equals_proximal_gradient_descent():
 
 def test_svrg_eval_accounting_three_per_pass(two_quadratics):
     obj, _ = two_quadratics
-    res = svrg_run(obj, np.array([1.0]), gamma=0.1, m=obj.n, epochs=4,
-                   rng=np.random.default_rng(1))
+    res = run("svrg", obj, np.array([1.0]), epochs=4, inner_steps=obj.n,
+              policy=StepSizePolicy("manual", gamma=0.1),
+              rng=np.random.default_rng(1))
     per_n = [r.grad_evals / obj.n for r in res.records]
     assert per_n == pytest.approx([0.0, 3.0, 6.0, 9.0, 12.0])
 
 
 @pytest.mark.parametrize("n", [1, 2, 40, 50, 600, 10**5, 2**33])
 def test_index_draws_per_pass_equal_scalar_draws(n):
-    # run, svrg_run and the lazy engine draw a pass of indices at once;
+    # the table, svrg and lazy engines draw a pass of indices at once;
     # that must give the stream and the generator state of scalar draws
     one, many = np.random.default_rng(n), np.random.default_rng(n)
     for size in (1, 7, 600):
@@ -286,7 +288,7 @@ def test_index_draws_per_pass_equal_scalar_draws(n):
 
 
 def _svrg_scalar_draws(obj, x0, gamma, m, epochs, rng):
-    """svrg_run with one scalar rng.integers(0, n) per inner step;
+    """run("svrg") with one scalar rng.integers(0, n) per inner step;
     returns the iterate after each pass and the average iterate."""
     x, xs, xsum = np.array(x0, dtype=float), [], np.zeros(obj.d)
     for _ in range(epochs):
@@ -308,7 +310,8 @@ def test_svrg_equals_scalar_draw_loop(m, l1):
     obj = make_random_objective(rng, kind="logistic", n=12, d=4, split=0.1, l1=l1)
     x0 = rng.standard_normal(4)
     got_rng, want_rng = np.random.default_rng(3), np.random.default_rng(3)
-    res = svrg_run(obj, x0, gamma=0.3, m=m, epochs=4, rng=got_rng)
+    res = run("svrg", obj, x0, epochs=4, inner_steps=m,
+              policy=StepSizePolicy("manual", gamma=0.3), rng=got_rng)
     xs, xbar = _svrg_scalar_draws(obj, x0, 0.3, m, 4, want_rng)
     for rec, x in zip(res.records[1:], xs):
         assert np.array_equal(rec.x, x)
@@ -319,8 +322,9 @@ def test_svrg_equals_scalar_draw_loop(m, l1):
 def test_svrg_requires_inner_steps(two_quadratics):
     obj, _ = two_quadratics
     with pytest.raises(ConfigError):
-        svrg_run(obj, np.array([1.0]), 0.1, m=0, epochs=1,
-                 rng=np.random.default_rng(0))
+        run("svrg", obj, np.array([1.0]), epochs=1, inner_steps=0,
+            policy=StepSizePolicy("manual", gamma=0.1),
+            rng=np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
