@@ -25,7 +25,7 @@ from .objectives import (
     make_loss,
     sigmoid,
 )
-from .solvers import prox_gradient_optimum
+from .solvers import StepSizePolicy, prox_gradient_optimum, step_size
 
 MAX_ENUMERABLE_N = 10_000
 
@@ -52,7 +52,7 @@ class LyapunovParams:
         kappa = 1/(gamma mu), beta = (2 mu n + L)/L."""
         if consts.mu <= 0:
             raise ConfigError("the strongly convex preset needs mu > 0")
-        gamma = 1.0 / (2.0 * (consts.mu * consts.n + consts.L))
+        gamma = step_size(StepSizePolicy("strongly_convex"), consts)
         c = 1.0 / (2.0 * gamma * (1.0 - gamma * consts.mu) * consts.n)
         kappa = 1.0 / (gamma * consts.mu)
         beta = (2.0 * consts.mu * consts.n + consts.L) / consts.L
@@ -63,7 +63,7 @@ class LyapunovParams:
         """gamma = 1/(3L) without using mu in the step; the contraction
         rate 1/kappa = min(1/(4n), mu/(3L)) still reflects any strong
         convexity actually present, with beta = 2 and the same c."""
-        gamma = 1.0 / (3.0 * consts.L)
+        gamma = step_size(StepSizePolicy("adaptive"), consts)
         c = 1.0 / (2.0 * gamma * (1.0 - gamma * consts.mu) * consts.n)
         rate = min(1.0 / (4.0 * consts.n), consts.mu / (3.0 * consts.L))
         kappa = math.inf if rate == 0 else 1.0 / rate
@@ -343,7 +343,7 @@ def bound_value(kind: str, obj, consts: ProblemConstants, x0, x_star, k: int,
                 "pass allow_unverified=True to evaluate it anyway")
         if mu <= 0:
             raise ConfigError("average_sc requires mu > 0")
-        gamma = 1.0 / (3.0 * (mu * n + L))
+        gamma = step_size(StepSizePolicy("average_sc"), consts)
         rate = 1.0 - mu / (6.0 * (mu * n + L))
         return rate**k * (d0 + 2.0 * gamma * (1.0 - gamma * mu) * n * bracket)
     raise ConfigError(f"unknown bound kind {kind!r}")
@@ -427,7 +427,7 @@ def _check_lemmas(rng, instances):
             "ip_bound", obj=obj, x=x, x_star=y, mu=consts.mu, L=consts.L))
         worst["grad_diff"] = min(worst["grad_diff"], lemma_gap(
             "grad_diff", obj=obj, phi=phi, x_star=y, L=consts.L))
-        gamma = 1.0 / (2.0 * (consts.mu * n + consts.L))
+        gamma = step_size(StepSizePolicy("strongly_convex"), consts)
         betas = (0.5, 1.0, 2.0,
                  (2.0 * consts.mu * n + consts.L) / consts.L)
         worst["wchange"] = min(worst["wchange"], lemma_gap(

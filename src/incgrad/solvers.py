@@ -141,38 +141,16 @@ class GradientTable:
 
 @dataclass
 class SagaState:
+    """State of every table method: the iterate and the table, plus
+    ``u`` for saga_u (reset x with :func:`saga_u_reconstruct` after
+    changing the table by other means) and the stored points ``phi``
+    and their mean for finito and midpoint."""
+
     x: np.ndarray
     table: GradientTable
-    k: int = 0
-
-
-@dataclass
-class SagaUState:
-    """``x`` is the iterate u - gamma * sum_i f_i'(phi_i), kept current by
-    :func:`saga_u_step`; set it with :func:`saga_u_reconstruct` after
-    changing the table by other means."""
-
-    u: np.ndarray
-    table: GradientTable
-    x: np.ndarray = None
-    k: int = 0
-
-
-@dataclass
-class FinitoState:
-    phi: np.ndarray            # (n, d) stored points
-    table: GradientTable
-    phi_mean: np.ndarray
-    x: np.ndarray = None
-    k: int = 0
-
-
-@dataclass
-class SdcaState:
-    x: np.ndarray
-    table: GradientTable
-    mu: float = 0.0
-    k: int = 0
+    u: np.ndarray | None = None
+    phi: np.ndarray | None = None
+    phi_mean: np.ndarray | None = None
 
 
 def saga_init(obj, x0, mode=None) -> SagaState:
@@ -180,29 +158,28 @@ def saga_init(obj, x0, mode=None) -> SagaState:
     return SagaState(x=x0, table=GradientTable.at_point(obj, x0, mode))
 
 
-def saga_u_init(obj, x0, gamma) -> SagaUState:
+def saga_u_init(obj, x0, gamma) -> SagaState:
     """u0 = x0 + gamma * sum_i f_i'(x0), paired with a table at x0."""
     x0 = np.array(x0, dtype=float)
     table = GradientTable.at_point(obj, x0)
-    state = SagaUState(u=x0 + gamma * table.sum(), table=table)
+    state = SagaState(x=None, table=table, u=x0 + gamma * table.sum())
     state.x = saga_u_reconstruct(state, gamma)
     return state
 
 
-def finito_init(obj, x0) -> FinitoState:
+def finito_init(obj, x0) -> SagaState:
     x0 = np.array(x0, dtype=float)
-    phi = np.tile(x0, (obj.n, 1))
     table = GradientTable.at_point(obj, x0, mode="dense")
-    return FinitoState(phi=phi, table=table, phi_mean=x0.copy(), x=x0.copy())
+    return SagaState(x=x0.copy(), table=table, phi=np.tile(x0, (obj.n, 1)),
+                     phi_mean=x0.copy())
 
 
-def sdca_init(obj, x0, mu) -> SdcaState:
+def sdca_init(obj, x0, mu) -> SagaState:
     """Table at x0; the iterate is the table-implied point -(1/mu n) sum.
     Needs mu > 0 and loss-only components (see :func:`check_method`)."""
     x0 = np.array(x0, dtype=float)
     table = GradientTable.at_point(obj, x0, mode="dense")
-    x = -(1.0 / (mu * obj.n)) * table.sum()
-    return SdcaState(x=x, table=table, mu=mu)
+    return SagaState(x=-(1.0 / (mu * obj.n)) * table.sum(), table=table)
 
 
 # ---------------------------------------------------------------------------
@@ -227,17 +204,19 @@ class StepSizePolicy:
                 self.gamma is not None and 0 < self.gamma < math.inf):
             raise ConfigError("manual step size requires a finite gamma > 0")
 
+    def check_mu(self, mu):
+        """ConfigError if this mode needs mu > 0 and ``mu`` is not."""
+        if self.mode in ("strongly_convex", "average_sc") and not mu > 0:
+            raise ConfigError(f"step size mode {self.mode!r} needs mu > 0; "
+                              "use the adaptive mode 1/(3L) instead")
+
 
 def step_size(policy: StepSizePolicy, consts: ProblemConstants) -> float:
+    policy.check_mu(consts.mu)
     if policy.mode == "manual":
         return float(policy.gamma)
     if policy.mode == "adaptive":
         return 1.0 / (3.0 * consts.L)
-    if consts.mu <= 0:
-        raise ConfigError(
-            f"step size mode {policy.mode!r} needs mu > 0; "
-            "use the adaptive mode 1/(3L) instead"
-        )
     if policy.mode == "strongly_convex":
         return 1.0 / (2.0 * (consts.mu * consts.n + consts.L))
     return 1.0 / (3.0 * (consts.mu * consts.n + consts.L))
@@ -257,7 +236,8 @@ def _policy_gamma(method, policy, consts: ProblemConstants):
 
 
 # ---------------------------------------------------------------------------
-# single steps
+# single steps: each updates the state in place and checks nothing; the
+# rules are checked once, before any table is built (see _setup)
 
 def _new_gradient(obj, table, j, x):
     """(table entry value, gradient vector) of f_j at x."""
@@ -269,7 +249,7 @@ def _new_gradient(obj, table, j, x):
     return g, g
 
 
-def _step_direction(obj, table, j, x, gamma, per_n=False):
+def _step_direction(obj, table, j, x, gamma, per_n):
     """(new entry j, gamma * (g_new - g_old + mean)) at x, with
     g_new - g_old divided by n if ``per_n`` (sag)."""
     if table.support:
@@ -290,61 +270,25 @@ def _step_direction(obj, table, j, x, gamma, per_n=False):
     return entry, gamma * (diff + table.avg)
 
 
-def saga_step(state: SagaState, obj, j, gamma) -> SagaState:
-    """One update: unbiased corrected direction, then the prox of h.
-
-    w = x - gamma (f_j'(x) - f_j'(phi_j) + mean_i f_i'(phi_i)) and
-    x <- prox_gamma^h(w); entry j is replaced by f_j'(x) (the new phi_j
-    is the pre-step x and is never materialised).
-    """
-    entry, step = _step_direction(obj, state.table, j, state.x, gamma)
-    w = state.x - step
-    if obj.reg.kind != "none":
-        w = obj.reg.prox(gamma, w)
+def saga_step(state: SagaState, obj, j, gamma, per_n=False, mu=0.0):
+    """One update of the saga family: x <- prox_gamma^h(w) with
+    w = (1 - gamma mu) x - gamma (f_j'(x) - f_j'(phi_j) + mean_i f_i'(phi_i)),
+    and entry j replaced by f_j'(x) (phi_j, the pre-step x, is never
+    formed).  ``per_n`` divides the difference by n, the biased sag
+    direction; ``mu`` is an L2 term kept out of the table (the explicit
+    form), and its scaling is skipped when mu = 0."""
+    entry, step = _step_direction(obj, state.table, j, state.x, gamma, per_n)
+    w = ((1.0 - gamma * mu) * state.x if mu else state.x) - step
+    state.x = obj.reg.prox(gamma, w) if obj.reg.kind != "none" else w
     state.table.update(j, entry)
-    state.x = w
-    state.k += 1
-    _check_iterate(state.x, state.k)
-    return state
 
 
-def sag_step(state: SagaState, obj, j, gamma) -> SagaState:
-    """Biased 1/n-weighted variant of the same update, without prox."""
-    if obj.reg.kind != "none":
-        raise ConfigError("sag has no proximal support; use a smooth objective")
-    entry, step = _step_direction(obj, state.table, j, state.x, gamma,
-                                  per_n=True)
-    state.x = state.x - step
-    state.table.update(j, entry)
-    state.k += 1
-    _check_iterate(state.x, state.k)
-    return state
-
-
-def saga_step_explicit_l2(state: SagaState, obj, j, gamma, mu) -> SagaState:
-    """Variant keeping the L2 term out of the table: the table stores
-    loss-only gradients and the regulariser acts by scaling the iterate,
-    x <- (1 - gamma mu) x - gamma (g_new - g_old + mean)."""
-    if mu < 0:
-        raise ConfigError("mu must be nonnegative")
-    if gamma * mu >= 1.0:
-        raise ConfigError("gamma * mu >= 1 would flip the iterate scaling")
-    if obj.split_l2 != 0.0:
-        raise ConfigError("explicit-L2 variant expects loss-only components")
-    entry, step = _step_direction(obj, state.table, j, state.x, gamma)
-    state.x = (1.0 - gamma * mu) * state.x - step
-    state.table.update(j, entry)
-    state.k += 1
-    _check_iterate(state.x, state.k)
-    return state
-
-
-def saga_u_reconstruct(state: SagaUState, gamma) -> np.ndarray:
+def saga_u_reconstruct(state: SagaState, gamma) -> np.ndarray:
     """Current iterate x = u - gamma * sum_i f_i'(phi_i)."""
     return state.u - gamma * state.table.sum()
 
 
-def saga_u_step(state: SagaUState, obj, j, gamma) -> SagaUState:
+def saga_u_step(state: SagaState, obj, j, gamma):
     """Reformulated update tracking u instead of x (non-composite only).
 
     x is reconstructed from u and the table sum, u moves a 1/n fraction
@@ -353,19 +297,14 @@ def saga_u_step(state: SagaUState, obj, j, gamma) -> SagaUState:
     reconstruction after the step is kept as ``state.x``, which the
     next step starts from.
     """
-    if obj.reg.kind != "none":
-        raise ConfigError("the u-form is only valid without a composite term")
     x = state.x
     state.u = state.u + (x - state.u) / obj.n
     entry, _ = _new_gradient(obj, state.table, j, x)
     state.table.update(j, entry)
     state.x = saga_u_reconstruct(state, gamma)
-    state.k += 1
-    _check_iterate(state.x, state.k)
-    return state
 
 
-def finito_step(state: FinitoState, obj, j, gamma) -> FinitoState:
+def finito_step(state: SagaState, obj, j, gamma):
     """x <- mean(phi) - gamma * sum_i f_i'(phi_i), then phi_j <- x."""
     x = state.phi_mean - gamma * state.table.sum()
     g_new = obj.component_gradient(j, x)
@@ -373,12 +312,9 @@ def finito_step(state: FinitoState, obj, j, gamma) -> FinitoState:
     state.phi_mean = state.phi_mean + (x - state.phi[j]) / obj.n
     state.phi[j] = x
     state.x = x
-    state.k += 1
-    _check_iterate(x, state.k)
-    return state
 
 
-def sdca_primal_step(state: SdcaState, obj, j, mu) -> SdcaState:
+def sdca_primal_step(state: SagaState, obj, j, mu):
     """Primal-only dual coordinate step.
 
     With gamma = 1/(mu n), the leave-one-out point
@@ -393,12 +329,9 @@ def sdca_primal_step(state: SdcaState, obj, j, mu) -> SdcaState:
     diff = g_new - g_old
     state.table.update(j, g_new)
     state.x = state.x - gamma * diff
-    state.k += 1
-    _check_iterate(state.x, state.k)
-    return state
 
 
-def sdca_variant5_step(state: SdcaState, obj, j, mu, L) -> SdcaState:
+def sdca_variant5_step(state: SagaState, obj, j, mu, L):
     """Conjugate-free variant: blend the stored gradient towards
     f_j'(x^k) with weight beta = mu n / (L + mu n); phi_j itself is
     never formed."""
@@ -409,12 +342,9 @@ def sdca_variant5_step(state: SdcaState, obj, j, mu, L) -> SdcaState:
     diff = new - g_old
     state.table.update(j, new)
     state.x = state.x - gamma * diff
-    state.k += 1
-    _check_iterate(state.x, state.k)
-    return state
 
 
-def midpoint_step(state: FinitoState, obj, j, mu) -> FinitoState:
+def midpoint_step(state: SagaState, obj, j, mu):
     """Leave-one-out prox step sitting between the dual-coordinate and
     stored-point methods.
 
@@ -423,8 +353,6 @@ def midpoint_step(state: FinitoState, obj, j, mu) -> FinitoState:
     satisfies x = mean(phi) - (1/(mu n)) sum_i f_i'(phi_i) exactly.
     """
     n = obj.n
-    if n < 2:
-        raise ConfigError("leave-one-out step needs n >= 2")
     gamma_p = 1.0 / (mu * (n - 1))
     sum_phi = state.phi_mean * n
     sum_g = state.table.sum()
@@ -435,12 +363,9 @@ def midpoint_step(state: FinitoState, obj, j, mu) -> FinitoState:
     state.phi_mean = state.phi_mean + (phi_j - state.phi[j]) / n
     state.phi[j] = phi_j
     state.x = phi_j
-    state.k += 1
-    _check_iterate(phi_j, state.k)
-    return state
 
 
-def midpoint_identity_residual(state: FinitoState, mu) -> float:
+def midpoint_identity_residual(state: SagaState, mu) -> float:
     """|x - (mean(phi) - (1/(mu n)) sum f_i'(phi_i))|, zero after a step."""
     rhs = state.phi_mean - state.table.avg / mu
     return float(np.linalg.norm(state.x - rhs))
@@ -486,18 +411,28 @@ def method_info(name) -> Method:
     return info
 
 
+def _check_scaling(gamma, l2):
+    """The explicit form scales the iterate by 1 - gamma * l2 each step."""
+    if not (l2 >= 0 and (gamma is None or gamma * l2 < 1.0)):
+        raise ConfigError("the explicit form needs explicit_l2 >= 0 and "
+                          "gamma * explicit_l2 < 1")
+
+
 def check_method(name, *, loss, l1, mu, policy=None, n=None, init="full",
-                 sampling="iid") -> Method:
+                 sampling="iid", inner_steps=None) -> Method:
     """Every rule that ties a method to its problem and run options:
     ``loss`` is the loss kind, ``l1`` the L1 strength, ``mu`` the L2
-    strength wherever the method's form puts it and ``n`` the number of
-    points, if known.  Returns the method's record."""
+    strength wherever the method's form puts it, ``n`` the number of
+    points, if known, and ``inner_steps`` svrg's steps per pass, if
+    given.  Returns the method's record."""
     info = method_info(name)
     if l1 > 0 and not info.prox:
         raise ConfigError(f"{name} has no proximal support and cannot take "
                           "an L1 regulariser")
     if info.needs_mu and not mu > 0:
         raise ConfigError(f"{name} requires an L2 strength > 0 (mu > 0)")
+    if info.form == "explicit":
+        _check_scaling(policy.gamma if policy is not None else None, mu)
     if name == "midpoint" and n is not None and n < 2:
         raise ConfigError("midpoint requires n >= 2")
     if name == "saga_lazy" and loss != "squared":
@@ -506,36 +441,51 @@ def check_method(name, *, loss, l1, mu, policy=None, n=None, init="full",
         raise ConfigError(f"{name} is parameter free; drop the step policy")
     if policy is not None and name == "finito" and policy.mode != "manual":
         raise ConfigError("finito accepts only a manual step size override")
+    if policy is not None:
+        policy.check_mu(mu)
     if init not in ("full", "one_by_one") or sampling not in ("iid", "perm"):
         raise ConfigError(f"unknown init or sampling mode {init!r}, {sampling!r}")
     if init != "full" and name not in ("saga", "sag"):
         raise ConfigError("the one-by-one warm start is only wired for saga/sag")
     if sampling != "iid" and name in ("svrg", "saga_lazy"):
         raise ConfigError(f"{name} samples iid only")
+    if inner_steps is not None and name != "svrg":
+        raise ConfigError(f"{name} takes no inner_steps; only svrg has "
+                          "inner steps")
+    if inner_steps is not None and int(inner_steps) < 1:
+        raise ConfigError("svrg needs at least one inner step per pass")
     return info
 
 
 def _setup(method, obj, consts=None, explicit_l2=0.0, policy=None,
-           init="full", sampling="iid"):
+           init="full", sampling="iid", inner_steps=None):
     """Check a run of ``method`` on ``obj``, which must be in the
-    method's form.  Returns the record, the constants (estimated, with mu
-    the form's L2 strength, unless given) and the step (None when the
-    method is parameter free)."""
+    method's form, before any work.  Returns the record, the constants
+    (estimated, with mu the form's L2 strength, unless given) and the
+    step (None when the method is parameter free)."""
     info = method_info(method)
     split, h_l2 = obj.split_l2 != 0.0, obj.reg.l2 != 0.0
     if not {"split": not h_l2, "separate": h_l2 and not split,
             "explicit": not (h_l2 or split)}[info.form]:
         raise ConfigError(f"{method} needs its objective in the {info.form} "
                           "form of harness.method_objective")
+    if explicit_l2 != 0.0 and info.form != "explicit":
+        raise ConfigError(f"{method} takes no explicit_l2: its L2 term is "
+                          f"in its objective ({info.form} form)")
     if consts is None:
         consts = estimate_constants(obj)
         if info.form == "explicit":  # split-form constants of the scaling
             consts = replace(consts, L=consts.L + explicit_l2, mu=explicit_l2)
         elif info.form == "separate":
             consts = replace(consts, mu=obj.reg.l2)
-    check_method(method, loss=obj.loss.kind, l1=obj.reg.l1, mu=consts.mu,
-                 policy=policy, n=obj.n, init=init, sampling=sampling)
-    return info, consts, _policy_gamma(method, policy, consts)
+    check_method(method, loss=obj.loss.kind, l1=obj.reg.l1,
+                 mu=explicit_l2 if info.form == "explicit" else consts.mu,
+                 policy=policy, n=obj.n, init=init, sampling=sampling,
+                 inner_steps=inner_steps)
+    gamma = _policy_gamma(method, policy, consts)
+    if info.form == "explicit":
+        _check_scaling(gamma, explicit_l2)
+    return info, consts, gamma
 
 
 # ---------------------------------------------------------------------------
@@ -614,9 +564,8 @@ def run(method, obj, x0, *, epochs, policy=None, seed=0, rng=None,
     if rng is None:
         rng = np.random.default_rng(seed)
     x0 = np.asarray(x0, dtype=float)
-    info, consts, gamma = _setup(method, obj, consts, explicit_l2, policy,
-                                 init, sampling)
-    extra_l2 = explicit_l2 if info.form == "explicit" else 0.0
+    _, consts, gamma = _setup(method, obj, consts, explicit_l2, policy,
+                              init, sampling, inner_steps)
     if method == "svrg":
         m = obj.n if inner_steps is None else int(inner_steps)
         passes = _svrg_passes(obj, x0, gamma, m, epochs, rng)
@@ -627,14 +576,14 @@ def run(method, obj, x0, *, epochs, policy=None, seed=0, rng=None,
                                explicit_l2, epochs, rng, init, sampling)
     k, evals, x, xsum = next(passes)
     records = [_record(obj, 0, 0.0, x0, None if xsum is None else x0,
-                       reference, extra_l2)]
+                       reference, explicit_l2)]
     for ep in range(epochs):
         traced = (ep + 1) % trace_every == 0 or ep == epochs - 1
         k, evals, x, xsum = passes.send(traced)
         if traced:
             records.append(_record(obj, k, evals, x,
                                    None if xsum is None else xsum / k,
-                                   reference, extra_l2))
+                                   reference, explicit_l2))
     x = next(passes)
     xbar = None if xsum is None else (xsum / k if k else np.array(x0))
     return RunResult(method, records, np.array(x), xbar, evals)
@@ -661,8 +610,8 @@ def _table_passes(method, obj, x0, gamma, mu, L, explicit_l2, epochs, rng,
 
     step, *params = {
         "saga": (saga_step, gamma),
-        "sag": (sag_step, gamma),
-        "saga_explicit_l2": (saga_step_explicit_l2, gamma, explicit_l2),
+        "sag": (saga_step, gamma, True),
+        "saga_explicit_l2": (saga_step, gamma, False, explicit_l2),
         "saga_u": (saga_u_step, gamma),
         "finito": (finito_step, gamma),
         "sdca": (sdca_primal_step, mu),
@@ -675,21 +624,18 @@ def _table_passes(method, obj, x0, gamma, mu, L, explicit_l2, epochs, rng,
 
     for ep in range(epochs):
         if heuristic and ep == 0:
-            order = np.arange(n)
             gsum = np.zeros(obj.d)
-            for m_seen, j in enumerate(order, start=1):
+            for j in range(n):
                 entry, g_new = _new_gradient(obj, state.table, j, state.x)
                 gsum += g_new
                 state.table.set_raw(j, entry)
-                w = state.x - gamma * (gsum / m_seen)
-                if method == "saga" and obj.reg.kind != "none":
+                w = state.x - gamma * (gsum / (j + 1))
+                if obj.reg.kind != "none":  # saga; check_method bars sag
                     w = obj.reg.prox(gamma, w)
                 state.x = w
-                state.k += 1
-                evals += 1.0
                 steps += 1
+                _check_iterate(state.x, steps)
                 xsum += state.x
-                _check_iterate(state.x, state.k)
             state.table.avg = gsum / n
         else:
             if sampling == "perm":
@@ -698,8 +644,8 @@ def _table_passes(method, obj, x0, gamma, mu, L, explicit_l2, epochs, rng,
                 order = rng.integers(0, n, size=n)
             for j in order.tolist():
                 step(state, obj, j, *params)
-                evals += 1.0
                 steps += 1
+                _check_iterate(state.x, steps)
                 xsum += state.x
         state.table.resync()
         if method in ("sdca", "sdca_variant5"):
@@ -708,7 +654,7 @@ def _table_passes(method, obj, x0, gamma, mu, L, explicit_l2, epochs, rng,
             state.phi_mean = state.phi.mean(axis=0)
         elif method == "saga_u":
             state.x = saga_u_reconstruct(state, gamma)
-        yield steps, evals, state.x, xsum
+        yield steps, evals + steps, state.x, xsum
     yield state.x
 
 
@@ -720,8 +666,6 @@ def _svrg_passes(obj, x0, gamma, m, epochs, rng):
     step then uses f_j'(x) - f_j'(snapshot) + full, costing 2
     evaluations, with the prox of h applied after the move.
     """
-    if m < 1:
-        raise ConfigError("svrg needs at least one inner step per pass")
     x = np.array(x0, dtype=float)
     xsum = np.zeros_like(x)
     k = 0

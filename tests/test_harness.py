@@ -10,6 +10,7 @@ from incgrad import (
     METHODS,
     Regularizer,
     make_loss,
+    harness,
     run,
 )
 from incgrad.harness import (
@@ -120,7 +121,16 @@ REJECTED_BY = {
     "no_l2": {"finito", "sdca", "sdca_variant5", "midpoint"},
     "logistic": {"saga_lazy"},
     "policy": {"sdca", "sdca_variant5", "midpoint"},
+    # a mu-based step with l2 = 0: every method (finito takes only a
+    # manual step, the parameter-free ones no step at all)
+    "strongly_convex_no_l2": set(METHODS),
+    "average_sc_no_l2": set(METHODS),
+    # gamma * l2 = 20 * 0.05 = 1 flips the explicit form's scaling
+    "scaling": {"saga_explicit_l2", "saga_lazy", "sdca", "sdca_variant5",
+                "midpoint"},
 }
+STEP_OF = {"policy": 0.01, "strongly_convex_no_l2": "strongly_convex",
+           "average_sc_no_l2": "average_sc", "scaling": 20}
 
 
 def _raises_config_error(fn):
@@ -136,9 +146,10 @@ def _raises_config_error(fn):
 def test_validate_config_agrees_with_run(name, change):
     # validate_config on the config raises exactly when run raises on the
     # objective method_objective builds from it
-    entry = {"name": name, "step_size": 0.01} if change == "policy" else name
+    entry = ({"name": name, "step_size": STEP_OF[change]}
+             if change in STEP_OF else name)
     raw = {"methods": [entry], "l1": 0.01 if change == "l1" else 0.0,
-           "l2": 0.0 if change == "no_l2" else 0.05}
+           "l2": 0.0 if change.endswith("no_l2") else 0.05}
     if change == "logistic":
         raw.update(loss="logistic", dataset={"synthetic": {
             "kind": "logistic", "n": 20, "d": 5, "seed": 4}})
@@ -149,6 +160,19 @@ def test_validate_config_agrees_with_run(name, change):
         name, obj, np.zeros(obj.d), epochs=0, policy=cfg.methods[0].policy,
         **kwargs))
     assert at_config == at_run == (name in REJECTED_BY[change])
+
+
+@pytest.mark.parametrize("name,step,l2", [
+    ("saga", "strongly_convex", 0.0), ("svrg", "average_sc", 0.0),
+    ("saga_explicit_l2", 20, 0.1), ("saga_lazy", 10, 0.1)])
+def test_config_rules_stop_before_any_data(name, step, l2, monkeypatch):
+    def no_data(cfg):
+        raise AssertionError("build_dataset ran before the config check")
+
+    monkeypatch.setattr(harness, "build_dataset", no_data)
+    cfg = _base_config(methods=[{"name": name, "step_size": step}], l2=l2)
+    with pytest.raises(ConfigError):
+        run_experiment(cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from incgrad.lazy import (
     lagged_update,
     sparse_saga_lstsq_epoch,
 )
-from incgrad.solvers import StepSizePolicy, run, saga_init, saga_step_explicit_l2
+from incgrad.solvers import StepSizePolicy, run, saga_init, saga_step
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +121,7 @@ def _dense_replay(obj, gamma, reg, epochs, seed):
     for ep in range(epochs):
         for s in range(obj.n):
             j = s if ep == 0 else int(rng.integers(0, obj.n))
-            saga_step_explicit_l2(st, obj, j, gamma, reg)
+            saga_step(st, obj, j, gamma, mu=reg)
         snaps.append(st.x.copy())
     return snaps
 

@@ -28,16 +28,15 @@ from incgrad.solvers import (
     midpoint_step,
     saga_init,
     saga_step,
-    saga_step_explicit_l2,
     saga_u_init,
     saga_u_reconstruct,
     saga_u_step,
-    sag_step,
     sdca_init,
     sdca_primal_step,
     sdca_variant5_step,
 )
 from incgrad.analysis import fixed_point_residual
+from incgrad.harness import ExperimentConfig, method_objective
 from incgrad.objectives import scalar_loss_prox
 from incgrad.datasets import generate_synthetic
 from conftest import make_random_objective
@@ -101,7 +100,7 @@ def test_sag_vs_saga_direction_weighting(two_quadratics):
     obj, _ = two_quadratics
     stale = GradientTable(obj, "scalar", coeffs=np.zeros(2), avg=np.zeros(1))
     st = SagaState(x=np.array([1.0]), table=stale)
-    sag_step(st, obj, 1, 1 / 6)
+    saga_step(st, obj, 1, 1 / 6, per_n=True)
     assert st.x == pytest.approx([5 / 6])
 
     stale = GradientTable(obj, "scalar", coeffs=np.zeros(2), avg=np.zeros(1))
@@ -116,16 +115,16 @@ def test_sag_fresh_table_is_full_gradient_step():
     x = rng.standard_normal(obj.d)
     st = saga_init(obj, x)
     g = obj.full_gradient(x)
-    sag_step(st, obj, 3, 0.05)
+    saga_step(st, obj, 3, 0.05, per_n=True)
     assert np.allclose(st.x, x - 0.05 * g, atol=1e-14)
 
 
 def test_sag_rejects_composite(two_quadratics):
     obj, _ = two_quadratics
     l1_obj = FiniteSumObjective(obj.dataset, obj.loss, reg=Regularizer(l1=1.0))
-    st = saga_init(l1_obj, np.array([1.0]))
     with pytest.raises(ConfigError):
-        sag_step(st, l1_obj, 0, 1 / 6)
+        run("sag", l1_obj, np.array([1.0]), epochs=1,
+            policy=StepSizePolicy("manual", gamma=1 / 6))
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +138,7 @@ def test_explicit_l2_reduces_to_plain_saga_when_mu_zero():
     b = saga_init(obj, x0)
     for j in rng.integers(0, obj.n, size=30):
         saga_step(a, obj, int(j), 0.05)
-        saga_step_explicit_l2(b, obj, int(j), 0.05, 0.0)
+        saga_step(b, obj, int(j), 0.05, mu=0.0)
     assert np.allclose(a.x, b.x, atol=1e-14)
 
 
@@ -157,7 +156,7 @@ def test_explicit_l2_matches_split_form_for_one_step():
     ex = saga_init(loss_obj, x0)
     gamma = 0.03
     saga_step(sa, split_obj, 2, gamma)
-    saga_step_explicit_l2(ex, loss_obj, 2, gamma, mu)
+    saga_step(ex, loss_obj, 2, gamma, mu=mu)
     assert np.allclose(sa.x, ex.x, atol=1e-12)
 
 
@@ -165,15 +164,26 @@ def test_explicit_l2_origin_fixed_point():
     ds = Dataset.from_dense([[1.0], [2.0]], [0.0, 0.0])
     obj = FiniteSumObjective(ds, make_loss("squared"))
     st = saga_init(obj, np.array([0.0]))
-    saga_step_explicit_l2(st, obj, 0, 0.1, 0.5)
+    saga_step(st, obj, 0, 0.1, mu=0.5)
     assert st.x == pytest.approx([0.0], abs=1e-16)
 
 
 def test_explicit_l2_rejects_degenerate_scaling(two_quadratics):
     obj, _ = two_quadratics
-    st = saga_init(obj, np.array([1.0]))
     with pytest.raises(ConfigError):
-        saga_step_explicit_l2(st, obj, 0, 0.5, 2.0)
+        run("saga_explicit_l2", obj, np.array([1.0]), epochs=1,
+            policy=StepSizePolicy("manual", gamma=0.5), explicit_l2=2.0)
+
+
+def test_explicit_scaling_checked_on_the_computed_step(two_quadratics):
+    # no manual step to check up front: the adaptive step 1/(3L) = 10/3
+    # from these constants gives gamma * explicit_l2 >= 1, which run
+    # rejects before the first step
+    obj, _ = two_quadratics
+    consts = ProblemConstants(n=2, d=1, L=0.1, mu=0.0)
+    with pytest.raises(ConfigError):
+        run("saga_explicit_l2", obj, np.array([1.0]), epochs=0, consts=consts,
+            policy=StepSizePolicy("adaptive"), explicit_l2=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +232,16 @@ def test_u_form_guard_checks_the_new_iterate():
         assert err.value.step == 1, method
 
 
+def test_warm_start_guard_checks_each_iterate():
+    # the one-by-one pass's first step reaches x_1 = 1e13, over the guard
+    ds = Dataset.from_dense([[1.0], [1.0]], [1.0, 2.0])
+    obj = FiniteSumObjective(ds, make_loss("squared"))
+    with pytest.raises(DivergenceError) as err:
+        run("saga", obj, np.zeros(1), epochs=1, init="one_by_one",
+            policy=StepSizePolicy("manual", gamma=1e13))
+    assert err.value.step == 1
+
+
 def test_u_form_guard_checks_the_final_iterate():
     # one point, one epoch: the only step's result is the run's output
     ds = Dataset.from_dense([[1.0]], [3.0])
@@ -235,9 +255,9 @@ def test_u_form_guard_checks_the_final_iterate():
 def test_u_form_rejects_composite(two_quadratics):
     obj, _ = two_quadratics
     l1_obj = FiniteSumObjective(obj.dataset, obj.loss, reg=Regularizer(l1=0.5))
-    st = saga_u_init(l1_obj, np.array([1.0]), 0.1)
     with pytest.raises(ConfigError):
-        saga_u_step(st, l1_obj, 0, 0.1)
+        run("saga_u", l1_obj, np.array([1.0]), epochs=1,
+            policy=StepSizePolicy("manual", gamma=0.1))
 
 
 # ---------------------------------------------------------------------------
@@ -545,9 +565,8 @@ def test_midpoint_zero_gradient_leave_one_out():
 def test_midpoint_needs_two_components():
     ds = Dataset.from_dense([[1.0]], [1.0])
     obj = FiniteSumObjective(ds, make_loss("squared"), split_l2=1.0)
-    st = finito_init(obj, np.array([0.0]))
     with pytest.raises(ConfigError):
-        midpoint_step(st, obj, 0, mu=1.0)
+        run("midpoint", obj, np.array([0.0]), epochs=1)
 
 
 # ---------------------------------------------------------------------------
@@ -922,9 +941,9 @@ def _hand_run(method, obj, x0, gamma, mu, L, epochs, seed):
             if method == "saga":
                 saga_step(state, obj, j, gamma)
             elif method == "sag":
-                sag_step(state, obj, j, gamma)
+                saga_step(state, obj, j, gamma, per_n=True)
             elif method == "saga_explicit_l2":
-                saga_step_explicit_l2(state, obj, j, gamma, mu)
+                saga_step(state, obj, j, gamma, mu=mu)
             elif method == "saga_u":
                 saga_u_step(state, obj, j, gamma)
             elif method == "finito":
@@ -1129,6 +1148,25 @@ def test_run_zero_epochs_pins_every_method(method, start):
     else:
         want = x0
     assert np.array_equal(res.x, want)
+
+
+@pytest.mark.parametrize("option,value,owners", [
+    ("explicit_l2", 0.5, {"saga_explicit_l2", "saga_lazy"}),
+    ("inner_steps", 3, {"svrg"}),
+])
+@pytest.mark.parametrize("method", ALL_METHODS)
+def test_run_rejects_options_of_other_methods(method, option, value, owners):
+    # an option only another method reads is an error, not ignored
+    ds = generate_synthetic("ridge", n=9, d=4, density=1.0, noise=0.3, seed=8)
+    cfg = ExperimentConfig(dataset={}, loss="squared", l2=0.2)
+    obj, kwargs = method_objective(ds, cfg, method)
+    kwargs[option] = value
+    call = lambda: run(method, obj, np.zeros(4), epochs=0, **kwargs)
+    if method in owners:
+        call()
+    else:
+        with pytest.raises(ConfigError, match=option):
+            call()
 
 
 # ---------------------------------------------------------------------------
