@@ -19,13 +19,14 @@ class CscMatrix:
     increasing within every column.
     """
 
-    __slots__ = ("data", "indices", "indptr", "shape")
+    __slots__ = ("data", "indices", "indptr", "shape", "_col_of")
 
     def __init__(self, data, indices, indptr, shape):
         self.data = np.ascontiguousarray(data, dtype=np.float64)
         self.indices = np.ascontiguousarray(indices, dtype=np.int64)
         self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
         self.shape = (int(shape[0]), int(shape[1]))
+        self._col_of = None
         self._validate()
 
     def _validate(self):
@@ -44,7 +45,7 @@ class CscMatrix:
             if self.indices.min() < 0 or self.indices.max() >= d:
                 raise ConfigError("row index out of range")
             # strictly increasing within each column
-            col_of = np.repeat(np.arange(n), np.diff(self.indptr))
+            col_of = self._column_ids()
             same = col_of[1:] == col_of[:-1]
             if np.any(np.diff(self.indices)[same] <= 0):
                 raise ConfigError("row indices must be strictly increasing per column")
@@ -76,7 +77,7 @@ class CscMatrix:
         out = cls.__new__(cls)
         out.data, out.indices = ((vals[0], rows[0]) if len(vals) == 1  # no copy
                                  else (np.concatenate(vals), np.concatenate(rows)))
-        out.indptr, out.shape = indptr, (d, n)
+        out.indptr, out.shape, out._col_of = indptr, (d, n), None
         return out
 
     @property
@@ -91,6 +92,21 @@ class CscMatrix:
     def nnz(self) -> int:
         return int(self.data.shape[0])
 
+    @property
+    def col_of(self) -> np.ndarray:
+        """Column index of every nonzero, kept once built."""
+        if self._col_of is None:
+            self._col_of = self._column_ids()
+        return self._col_of
+
+    def _column_ids(self) -> np.ndarray:
+        """``col_of`` if it is kept, else a temporary copy: only the
+        products over the nonzeros keep it, since on dense data it is as
+        large as the dense copy of the points."""
+        if self._col_of is not None:
+            return self._col_of
+        return np.repeat(np.arange(self.ncols), np.diff(self.indptr))
+
     def column(self, j):
         """Return (row_indices, values) views of column j."""
         lo, hi = self.indptr[j], self.indptr[j + 1]
@@ -98,14 +114,26 @@ class CscMatrix:
 
     def col_sqnorms(self) -> np.ndarray:
         """Squared euclidean norm of every column."""
-        n = self.ncols
-        col_of = np.repeat(np.arange(n), np.diff(self.indptr))
-        return np.bincount(col_of, weights=self.data**2, minlength=n)
+        return np.bincount(self._column_ids(), weights=self.data**2,
+                           minlength=self.ncols)
+
+    # The two products below touch the nonzeros only.  bincount adds
+    # each output's terms one at a time in storage order, so the result
+    # is deterministic, and an empty column or row reads 0.
+
+    def rmatvec(self, x) -> np.ndarray:
+        """``A.T @ x``: the dot product of every column with x."""
+        return np.bincount(self.col_of, weights=self.data * x[self.indices],
+                           minlength=self.ncols)
+
+    def matvec(self, c) -> np.ndarray:
+        """``A @ c``: the sum of the columns weighted by c."""
+        return np.bincount(self.indices, weights=self.data * c[self.col_of],
+                           minlength=self.nrows)
 
     def to_dense(self) -> np.ndarray:
         """Dense (d, n) array: the transpose of a C-contiguous (n, d)
         fill, so a point-major copy costs no second array."""
         out = np.zeros(self.shape[::-1])
-        col_of = np.repeat(np.arange(self.ncols), np.diff(self.indptr))
-        out[col_of, self.indices] = self.data
+        out[self._column_ids(), self.indices] = self.data
         return out.T

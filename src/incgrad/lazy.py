@@ -99,14 +99,11 @@ def sparse_saga_lstsq_epoch(data, b, it: LaggedIterate, c, g_avg, gamma, reg,
     point i, so the stored gradient is (c[i] - b[i]) a_i and a single
     scalar per point suffices.  The very first pass (it.k < n on entry)
     sweeps the points in order; later passes sample uniformly from rng.
-    State (it, c, g_avg) is mutated in place.
+    State (it, c, g_avg) is mutated in place.  The caller keeps
+    reg * gamma < 1 and builds ``scaling`` for rho = 1 - reg * gamma.
     """
     d, n = data.shape
-    if reg * gamma >= 1.0:
-        raise ConfigError("reg * gamma must be below 1")
     rho = 1.0 - reg * gamma
-    if abs(scaling.rho - rho) > 1e-15:
-        raise ConfigError("scaling table was built for a different reg * gamma")
     order = range(n) if it.k < n else rng.integers(0, n, size=n).tolist()
     threshold = BETA_RENORM_THRESHOLD  # the module value at call time
     for i in order:
@@ -142,7 +139,7 @@ def lazy_passes(obj, x0, gamma, reg, epochs, rng):
     it = LaggedIterate.zeros(d)
     c = np.zeros(n)
     # stored gradients at zero: (c_i - b_i) a_i with c = 0
-    g_avg = (obj.points.T @ (-obj.labels)) / n
+    g_avg = obj.point_sum(-obj.labels) / n
     evals = n * 1.0
     traced = yield 0, evals, it.x, None
     for _ in range(epochs):

@@ -219,8 +219,21 @@ class ProblemConstants:
             raise ConfigError("L must be positive (no valid step size otherwise)")
 
 
+# below this density, from this many coordinates on, whole-data products
+# run over the nonzeros and scalar tables step on the support (see
+# solvers.GradientTable); elsewhere the indexing costs what it saves
+SUPPORT_DENSITY = 0.1
+SUPPORT_MIN_D = 1000
+
+
 class FiniteSumObjective:
-    """Dataset + loss + optional split-in L2 term + prox regulariser."""
+    """Dataset + loss + optional split-in L2 term + prox regulariser.
+
+    On sparse data (density below ``SUPPORT_DENSITY``, d at least
+    ``SUPPORT_MIN_D``) ``sparse`` is set, and :meth:`margins` and
+    :meth:`point_sum`, which every whole-data product goes through, sum
+    over the nonzeros; otherwise they are the dense BLAS products.
+    """
 
     def __init__(self, dataset: Dataset, loss: LossModel, split_l2: float = 0.0,
                  reg: Regularizer | None = None):
@@ -235,6 +248,8 @@ class FiniteSumObjective:
         self.n = dataset.n
         self.d = dataset.d
         self.labels = dataset.labels
+        self.sparse = (self.d >= SUPPORT_MIN_D and dataset.features.nnz
+                       < SUPPORT_DENSITY * self.n * self.d)
 
     @cached_property
     def points(self) -> np.ndarray:
@@ -244,14 +259,23 @@ class FiniteSumObjective:
     # -- smooth part -------------------------------------------------
 
     def margins(self, x) -> np.ndarray:
+        """a_i' x for every i: ``points @ x``."""
+        if self.sparse:
+            return self.dataset.features.rmatvec(x)
         return self.points @ x
+
+    def point_sum(self, c) -> np.ndarray:
+        """sum_i c_i a_i: ``points.T @ c``."""
+        if self.sparse:
+            return self.dataset.features.matvec(c)
+        return self.points.T @ c
 
     def loss_coeffs(self, x) -> np.ndarray:
         """psi_i'(a_i' x) for every i; the scalar gradient weights."""
         return self.loss.deriv(self.margins(x), self.labels)
 
     def smooth_value(self, x, margins=None) -> float:
-        """f(x); ``margins`` may pass a precomputed ``points @ x``."""
+        """f(x); ``margins`` may pass a precomputed ``margins(x)``."""
         x = np.asarray(x, float)
         if margins is None:
             margins = self.margins(x)
@@ -270,13 +294,13 @@ class FiniteSumObjective:
         return out
 
     def full_gradient(self, x, margins=None) -> np.ndarray:
-        """f'(x); ``margins`` may pass a precomputed ``points @ x``."""
+        """f'(x); ``margins`` may pass a precomputed ``margins(x)``."""
         x = np.asarray(x, float)
         if not np.isfinite(x).all():
             raise ValueError("x must be finite")
         if margins is None:
             margins = self.margins(x)
-        g = (self.points.T @ self.loss.deriv(margins, self.labels)) / self.n
+        g = self.point_sum(self.loss.deriv(margins, self.labels)) / self.n
         if self.split_l2:
             g = g + self.split_l2 * x
         return g

@@ -27,11 +27,6 @@ from .objectives import (
 
 DIVERGENCE_SQNORM = 1e24  # |x|^2 guard, i.e. |x| > 1e12
 
-# scalar tables step on the support only below this density, from this
-# many coordinates on (see GradientTable)
-SUPPORT_DENSITY = 0.1
-SUPPORT_MIN_D = 1000
-
 
 def _check_iterate(x, k):
     s = float(x @ x)
@@ -51,11 +46,10 @@ class GradientTable:
     maintained incrementally and can be recomputed from scratch with
     :meth:`resync` to shed accumulated rounding.
 
-    On sparse data (density below ``SUPPORT_DENSITY``, d at least
-    ``SUPPORT_MIN_D``; below that the indexing costs what it saves) a
-    scalar table sets ``support``: updates and steps touch only the
-    nonzeros of a_i, with the bits of the dense form, whose
-    c * 0 - c_old * 0 = +-0 off the support is exact.
+    On sparse data (``FiniteSumObjective.sparse``) a scalar table sets
+    ``support``: updates and steps touch only the nonzeros of a_i, with
+    the bits of the dense form, whose c * 0 - c_old * 0 = +-0 off the
+    support is exact.
     """
 
     def __init__(self, obj: FiniteSumObjective, mode: str, coeffs=None,
@@ -66,8 +60,7 @@ class GradientTable:
             raise ConfigError("scalar gradient storage requires split_l2 = 0")
         self.obj = obj
         self.mode = mode
-        self.support = (mode == "scalar" and obj.d >= SUPPORT_MIN_D and
-                        obj.dataset.features.nnz < SUPPORT_DENSITY * obj.n * obj.d)
+        self.support = mode == "scalar" and obj.sparse
         self.coeffs = coeffs
         self.vecs = vecs
         self.avg = avg
@@ -80,7 +73,7 @@ class GradientTable:
             mode = "scalar" if obj.split_l2 == 0.0 else "dense"
         if mode == "scalar":
             coeffs = np.array(obj.loss_coeffs(x), dtype=float)
-            avg = (obj.points.T @ coeffs) / obj.n
+            avg = obj.point_sum(coeffs) / obj.n
             return cls(obj, "scalar", coeffs=coeffs, avg=avg)
         vecs = obj.component_gradients(x).copy()
         return cls(obj, "dense", vecs=vecs, avg=vecs.mean(axis=0))
@@ -128,7 +121,7 @@ class GradientTable:
     def resync(self) -> float:
         """Recompute the mean from the entries; returns the drift shed."""
         if self.mode == "scalar":
-            fresh = (self.obj.points.T @ self.coeffs) / self.obj.n
+            fresh = self.obj.point_sum(self.coeffs) / self.obj.n
         else:
             fresh = self.vecs.mean(axis=0)
         drift = float(np.linalg.norm(fresh - self.avg))
@@ -792,17 +785,16 @@ def _smooth_lipschitz(obj, max_lipschitz):
     is cheaper than iterating on: the spectra of normalized data have
     small gaps, and each iteration costs as much as a full gradient.
     """
-    points = obj.points
     v = np.random.default_rng(0).standard_normal(obj.d)
     lip = 0.0
     for _ in range(100):
-        av = points @ (v / np.linalg.norm(v))
+        av = obj.margins(v / np.linalg.norm(v))
         lip_new = (obj.loss.curvature_bound * float(av @ av) / obj.n
                    + obj.split_l2)
         if abs(lip_new - lip) <= 1e-2 * lip_new:
             break
         lip = lip_new
-        v = points.T @ av
+        v = obj.point_sum(av)
     if not lip_new > 0:
         return max_lipschitz
     return min(lip_new, max_lipschitz)
@@ -841,10 +833,9 @@ def prox_gradient_optimum(obj, tol=1e-12, max_iter=1_000_000, x0=None,
     l_max = consts.L
     lip = _smooth_lipschitz(obj, l_max)
     prox = obj.reg.prox if obj.reg.kind != "none" else (lambda gamma, w: w)
-    points = obj.points
     x = np.zeros(obj.d) if x0 is None else np.array(x0, dtype=float)
-    mx = points @ x
-    # exact: points @ y as full_gradient forms it, else None; fy: f(y)
+    mx = obj.margins(x)
+    # exact: margins(y) as full_gradient forms it, else None; fy: f(y)
     y, my, exact, fy = x, mx, mx, None
     t = 1.0
     residual = math.inf
@@ -859,7 +850,7 @@ def prox_gradient_optimum(obj, tol=1e-12, max_iter=1_000_000, x0=None,
             fy = obj.smooth_value(y, margins=my)
         while True:
             x_new = ty if lip == l_max else prox(1.0 / lip, y - g / lip)
-            m_new = points @ x_new
+            m_new = obj.margins(x_new)
             dx = x_new - y
             f_new = None
             if lip == l_max:  # the step 1/L_max needs no test

@@ -88,20 +88,27 @@ def _mean_trajectory(obj, policy, seeds, epochs, field):
     return np.array([r.k for r in chains[0].records]), acc / seeds, x_star
 
 
+# The worst ratio is the one at k = 0, before any step; from epoch 1 on
+# the ratio must stay small too, or a saga contracting many times slower
+# than it does would pass.
+CRITERION_2_LATER = 0.2
+
+
 def test_criterion_2_corollary_bound_tracking():
     t0 = time.time()
     obj, consts = _ridge_unit_condition()
     ks, mean_dist, x_star = _mean_trajectory(
         obj, None, seeds=200, epochs=30, field="dist_sq")
     x0 = np.zeros(obj.d)
-    worst_ratio = 0.0
-    for k, m in zip(ks, mean_dist):
-        bound = bound_value("corollary_sc", obj, consts, x0, x_star, int(k))
-        worst_ratio = max(worst_ratio, m / bound)
+    ratios = [m / bound_value("corollary_sc", obj, consts, x0, x_star, int(k))
+              for k, m in zip(ks, mean_dist)]
+    worst_ratio, worst_later = max(ratios), max(ratios[1:])
     elapsed = time.time() - t0
-    _report(2, worst_ratio <= 2.0 and elapsed < 60,
+    _report(2, worst_ratio <= 2.0 and worst_later <= CRITERION_2_LATER
+            and elapsed < 60,
             f"mean dist^2 / bound worst ratio {worst_ratio:.3f} over "
-            f"{len(ks)} checkpoints, 200 seeds, {elapsed:.1f}s")
+            f"{len(ks)} checkpoints, {worst_later:.3f} from epoch 1, "
+            f"200 seeds, {elapsed:.1f}s")
 
 
 def test_criterion_2_through_run():
@@ -116,13 +123,15 @@ def test_criterion_2_through_run():
             for s in range(seeds)]
     mean_dist = sum(np.array([r.dist_sq for r in res.records])
                     for res in runs) / seeds
-    worst_ratio = max(
-        m / bound_value("corollary_sc", obj, consts, x0, reference[0], r.k)
-        for r, m in zip(runs[0].records, mean_dist))
+    ratios = [m / bound_value("corollary_sc", obj, consts, x0, reference[0],
+                              r.k)
+              for r, m in zip(runs[0].records, mean_dist)]
+    worst_ratio, worst_later = max(ratios), max(ratios[1:])
     elapsed = time.time() - t0
-    _report(2, worst_ratio <= 2.0,
+    _report(2, worst_ratio <= 2.0 and worst_later <= CRITERION_2_LATER,
             f"through run: mean dist^2 / bound worst ratio "
-            f"{worst_ratio:.3f}, {seeds} seeds, {elapsed:.1f}s")
+            f"{worst_ratio:.3f}, {worst_later:.3f} from epoch 1, "
+            f"{seeds} seeds, {elapsed:.1f}s")
 
 
 def test_criterion_3_adaptive_bound_tracking():

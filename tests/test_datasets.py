@@ -238,6 +238,28 @@ def test_from_dense_small_mask_chunks(shape, density, monkeypatch):
     _check_from_dense(shape, density)
 
 
+@pytest.mark.parametrize("shape,density", [
+    ((50, 40), 0.1), ((2000, 30), 5e-3), ((300, 1), 0.05), ((1, 1), 1.0),
+    ((1, 7), 0.6), ((40, 25), 0.0), ((8, 60), 0.5),
+])
+def test_products_over_nonzeros_match_dense(shape, density):
+    rng = np.random.default_rng(sum(shape) + 1)
+    dense = rng.standard_normal(shape) * (rng.random(shape) < density)
+    dense[:, 1::3] = 0.0  # points with no nonzeros
+    dense[1::4] = 0.0  # coordinates no point touches
+    m = CscMatrix.from_dense(dense)
+    assert np.array_equal(m.col_of, np.repeat(np.arange(shape[1]),
+                                              np.diff(m.indptr)))
+    assert m.col_of is m.col_of  # built once
+    x, c = rng.standard_normal(shape[0]), rng.standard_normal(shape[1])
+    tol = 1e-15 * np.linalg.norm(dense)
+    got_m, got_s = m.rmatvec(x), m.matvec(c)
+    assert got_m.shape == (shape[1],) and got_s.shape == (shape[0],)
+    assert np.all(np.abs(got_m - dense.T @ x) <= tol * np.linalg.norm(x))
+    assert np.all(np.abs(got_s - dense @ c) <= tol * np.linalg.norm(c))
+    assert not got_m[1::3].any() and not got_s[1::4].any()
+
+
 @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
 def test_from_dense_rejects_empty_shape(shape):
     with pytest.raises(ConfigError, match="at least 1x1"):

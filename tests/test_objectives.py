@@ -436,6 +436,62 @@ def test_strong_convexity_witness():
         assert lhs - rhs >= -1e-12
 
 
+def _objective_with_nnz(n, d, nnz, seed=0):
+    """Squared-loss objective with exactly ``nnz`` nonzeros, none of them
+    on coordinate 0."""
+    rng = np.random.default_rng(seed)
+    pts = np.zeros((n, d))
+    flat = rng.permutation(np.arange(n * d).reshape(n, d)[:, 1:].ravel())
+    pts.flat[flat[:nnz]] = rng.standard_normal(nnz)
+    ds = Dataset.from_dense(pts, rng.standard_normal(n))
+    return FiniteSumObjective(ds, make_loss("squared"), split_l2=0.1)
+
+
+@pytest.mark.parametrize("n,d,nnz,sparse", [
+    (10, 1000, 999, True),  # density just under SUPPORT_DENSITY
+    (10, 1000, 1000, False),  # density at it
+    (10, 999, 50, False),  # d just under SUPPORT_MIN_D
+    (10, 1000, 10 * 999, False),  # every entry but coordinate 0
+])
+def test_whole_data_products_choose_kernel_by_density(n, d, nnz, sparse):
+    from incgrad.solvers import GradientTable
+
+    obj = _objective_with_nnz(n, d, nnz)
+    assert obj.sparse is sparse
+    scalar = FiniteSumObjective(obj.dataset, obj.loss)
+    assert GradientTable.at_point(scalar, np.zeros(d)).support is sparse
+    x = np.random.default_rng(1).standard_normal(d)
+    c = np.random.default_rng(2).standard_normal(n)
+    pts = obj.points
+    want = (pts.T @ (pts @ x - obj.labels)) / n + 0.1 * x
+    if sparse:
+        tol = 1e-15 * np.linalg.norm(pts)
+        assert np.all(np.abs(obj.margins(x) - pts @ x)
+                      <= tol * np.linalg.norm(x))
+        assert np.all(np.abs(obj.point_sum(c) - pts.T @ c)
+                      <= tol * np.linalg.norm(c))
+        err = np.linalg.norm(obj.full_gradient(x) - want)
+        assert err <= 1e-14 * np.linalg.norm(want)
+    else:  # the BLAS products, bit for bit
+        assert np.array_equal(obj.margins(x), pts @ x)
+        assert np.array_equal(obj.point_sum(c), pts.T @ c)
+        assert np.array_equal(obj.full_gradient(x), want)
+    obj.dataset.features.to_dense()
+    obj.dataset.features.col_sqnorms()
+    # only the products over the nonzeros keep the per-nonzero column ids
+    assert (obj.dataset.features._col_of is not None) is sparse
+
+
+def test_sparse_full_gradient_rejects_non_finite_x():
+    obj = _objective_with_nnz(10, 1000, 300)
+    assert obj.sparse
+    for bad in (math.inf, math.nan):
+        x = np.zeros(obj.d)
+        x[0] = bad  # a coordinate no point touches
+        with pytest.raises(ValueError, match="finite"):
+            obj.full_gradient(x)
+
+
 def test_logistic_labels_validated():
     ds = Dataset.from_dense([[1.0], [1.0]], [1.0, 0.5])
     with pytest.raises(ConfigError):

@@ -732,9 +732,9 @@ def _frozen_smooth_value(obj, x, margins):
 
 
 def _frozen_full_gradient(obj, x):
-    m, b = obj.points @ x, obj.labels
+    m, b = obj.margins(x), obj.labels
     c = m - b if obj.loss.kind == "squared" else -b * _frozen_sigmoid(-b * m)
-    g = (obj.points.T @ c) / obj.n
+    g = obj.point_sum(c) / obj.n
     return g + obj.split_l2 * x if obj.split_l2 else g
 
 
@@ -742,26 +742,27 @@ def _frozen_fista(obj, tol=1e-12):
     """The accelerated loop as it stood before f(y), the restart product
     and exact margins were reused, with the value, gradient and sigmoid
     formulas of that time: every quantity is formed afresh in every
-    iteration.  Returns (x_star, F_star, number of full gradients)."""
+    iteration.  Returns (x_star, F_star, number of full gradients).
+    The whole-data products are the objective's own (``margins``,
+    ``point_sum``): this pins the loop, not the product kernels."""
 
     l_max = estimate_constants(obj).L
     lip = _smooth_lipschitz(obj, l_max)
     prox = obj.reg.prox if obj.reg.kind != "none" else (lambda gamma, w: w)
-    points = obj.points
     x = np.zeros(obj.d)
-    mx = points @ x
+    mx = obj.margins(x)
     y, my = x, mx
     t = 1.0
     for k in range(1, 1_000_001):
         g = _frozen_full_gradient(obj, y)
         ty = prox(1.0 / l_max, y - g / l_max)
         if float(np.linalg.norm(ty - y)) <= tol:
-            f_star = _frozen_smooth_value(obj, ty, points @ ty)
+            f_star = _frozen_smooth_value(obj, ty, obj.margins(ty))
             return ty, f_star + obj.reg.value(ty), k
         fy = _frozen_smooth_value(obj, y, my)
         while True:
             x_new = ty if lip == l_max else prox(1.0 / lip, y - g / lip)
-            m_new = points @ x_new
+            m_new = obj.margins(x_new)
             dx = x_new - y
             bound = fy + float(g @ dx) + 0.5 * lip * float(dx @ dx)
             if (lip == l_max or _frozen_smooth_value(obj, x_new, m_new)
