@@ -9,7 +9,9 @@ geometric sum s[m] = sum_{t<m} rho^t with ratio rho = 1 - reg*gamma.
 Each step then only touches the nonzero coordinates of the sampled
 column: catch the touched coordinates up, take the sparse part of the
 step, and account for the step's own mean-gradient share right away so
-the mean can be modified afterwards.
+the mean can be modified afterwards.  Under ``solvers.run`` every pass
+ends flushed, on the true iterate, so no gap exceeds the n steps of a
+pass and the scaling table has n + 1 entries, whatever the run length.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ class LagScalingTable:
     """Partial geometric sums s[0..K] with s[0]=0, s[1]=1."""
 
     entries: np.ndarray
-    rho: float
 
 
 def build_lag_scaling(rho: float, length: int) -> LagScalingTable:
@@ -40,7 +41,7 @@ def build_lag_scaling(rho: float, length: int) -> LagScalingTable:
         raise ConfigError("scaling table length must be >= 1")
     powers = rho ** np.arange(length, dtype=float)
     entries = np.concatenate(([0.0], np.cumsum(powers)))
-    return LagScalingTable(entries=entries, rho=rho)
+    return LagScalingTable(entries=entries)
 
 
 @dataclass
@@ -100,7 +101,8 @@ def sparse_saga_lstsq_epoch(data, b, it: LaggedIterate, c, g_avg, gamma, reg,
     scalar per point suffices.  The very first pass (it.k < n on entry)
     sweeps the points in order; later passes sample uniformly from rng.
     State (it, c, g_avg) is mutated in place.  The caller keeps
-    reg * gamma < 1 and builds ``scaling`` for rho = 1 - reg * gamma.
+    reg * gamma < 1 and builds ``scaling`` for rho = 1 - reg * gamma,
+    covering every gap since the last flush.
     """
     d, n = data.shape
     rho = 1.0 - reg * gamma
@@ -128,24 +130,22 @@ def sparse_saga_lstsq_epoch(data, b, it: LaggedIterate, c, g_avg, gamma, reg,
 
 
 def lazy_passes(obj, x0, gamma, reg, epochs, rng):
-    """Engine of ``saga_lazy`` for ``solvers.run``, flushing x only for
-    traced passes.  Starts from the origin: the scalar-storage
+    """Engine of ``saga_lazy`` for ``solvers.run``, flushing x at the end
+    of every pass.  Starts from the origin: the scalar-storage
     initialisation c = 0 is exactly the gradient table at zero."""
     if np.any(x0 != 0):
         raise ConfigError("lazy engine starts at the origin")
     data = obj.dataset.features
     d, n = data.shape
-    scaling = build_lag_scaling(1.0 - reg * gamma, max(1, n * epochs))
+    scaling = build_lag_scaling(1.0 - reg * gamma, n)
     it = LaggedIterate.zeros(d)
     c = np.zeros(n)
     # stored gradients at zero: (c_i - b_i) a_i with c = 0
     g_avg = obj.point_sum(-obj.labels) / n
     evals = n * 1.0
-    traced = yield 0, evals, it.x, None
+    yield 0, evals, it.x, None
     for _ in range(epochs):
         sparse_saga_lstsq_epoch(data, obj.labels, it, c, g_avg, gamma, reg,
                                 rng, scaling)
         evals += n
-        x = flush_lags(it, g_avg, scaling, -gamma / it.beta) if traced else None
-        traced = yield it.k, evals, x, None
-    yield flush_lags(it, g_avg, scaling, -gamma / it.beta) if epochs else np.zeros(d)
+        yield it.k, evals, flush_lags(it, g_avg, scaling, -gamma / it.beta), None

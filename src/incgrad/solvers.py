@@ -78,14 +78,6 @@ class GradientTable:
         vecs = obj.component_gradients(x).copy()
         return cls(obj, "dense", vecs=vecs, avg=vecs.mean(axis=0))
 
-    @classmethod
-    def zeros(cls, obj: FiniteSumObjective, mode: str):
-        if mode == "scalar":
-            return cls(obj, "scalar", coeffs=np.zeros(obj.n),
-                       avg=np.zeros(obj.d))
-        return cls(obj, "dense", vecs=np.zeros((obj.n, obj.d)),
-                   avg=np.zeros(obj.d))
-
     def gradient(self, i) -> np.ndarray:
         """Stored f_i'(phi_i), reconstructed in scalar mode."""
         if self.mode == "scalar":
@@ -106,13 +98,6 @@ class GradientTable:
             self.coeffs[i] = new
         else:
             self.avg += (new - self.vecs[i]) / n
-            self.vecs[i] = new
-
-    def set_raw(self, i, new):
-        """Overwrite entry i without touching the mean (bulk fills)."""
-        if self.mode == "scalar":
-            self.coeffs[i] = new
-        else:
             self.vecs[i] = new
 
     def sum(self) -> np.ndarray:
@@ -274,6 +259,20 @@ def saga_step(state: SagaState, obj, j, gamma, per_n=False, mu=0.0):
     w = ((1.0 - gamma * mu) * state.x if mu else state.x) - step
     state.x = obj.reg.prox(gamma, w) if obj.reg.kind != "none" else w
     state.table.update(j, entry)
+
+
+def warm_step(state: SagaState, obj, j, gamma):
+    """Step j of the one-by-one warm start of saga and sag: entry j is
+    set to f_j'(x) and x <- prox_gamma^h(x - gamma * the mean of the j + 1
+    gradients stored so far).  Points are visited in order from an empty
+    table whose ``avg`` holds their running sum until the pass-end
+    resync."""
+    table = state.table
+    entry, g_new = _new_gradient(obj, table, j, state.x)
+    table.avg += g_new
+    (table.coeffs if table.mode == "scalar" else table.vecs)[j] = entry
+    w = state.x - gamma * (table.avg / (j + 1))
+    state.x = obj.reg.prox(gamma, w) if obj.reg.kind != "none" else w
 
 
 def saga_u_reconstruct(state: SagaState, gamma) -> np.ndarray:
@@ -546,9 +545,10 @@ def run(method, obj, x0, *, epochs, policy=None, seed=0, rng=None,
     suboptimality and squared distance, both for the iterate and for the
     running average iterate (``saga_lazy`` keeps no average).
 
-    Each engine is a generator that yields (k, evals, x, xsum) after its
-    set-up and after every pass, then its final iterate; it is sent,
-    before each pass, whether the pass is traced.
+    Each engine is a plain iterator of (k, evals, x, xsum): once after
+    its set-up and once after every pass, with x the true iterate, which
+    ``run`` checks against the divergence guard.  The result is built
+    from the last tuple, so it is the last pass's x and xsum.
     """
     if epochs < 0:
         raise ConfigError("epochs must be nonnegative")
@@ -570,14 +570,12 @@ def run(method, obj, x0, *, epochs, policy=None, seed=0, rng=None,
     k, evals, x, xsum = next(passes)
     records = [_record(obj, 0, 0.0, x0, None if xsum is None else x0,
                        reference, explicit_l2)]
-    for ep in range(epochs):
-        traced = (ep + 1) % trace_every == 0 or ep == epochs - 1
-        k, evals, x, xsum = passes.send(traced)
-        if traced:
+    for ep, (k, evals, x, xsum) in enumerate(passes, 1):
+        _check_iterate(x, k)
+        if ep % trace_every == 0 or ep == epochs:
             records.append(_record(obj, k, evals, x,
                                    None if xsum is None else xsum / k,
                                    reference, explicit_l2))
-    x = next(passes)
     xbar = None if xsum is None else (xsum / k if k else np.array(x0))
     return RunResult(method, records, np.array(x), xbar, evals)
 
@@ -588,10 +586,12 @@ def _table_passes(method, obj, x0, gamma, mu, L, explicit_l2, epochs, rng,
     n = obj.n
     heuristic = init == "one_by_one"
     evals = 0.0 if heuristic else float(n)  # the full pass at x0
-    if heuristic:
-        state = SagaState(x=np.array(x0),
-                          table=GradientTable.zeros(
-                              obj, "scalar" if obj.split_l2 == 0 else "dense"))
+    if heuristic:  # an empty table, filled by warm_step in epoch 0
+        scalar = obj.split_l2 == 0
+        state = SagaState(x=np.array(x0), table=GradientTable(
+            obj, "scalar" if scalar else "dense", avg=np.zeros(obj.d),
+            coeffs=np.zeros(n) if scalar else None,
+            vecs=None if scalar else np.zeros((n, obj.d))))
     elif method == "saga_u":
         state = saga_u_init(obj, x0, gamma)
     elif method in ("finito", "midpoint"):
@@ -617,29 +617,16 @@ def _table_passes(method, obj, x0, gamma, mu, L, explicit_l2, epochs, rng,
 
     for ep in range(epochs):
         if heuristic and ep == 0:
-            gsum = np.zeros(obj.d)
-            for j in range(n):
-                entry, g_new = _new_gradient(obj, state.table, j, state.x)
-                gsum += g_new
-                state.table.set_raw(j, entry)
-                w = state.x - gamma * (gsum / (j + 1))
-                if obj.reg.kind != "none":  # saga; check_method bars sag
-                    w = obj.reg.prox(gamma, w)
-                state.x = w
-                steps += 1
-                _check_iterate(state.x, steps)
-                xsum += state.x
-            state.table.avg = gsum / n
+            kernel, args, order = warm_step, (gamma,), range(n)
         else:
-            if sampling == "perm":
-                order = rng.permutation(n)
-            else:
-                order = rng.integers(0, n, size=n)
-            for j in order.tolist():
-                step(state, obj, j, *params)
-                steps += 1
-                _check_iterate(state.x, steps)
-                xsum += state.x
+            kernel, args = step, params
+            order = (rng.permutation(n) if sampling == "perm"
+                     else rng.integers(0, n, size=n)).tolist()
+        for j in order:
+            kernel(state, obj, j, *args)
+            steps += 1
+            _check_iterate(state.x, steps)
+            xsum += state.x
         state.table.resync()
         if method in ("sdca", "sdca_variant5"):
             state.x = -(1.0 / (mu * n)) * state.table.sum()
@@ -648,7 +635,6 @@ def _table_passes(method, obj, x0, gamma, mu, L, explicit_l2, epochs, rng,
         elif method == "saga_u":
             state.x = saga_u_reconstruct(state, gamma)
         yield steps, evals + steps, state.x, xsum
-    yield state.x
 
 
 def _svrg_passes(obj, x0, gamma, m, epochs, rng):
@@ -678,7 +664,6 @@ def _svrg_passes(obj, x0, gamma, m, epochs, rng):
             xsum += x
             _check_iterate(x, k)
         yield k, evals, x, xsum
-    yield x
 
 
 def saga_chains(obj, x0, *, epochs, seeds, policy=None, reference=None) -> list:

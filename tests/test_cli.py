@@ -186,6 +186,21 @@ def test_divergent_run_exits_two(config_path, tmp_path):
     assert main(["run", "--config", str(p)]) == 2
 
 
+@pytest.mark.parametrize("step_size", [1e5, 1e8])
+def test_divergent_lazy_run_exits_two(tmp_path, capsys, step_size):
+    p = tmp_path / "div.json"
+    p.write_text(json.dumps({
+        "dataset": {"synthetic": {"kind": "ridge", "n": 200, "d": 2000,
+                                  "density": 0.005, "seed": 1}},
+        "loss": "squared", "l2": 1e-10, "epochs": 5,
+        "methods": [{"name": "saga_lazy", "step_size": step_size}]}))
+    assert main(["run", "--config", str(p),
+                 "--out", str(tmp_path / "rows.csv")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["numerical failure: solver diverged at step 200 "
+                   "(non-finite or oversized iterate)"]
+
+
 def test_inconsistent_reference_exits_two(config_path, tmp_path, capsys,
                                           monkeypatch):
     optimum = harness.compute_reference_optimum

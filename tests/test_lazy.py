@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from incgrad import CscMatrix, ConfigError, Dataset, FiniteSumObjective, make_loss
+from incgrad import (CscMatrix, ConfigError, Dataset, DivergenceError,
+                     FiniteSumObjective, make_loss)
 from incgrad import lazy
 from incgrad.datasets import generate_synthetic
 from incgrad.lazy import (
@@ -280,3 +281,51 @@ def test_lazy_run_epoch_zero():
               policy=StepSizePolicy("manual", gamma=0.01), explicit_l2=0.1)
     assert len(res.records) == 1
     assert np.allclose(res.x, 0.0)
+
+
+def test_tracing_leaves_the_lazy_trajectory_unchanged(monkeypatch):
+    # every pass ends flushed, traced or not, so the rows of a sparser
+    # trace are the rows of a full trace at the same k, bit for bit, and
+    # the lag table never needs more than the n + 1 entries of one pass
+    ds = generate_synthetic("ridge", n=40, d=300, density=0.02, noise=0.3,
+                            seed=9)
+    obj = FiniteSumObjective(ds, make_loss("squared"))
+    gamma = 0.3 / float(ds.sqnorms().max())
+    sizes, build = [], lazy.build_lag_scaling
+
+    def spy(rho, length):
+        table = build(rho, length)
+        sizes.append(table.entries.size)
+        return table
+
+    monkeypatch.setattr(lazy, "build_lag_scaling", spy)
+
+    def traced(epochs, trace_every):
+        return run("saga_lazy", obj, np.zeros(ds.d), epochs=epochs, seed=4,
+                   policy=StepSizePolicy("manual", gamma=gamma),
+                   explicit_l2=0.2 / gamma, trace_every=trace_every,
+                   reference=(np.ones(ds.d), 0.0))
+
+    full, sparse = traced(7, 1), traced(7, 3)
+    rows = {rec.k: rec for rec in full.records}
+    assert [rec.k for rec in sparse.records] == [0, 3 * ds.n, 6 * ds.n, 7 * ds.n]
+    for rec in sparse.records:
+        want = rows[rec.k]
+        assert np.array_equal(rec.x, want.x)
+        assert (rec.subopt, rec.dist_sq) == (want.subopt, want.dist_sq)
+    assert np.array_equal(sparse.x, sparse.records[-1].x)
+    sizes.clear()
+    traced(1, 1), traced(50, 1)
+    assert sizes == [ds.n + 1, ds.n + 1]
+
+
+@pytest.mark.parametrize("gamma", [1e5, 1e8])
+def test_lazy_divergence_stops_at_the_end_of_a_pass(gamma):
+    # the iterate of the first pass overflows the guard; no numpy
+    # overflow warning comes first (warnings fail the suite)
+    ds = generate_synthetic("ridge", n=200, d=2000, density=0.005, seed=1)
+    obj = FiniteSumObjective(ds, make_loss("squared"))
+    with pytest.raises(DivergenceError) as err:
+        run("saga_lazy", obj, np.zeros(ds.d), epochs=5, explicit_l2=1e-10,
+            policy=StepSizePolicy("manual", gamma=gamma))
+    assert err.value.step == ds.n

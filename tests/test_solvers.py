@@ -24,6 +24,7 @@ from incgrad.solvers import (
     _smooth_lipschitz,
     finito_init,
     finito_step,
+    method_info,
     midpoint_identity_residual,
     midpoint_step,
     saga_init,
@@ -1245,3 +1246,24 @@ def test_saga_chains_rejects_no_seeds(two_quadratics):
     obj, _ = two_quadratics
     with pytest.raises(ConfigError):
         saga_chains(obj, np.zeros(1), epochs=1, seeds=[])
+
+
+@pytest.mark.parametrize("method", ALL_METHODS)
+def test_run_result_is_the_last_pass(method):
+    # the result is built from the last pass's yield, which is traced
+    mu = 0.2
+    ds = generate_synthetic("ridge", n=9, d=4, density=1.0, noise=0.3, seed=8)
+    form = method_info(method).form
+    obj = FiniteSumObjective(
+        ds, make_loss("squared"), split_l2=mu if form == "split" else 0.0,
+        reg=Regularizer(l2=mu if form == "separate" else 0.0))
+    kwargs = {"explicit_l2": mu} if form == "explicit" else {}
+    res = run(method, obj, np.zeros(4), epochs=5, trace_every=2, seed=1,
+              **kwargs)
+    last = res.records[-1]
+    assert [r.k for r in res.records] == [0, 18, 36, 45]
+    assert np.array_equal(res.x, last.x)
+    if method == "saga_lazy":
+        assert res.xbar is None and last.xbar is None
+    else:
+        assert np.array_equal(res.xbar, last.xbar)
