@@ -16,11 +16,12 @@ pass and the scaling table has n + 1 entries, whatever the run length.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DivergenceError
 
 BETA_RENORM_THRESHOLD = 1e-280
 
@@ -102,7 +103,9 @@ def sparse_saga_lstsq_epoch(data, b, it: LaggedIterate, c, g_avg, gamma, reg,
     sweeps the points in order; later passes sample uniformly from rng.
     State (it, c, g_avg) is mutated in place.  The caller keeps
     reg * gamma < 1 and builds ``scaling`` for rho = 1 - reg * gamma,
-    covering every gap since the last flush.
+    covering every gap since the last flush.  Raises
+    :class:`DivergenceError` at the first step whose margin or step
+    coefficient is not finite.
     """
     d, n = data.shape
     rho = 1.0 - reg * gamma
@@ -112,11 +115,16 @@ def sparse_saga_lstsq_epoch(data, b, it: LaggedIterate, c, g_avg, gamma, reg,
         idx, vals = data.column(i)
         # missed updates for the touched coordinates, then the sparse step
         lagged_update(it, g_avg, idx, scaling, -gamma / it.beta)
-        aix = it.beta * float(vals @ it.x[idx])
-        cchange = aix - c[i]
+        # Python floats and vdot: a margin or coefficient that overflows
+        # is caught here, before any numpy operation can warn about it
+        aix = it.beta * float(np.vdot(vals, it.x[idx]))
+        cchange = aix - float(c[i])
         c[i] = aix
         it.beta *= rho
-        it.x[idx] += (-cchange * gamma / it.beta) * vals
+        coef = -cchange * gamma / it.beta
+        if not math.isfinite(coef):
+            raise DivergenceError(it.k + 1, detail="non-finite step")
+        it.x[idx] += coef * vals
         it.touches += idx.size
         it.k += 1
         # this step's own mean-gradient share, before the mean changes:

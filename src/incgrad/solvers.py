@@ -26,12 +26,13 @@ from .objectives import (
 )
 
 DIVERGENCE_SQNORM = 1e24  # |x|^2 guard, i.e. |x| > 1e12
+_DIVERGED = "non-finite or oversized iterate"
 
 
 def _check_iterate(x, k):
     s = float(x @ x)
     if not (s < DIVERGENCE_SQNORM):
-        raise DivergenceError(k, detail="non-finite or oversized iterate")
+        raise DivergenceError(k, detail=_DIVERGED)
 
 
 # ---------------------------------------------------------------------------
@@ -651,18 +652,31 @@ def _svrg_passes(obj, x0, gamma, m, epochs, rng):
     evals = 0.0
     has_prox = obj.reg.kind != "none"
     yield 0, evals, x, xsum
+    from . import _kernel  # built or loaded by the first svrg run only
+    kernel_pass = _kernel.svrg_pass(obj, gamma, DIVERGENCE_SQNORM)
     for _ in range(epochs):
         snap = x.copy()
         g_full = obj.full_gradient(snap)
         evals += obj.n
-        for j in rng.integers(0, obj.n, size=m).tolist():
-            g = obj.component_gradient(j, x) - obj.component_gradient(j, snap) + g_full
-            w = x - gamma * g
-            x = obj.reg.prox(gamma, w) if has_prox else w
-            evals += 2.0
-            k += 1
-            xsum += x
-            _check_iterate(x, k)
+        order = rng.integers(0, obj.n, size=m)
+        if kernel_pass is not None:
+            x = snap.copy()  # the kernel works in place; yielded x stay
+            steps, why = kernel_pass(order, snap, g_full, x, xsum)
+            k += steps
+            evals += 2.0 * steps
+            if why == _kernel.MARGIN:
+                raise ValueError("x must be finite")
+            if why == _kernel.DIVERGED:
+                raise DivergenceError(k, detail=_DIVERGED)
+        else:  # the same steps in numpy
+            for j in order.tolist():
+                g = obj.component_gradient(j, x) - obj.component_gradient(j, snap) + g_full
+                w = x - gamma * g
+                x = obj.reg.prox(gamma, w) if has_prox else w
+                evals += 2.0
+                k += 1
+                xsum += x
+                _check_iterate(x, k)
         yield k, evals, x, xsum
 
 

@@ -8,6 +8,25 @@ from incgrad import (
     Regularizer,
     make_loss,
 )
+from incgrad import _kernel
+
+
+@pytest.fixture(autouse=True, scope="session")
+def kernel_cache(tmp_path_factory):
+    """Build the compiled svrg pass into a cache private to the session,
+    not into the user's cache."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
+        yield
+
+
+def svrg_paths(monkeypatch):
+    """Yield "kernel" while svrg runs its compiled pass (unless it cannot
+    be built here), then "numpy" with the loader forced off."""
+    if _kernel.load() is not None:
+        yield "kernel"
+    monkeypatch.setattr(_kernel, "load", lambda: None)
+    yield "numpy"
 
 
 @pytest.fixture

@@ -201,6 +201,24 @@ def test_divergent_lazy_run_exits_two(tmp_path, capsys, step_size):
                    "(non-finite or oversized iterate)"]
 
 
+def test_lazy_run_overflowing_within_a_pass_ends_in_one_line(
+        tmp_path, capsys):
+    # at this step the margin or step coefficient overflows before the
+    # pass ends; the engine stops at that step, before numpy can warn
+    # (warnings fail the suite)
+    p = tmp_path / "div.json"
+    p.write_text(json.dumps({
+        "dataset": {"synthetic": {"kind": "ridge", "n": 200, "d": 2000,
+                                  "density": 0.005, "seed": 1}},
+        "loss": "squared", "l2": 1e-10, "epochs": 5,
+        "methods": [{"name": "saga_lazy", "step_size": 9.9e9}]}))
+    assert main(["run", "--config", str(p),
+                 "--out", str(tmp_path / "rows.csv")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["numerical failure: solver diverged at step 121 "
+                   "(non-finite step)"]
+
+
 def test_inconsistent_reference_exits_two(config_path, tmp_path, capsys,
                                           monkeypatch):
     optimum = harness.compute_reference_optimum

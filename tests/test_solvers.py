@@ -40,7 +40,7 @@ from incgrad.analysis import fixed_point_residual
 from incgrad.harness import ExperimentConfig, method_objective
 from incgrad.objectives import scalar_loss_prox
 from incgrad.datasets import generate_synthetic
-from conftest import make_random_objective
+from conftest import make_random_objective, svrg_paths
 
 
 # ---------------------------------------------------------------------------
@@ -324,20 +324,39 @@ def _svrg_scalar_draws(obj, x0, gamma, m, epochs, rng):
     return xs, xsum / (m * epochs)
 
 
-@pytest.mark.parametrize("m", [7, 12, 30])
-@pytest.mark.parametrize("l1", [0.0, 0.02])
-def test_svrg_equals_scalar_draw_loop(m, l1):
+def _svrg_draw_cases():
+    # the first six keep their ids: logistic, split 0.1, n = 12; at
+    # l1 = 0.5 the soft threshold zeroes coordinates from both sides
+    cases = [pytest.param("logistic", 0.1, l1, 12, m, id=f"{l1}-{m}")
+             for l1 in (0.0, 0.02) for m in (7, 12, 30)]
+    for kind in ("squared", "logistic"):
+        for split in (0.0, 0.1):
+            for l1 in (0.0, 0.5):
+                for n, m in ((12, 7), (1, 3)):
+                    if (kind, split, n) != ("logistic", 0.1, 12):
+                        cases.append(pytest.param(
+                            kind, split, l1, n, m,
+                            id=f"{kind}-split{split}-l1{l1}-n{n}-m{m}"))
+    return cases
+
+
+@pytest.mark.parametrize("kind, split, l1, n, m", _svrg_draw_cases())
+def test_svrg_equals_scalar_draw_loop(kind, split, l1, n, m, monkeypatch):
+    # by bytes, so that -0.0 against +0.0 shows; on the compiled pass and
+    # on the numpy loop
     rng = np.random.default_rng(16)
-    obj = make_random_objective(rng, kind="logistic", n=12, d=4, split=0.1, l1=l1)
+    obj = make_random_objective(rng, kind=kind, n=n, d=4, split=split, l1=l1)
     x0 = rng.standard_normal(4)
-    got_rng, want_rng = np.random.default_rng(3), np.random.default_rng(3)
-    res = run("svrg", obj, x0, epochs=4, inner_steps=m,
-              policy=StepSizePolicy("manual", gamma=0.3), rng=got_rng)
+    want_rng = np.random.default_rng(3)
     xs, xbar = _svrg_scalar_draws(obj, x0, 0.3, m, 4, want_rng)
-    for rec, x in zip(res.records[1:], xs):
-        assert np.array_equal(rec.x, x)
-    assert np.array_equal(res.xbar, xbar)
-    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    for path in svrg_paths(monkeypatch):
+        got_rng = np.random.default_rng(3)
+        res = run("svrg", obj, x0, epochs=4, inner_steps=m,
+                  policy=StepSizePolicy("manual", gamma=0.3), rng=got_rng)
+        assert [rec.x.tobytes() for rec in res.records[1:]] == [
+            x.tobytes() for x in xs], path
+        assert res.xbar.tobytes() == xbar.tobytes(), path
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_svrg_requires_inner_steps(two_quadratics):
