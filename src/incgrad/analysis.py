@@ -89,13 +89,6 @@ def fixed_point_residual(obj, x, consts=None) -> float:
     return float(np.linalg.norm(x - obj.reg.prox(step, w)))
 
 
-def validate_snapshot(obj, snap: ProblemSnapshot, tol: float = 1e-10):
-    res = fixed_point_residual(obj, snap.x_star, snap.consts)
-    if res > tol:
-        raise ConfigError(
-            f"snapshot reference point is not optimal: residual {res:.3e}")
-
-
 def lyapunov_value(snap: ProblemSnapshot, obj, c: float) -> float:
     """T = mean f_i(phi_i) - f(x*) - mean <f_i'(x*), phi_i - x*> + c|x-x*|^2."""
     xs = snap.x_star

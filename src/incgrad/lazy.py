@@ -24,6 +24,7 @@ import numpy as np
 from .errors import ConfigError, DivergenceError
 
 BETA_RENORM_THRESHOLD = 1e-280
+_GAP = "lag gap exceeds the scaling table; size it to the full step budget"
 
 
 @dataclass
@@ -66,11 +67,11 @@ class LaggedIterate:
 
 def lagged_update(it: LaggedIterate, g, touched, table: LagScalingTable, a: float):
     """Apply the deferred updates x[i] += s[k - lag[i]] * a * g[i] to the
-    touched coordinates and mark them current."""
+    touched coordinates (an index array or a slice) and mark them
+    current."""
     gaps = it.k - it.lag[touched]
     if gaps.size and int(gaps.max()) >= table.entries.shape[0]:
-        raise ConfigError(
-            "lag gap exceeds the scaling table; size it to the full step budget")
+        raise ConfigError(_GAP)
     it.x[touched] += table.entries[gaps] * (a * g[touched])
     it.lag[touched] = it.k
     it.touches += int(gaps.size)
@@ -80,8 +81,10 @@ def flush_lags(it: LaggedIterate, g, table: LagScalingTable, a: float) -> np.nda
     """Catch every coordinate up and return the true iterate beta * x.
 
     Idempotent: a second flush at the same step is a no-op since s[0]=0.
+    All coordinates are touched through a slice, so the catch-up reads
+    and writes views instead of gathered copies.
     """
-    lagged_update(it, g, np.arange(it.x.shape[0]), table, a)
+    lagged_update(it, g, slice(None), table, a)
     return it.beta * it.x
 
 
@@ -105,13 +108,23 @@ def sparse_saga_lstsq_epoch(data, b, it: LaggedIterate, c, g_avg, gamma, reg,
     reg * gamma < 1 and builds ``scaling`` for rho = 1 - reg * gamma,
     covering every gap since the last flush.  Raises
     :class:`DivergenceError` at the first step whose margin or step
-    coefficient is not finite.
+    coefficient is not finite.  The pass runs in one call of the
+    compiled library when it loads (see ``_kernel.lazy_pass``), with the
+    same bytes and state as this loop.
     """
     d, n = data.shape
     rho = 1.0 - reg * gamma
-    order = range(n) if it.k < n else rng.integers(0, n, size=n).tolist()
+    order = np.arange(n) if it.k < n else rng.integers(0, n, size=n)
     threshold = BETA_RENORM_THRESHOLD  # the module value at call time
-    for i in order:
+    from . import _kernel  # built or loaded by the first lazy pass only
+    kernel_pass = _kernel.lazy_pass(data)
+    if kernel_pass is not None:
+        _, why = kernel_pass(order, it, c, g_avg, gamma, rho, threshold, scaling)
+        _kernel.check(why, it.k + 1, "non-finite step")
+        if why == _kernel.GAP:
+            raise ConfigError(_GAP)
+        return
+    for i in order.tolist():
         idx, vals = data.column(i)
         # missed updates for the touched coordinates, then the sparse step
         lagged_update(it, g_avg, idx, scaling, -gamma / it.beta)

@@ -305,15 +305,6 @@ class FiniteSumObjective:
             g = g + self.split_l2 * x
         return g
 
-    def component_value(self, i: int, x) -> float:
-        self._check_index(i)
-        x = np.asarray(x, float)
-        t = float(self.points[i] @ x)
-        val = float(self.loss.value(t, self.labels[i]))
-        if self.split_l2:
-            val += 0.5 * self.split_l2 * float(x @ x)
-        return val
-
     def component_gradient(self, i: int, x) -> np.ndarray:
         """f_i'(x) = psi_i'(a_i' x) a_i + split_l2 * x."""
         self._check_index(i)

@@ -358,10 +358,9 @@ def midpoint_step(state: SagaState, obj, j, mu):
     state.x = phi_j
 
 
-def midpoint_identity_residual(state: SagaState, mu) -> float:
-    """|x - (mean(phi) - (1/(mu n)) sum f_i'(phi_i))|, zero after a step."""
-    rhs = state.phi_mean - state.table.avg / mu
-    return float(np.linalg.norm(state.x - rhs))
+# the steps whose whole pass runs in one call of the compiled library;
+# a step's place here is its code there (see _kernel.table_pass)
+COMPILED_STEPS = (saga_u_step, finito_step, sdca_variant5_step)
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +583,22 @@ def run(method, obj, x0, *, epochs, policy=None, seed=0, rng=None,
 def _table_passes(method, obj, x0, gamma, mu, L, explicit_l2, epochs, rng,
                   init, sampling):
     """Engine of the table methods (see :func:`run`)."""
+    step, *params = {
+        "saga": (saga_step, gamma),
+        "sag": (saga_step, gamma, True),
+        "saga_explicit_l2": (saga_step, gamma, False, explicit_l2),
+        "saga_u": (saga_u_step, gamma),
+        "finito": (finito_step, gamma),
+        "sdca": (sdca_primal_step, mu),
+        "sdca_variant5": (sdca_variant5_step, mu, L),
+        "midpoint": (midpoint_step, mu),
+    }[method]
+    kernel_pass = None
+    if step in COMPILED_STEPS:  # made before the table, so the memory
+        # the first import takes and the table's do not add up
+        from . import _kernel  # built or loaded by the first compiled run only
+        kernel_pass = _kernel.table_pass(COMPILED_STEPS.index(step), obj,
+                                         params, DIVERGENCE_SQNORM)
     n = obj.n
     heuristic = init == "one_by_one"
     evals = 0.0 if heuristic else float(n)  # the full pass at x0
@@ -602,32 +617,28 @@ def _table_passes(method, obj, x0, gamma, mu, L, explicit_l2, epochs, rng,
     else:
         state = saga_init(obj, x0)
 
-    step, *params = {
-        "saga": (saga_step, gamma),
-        "sag": (saga_step, gamma, True),
-        "saga_explicit_l2": (saga_step, gamma, False, explicit_l2),
-        "saga_u": (saga_u_step, gamma),
-        "finito": (finito_step, gamma),
-        "sdca": (sdca_primal_step, mu),
-        "sdca_variant5": (sdca_variant5_step, mu, L),
-        "midpoint": (midpoint_step, mu),
-    }[method]
     xsum = np.zeros_like(x0)
     steps = 0
     yield 0, evals, state.x, xsum
 
     for ep in range(epochs):
         if heuristic and ep == 0:
-            kernel, args, order = warm_step, (gamma,), range(n)
+            kernel, args, order = warm_step, (gamma,), np.arange(n)
         else:
             kernel, args = step, params
             order = (rng.permutation(n) if sampling == "perm"
-                     else rng.integers(0, n, size=n)).tolist()
-        for j in order:
-            kernel(state, obj, j, *args)
-            steps += 1
-            _check_iterate(state.x, steps)
-            xsum += state.x
+                     else rng.integers(0, n, size=n))
+        if kernel_pass is not None:  # never the warm start: saga and sag only
+            state.x = state.x.copy()  # the kernel works in place; yielded x stay
+            taken, why = kernel_pass(order, state, xsum)
+            steps += taken
+            _kernel.check(why, steps, _DIVERGED)
+        else:
+            for j in order.tolist():
+                kernel(state, obj, j, *args)
+                steps += 1
+                _check_iterate(state.x, steps)
+                xsum += state.x
         state.table.resync()
         if method in ("sdca", "sdca_variant5"):
             state.x = -(1.0 / (mu * n)) * state.table.sum()
@@ -652,7 +663,7 @@ def _svrg_passes(obj, x0, gamma, m, epochs, rng):
     evals = 0.0
     has_prox = obj.reg.kind != "none"
     yield 0, evals, x, xsum
-    from . import _kernel  # built or loaded by the first svrg run only
+    from . import _kernel  # built or loaded by the first compiled run only
     kernel_pass = _kernel.svrg_pass(obj, gamma, DIVERGENCE_SQNORM)
     for _ in range(epochs):
         snap = x.copy()
@@ -664,10 +675,7 @@ def _svrg_passes(obj, x0, gamma, m, epochs, rng):
             steps, why = kernel_pass(order, snap, g_full, x, xsum)
             k += steps
             evals += 2.0 * steps
-            if why == _kernel.MARGIN:
-                raise ValueError("x must be finite")
-            if why == _kernel.DIVERGED:
-                raise DivergenceError(k, detail=_DIVERGED)
+            _kernel.check(why, k, _DIVERGED)
         else:  # the same steps in numpy
             for j in order.tolist():
                 g = obj.component_gradient(j, x) - obj.component_gradient(j, snap) + g_full

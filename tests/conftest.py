@@ -13,20 +13,24 @@ from incgrad import _kernel
 
 @pytest.fixture(autouse=True, scope="session")
 def kernel_cache(tmp_path_factory):
-    """Build the compiled svrg pass into a cache private to the session,
+    """Build the compiled passes into a cache private to the session,
     not into the user's cache."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
         yield
 
 
-def svrg_paths(monkeypatch):
-    """Yield "kernel" while svrg runs its compiled pass (unless it cannot
-    be built here), then "numpy" with the loader forced off."""
-    if _kernel.load() is not None:
-        yield "kernel"
-    monkeypatch.setattr(_kernel, "load", lambda: None)
-    yield "numpy"
+@pytest.fixture
+def kernel_paths(monkeypatch):
+    """A function whose iterator yields "kernel" while the compiled
+    engines run their compiled passes (unless the library cannot be built
+    here), then "numpy" with the loader forced off until the test ends."""
+    def paths():
+        if _kernel.load() is not None:
+            yield "kernel"
+        monkeypatch.setattr(_kernel, "load", lambda: None)
+        yield "numpy"
+    return paths
 
 
 @pytest.fixture
@@ -52,6 +56,13 @@ def make_random_objective(rng, kind="squared", n=12, d=4, split=0.3, l1=0.0):
     reg = Regularizer(l1=l1) if l1 else None
     return FiniteSumObjective(Dataset.from_dense(pts, labels),
                               make_loss(kind), split_l2=split, reg=reg)
+
+
+def midpoint_identity_residual(state, mu) -> float:
+    """|x - (mean(phi) - (1/(mu n)) sum f_i'(phi_i))|, zero after a
+    midpoint step."""
+    rhs = state.phi_mean - state.table.avg / mu
+    return float(np.linalg.norm(state.x - rhs))
 
 
 def central_difference_gradient(fn, x, h=1e-6):

@@ -32,8 +32,8 @@ from incgrad.analysis import (
 )
 from incgrad.datasets import generate_synthetic
 from incgrad.solvers import saga_init, saga_step, saga_u_init, \
-    saga_u_reconstruct, saga_u_step, finito_init, midpoint_step, \
-    midpoint_identity_residual
+    saga_u_reconstruct, saga_u_step, finito_init, midpoint_step
+from conftest import midpoint_identity_residual
 
 
 def _report(num, ok, detail):

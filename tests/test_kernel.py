@@ -1,10 +1,11 @@
-"""The compiled svrg pass: its loader, and the numpy loop it replaces.
+"""The compiled passes: their loader, and the numpy loops they replace.
 
 Both paths must give the same bytes, stop at the same step with the
 same error and leave the generator in the same state.  Tests force the
-numpy loop by replacing the loader.
+numpy loops by replacing the loader (the ``kernel_paths`` fixture).
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -16,14 +17,21 @@ from incgrad import (
     Dataset,
     DivergenceError,
     FiniteSumObjective,
+    GradientTable,
     ProblemConstants,
+    Regularizer,
     StepSizePolicy,
     _kernel,
+    lazy,
     make_loss,
     run,
 )
-from incgrad.solvers import _svrg_passes
-from conftest import make_random_objective, svrg_paths
+from incgrad.datasets import generate_synthetic
+from incgrad.lazy import LaggedIterate, build_lag_scaling, sparse_saga_lstsq_epoch
+from incgrad.solvers import _svrg_passes, _table_passes
+from conftest import make_random_objective
+
+TABLE_METHODS = ("saga_u", "finito", "sdca_variant5")
 
 
 @pytest.fixture
@@ -49,11 +57,11 @@ def _svrg_bytes(obj, x0, gamma, **kw):
     return [r.x.tobytes() for r in res.records], res.xbar.tobytes()
 
 
-def test_divergence_stops_both_paths_at_the_same_step(monkeypatch):
+def test_divergence_stops_both_paths_at_the_same_step(kernel_paths):
     obj = make_random_objective(np.random.default_rng(2), n=10, d=5, split=0.0)
     x0 = np.ones(5)
     outcomes, states = [], []
-    for _ in svrg_paths(monkeypatch):
+    for _ in kernel_paths():
         rng = np.random.default_rng(4)
         outcomes.append(_outcome(lambda: run(
             "svrg", obj, x0, epochs=3, rng=rng,
@@ -64,14 +72,14 @@ def test_divergence_stops_both_paths_at_the_same_step(monkeypatch):
     assert states == [states[0]] * len(states)
 
 
-def test_non_finite_margin_raises_the_same_value_error(monkeypatch):
+def test_non_finite_margin_raises_the_same_value_error(kernel_paths):
     # at x = 0 every margin is 0; one step moves x to about (5, 5), where
     # a margin of these points overflows while x @ x is 50
     ds = Dataset.from_dense(np.full((2, 2), 1e308), [1.0, 1.0])
     obj = FiniteSumObjective(ds, make_loss("logistic"))
     consts = ProblemConstants(n=2, d=2, L=1.0, mu=0.0)
     outcomes, states = [], []
-    for _ in svrg_paths(monkeypatch):
+    for _ in kernel_paths():
         rng = np.random.default_rng(0)
         outcomes.append(_outcome(lambda: run(
             "svrg", obj, np.zeros(2), epochs=1, inner_steps=4, rng=rng,
@@ -82,10 +90,10 @@ def test_non_finite_margin_raises_the_same_value_error(monkeypatch):
     assert states == [states[0]] * len(states)
 
 
-def test_yielded_iterates_never_change_afterwards(monkeypatch):
+def test_yielded_iterates_never_change_afterwards(kernel_paths):
     obj = make_random_objective(np.random.default_rng(6), kind="logistic",
                                 n=9, d=3, split=0.1, l1=0.01)
-    for _ in svrg_paths(monkeypatch):
+    for _ in kernel_paths():
         passes = _svrg_passes(obj, np.ones(3), 0.3, 9, 4,
                               np.random.default_rng(1))
         seen = [(x, x.tobytes()) for _, _, x, _ in passes]
@@ -99,10 +107,10 @@ def test_build_into_a_fresh_cache_then_load_without_compiling(
     try:
         kernel = _kernel.open_kernel(cache)
     except OSError as exc:
-        pytest.skip(f"the svrg kernel does not build here: {exc}")
+        pytest.skip(f"the compiled passes do not build here: {exc}")
     built = list(cache.iterdir())
     assert [p.suffix for p in built] == [".so"]
-    assert built[0].name.startswith("_svrg-")
+    assert built[0].name.startswith("_passes-")
     assert oct(cache.stat().st_mode & 0o777) == oct(0o700)
     assert kernel.agrees_with_numpy()
 
@@ -123,7 +131,7 @@ def test_unwritable_cache_builds_privately(tmp_path, monkeypatch):
     try:
         kernel = _kernel.open_kernel(blocker / "incgrad")
     except OSError as exc:
-        pytest.skip(f"the svrg kernel does not build here: {exc}")
+        pytest.skip(f"the compiled passes do not build here: {exc}")
     assert kernel.agrees_with_numpy()
     assert os.listdir(private) == []  # the private build is gone
 
@@ -164,3 +172,267 @@ def test_only_an_svrg_run_imports_the_kernel():
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout.split() == ["False"]
+
+
+# ---------------------------------------------------------------------------
+# the table pass: saga_u, finito and sdca_variant5
+
+def _table_objective(method, kind, split, sparse, n, seed=3):
+    """Logistic or squared-loss data in the form ``method`` takes: split
+    L2 for saga_u and finito, separate for sdca_variant5.  ``sparse``
+    data falls below ``SUPPORT_DENSITY`` with d >= ``SUPPORT_MIN_D``."""
+    ds = generate_synthetic("ridge" if kind == "squared" else "logistic",
+                            n=n, d=1200 if sparse else 6,
+                            density=0.004 if sparse else 1.0, seed=seed,
+                            normalize=True)
+    loss = make_loss(kind)
+    if method == "sdca_variant5":
+        return FiniteSumObjective(ds, loss, reg=Regularizer(l2=0.1))
+    return FiniteSumObjective(ds, loss, split_l2=split)
+
+
+def _table_cases():
+    cases = []
+    for method in TABLE_METHODS:
+        splits = {"saga_u": (0.0, 0.1), "finito": (0.1,),
+                  "sdca_variant5": (0.0,)}[method]
+        for kind in ("squared", "logistic"):
+            for split in splits:
+                for sparse in (False, True):
+                    for sampling in ("iid", "perm"):
+                        cases.append(pytest.param(
+                            method, kind, split, sparse, sampling, 20, 1,
+                            id=f"{method}-{kind}-split{split}-"
+                               f"{'sparse' if sparse else 'dense'}-{sampling}"))
+        cases.append(pytest.param(method, "logistic", splits[-1], False, "iid",
+                                  1, 1, id=f"{method}-n1"))
+        cases.append(pytest.param(method, "squared", splits[0], False, "perm",
+                                  20, 3, id=f"{method}-trace3"))
+    return cases
+
+
+@pytest.mark.parametrize("method, kind, split, sparse, sampling, n, every",
+                         _table_cases())
+def test_table_pass_keeps_every_byte(method, kind, split, sparse, sampling, n,
+                                     every, kernel_paths, monkeypatch):
+    obj = _table_objective(method, kind, split, sparse, n)
+    assert obj.sparse == sparse
+    if method == "saga_u":  # a scalar table steps on the support
+        assert GradientTable.at_point(obj, np.zeros(obj.d)).support == (
+            sparse and split == 0.0)
+    x0 = np.random.default_rng(1).standard_normal(obj.d) / 4
+    updates = []
+    update = GradientTable.update
+
+    def counted(table, i, new):
+        updates.append(i)
+        update(table, i, new)
+
+    monkeypatch.setattr(GradientTable, "update", counted)
+    outs = {}
+    for path in kernel_paths():
+        updates.clear()
+        rng = np.random.default_rng(5)
+        res = run(method, obj, x0, epochs=5, rng=rng, sampling=sampling,
+                  trace_every=every)
+        outs[path] = ([(r.k, r.grad_evals, r.x.tobytes(), r.xbar.tobytes())
+                       for r in res.records], res.x.tobytes(),
+                      res.xbar.tobytes(), rng.bit_generator.state)
+        # the compiled pass never calls the numpy step
+        assert (len(updates) == 0) == (path == "kernel")
+    assert [r[0] for r in outs["numpy"][0]] == [0] + [
+        ep * n for ep in range(1, 6) if ep % every == 0 or ep == 5]
+    assert outs["kernel" if "kernel" in outs else "numpy"] == outs["numpy"]
+
+
+def _outcomes(kernel_paths, method, obj, x0, **kw):
+    outcomes, states = [], []
+    for _ in kernel_paths():
+        rng = np.random.default_rng(4)
+        outcomes.append(_outcome(lambda: run(method, obj, x0, epochs=3,
+                                             rng=rng, **kw)))
+        states.append(rng.bit_generator.state)
+    assert outcomes == [outcomes[0]] * len(outcomes)
+    assert states == [states[0]] * len(states)
+    return outcomes[0]
+
+
+@pytest.mark.parametrize("method, kind, split, gamma", [
+    ("saga_u", "squared", 0.0, 30.0), ("saga_u", "logistic", 0.1, 60.0),
+    ("finito", "logistic", 0.1, 60.0)])
+def test_table_divergence_stops_both_paths_at_the_same_step(
+        method, kind, split, gamma, kernel_paths):
+    obj = make_random_objective(np.random.default_rng(2), kind=kind, n=10,
+                                d=5, split=split)
+    got = _outcomes(kernel_paths, method, obj, np.ones(5),
+                    policy=StepSizePolicy("manual", gamma=gamma))
+    assert got[0] is DivergenceError and got[2] > 1
+
+
+def test_sdca_variant5_divergence_stops_both_paths_at_the_same_step(
+        kernel_paths):
+    # with mu this small, the table-implied iterate starts at |x| > 1e12
+    obj = make_random_objective(np.random.default_rng(2), n=10, d=5, split=0.0)
+    obj = FiniteSumObjective(obj.dataset, obj.loss, reg=Regularizer(l2=1e-11))
+    got = _outcomes(kernel_paths, "sdca_variant5", obj, np.full(5, 1e4))
+    assert got[0] is DivergenceError and got[2] == 1
+
+
+@pytest.mark.parametrize("method", ["saga_u", "finito"])
+def test_table_non_finite_margin_raises_the_same_value_error(method,
+                                                             kernel_paths):
+    # the dense table's margins overflow once x leaves the origin
+    ds = Dataset.from_dense(np.full((2, 2), 1e308), [1.0, 1.0])
+    obj = FiniteSumObjective(ds, make_loss("logistic"), split_l2=0.5)
+    consts = ProblemConstants(n=2, d=2, L=2.0, mu=0.5)
+    got = _outcomes(kernel_paths, method, obj, np.zeros(2), consts=consts,
+                    policy=StepSizePolicy("manual", gamma=1e-307))
+    assert got == (ValueError, "x must be finite", None)
+
+
+def test_scalar_table_steps_through_an_overflowing_margin(kernel_paths):
+    # a scalar table takes no margin check: from x = (5, 5) on, these
+    # margins are inf and the logistic weights 0, on both paths
+    ds = Dataset.from_dense(np.full((2, 2), 1e308), [1.0, 1.0])
+    obj = FiniteSumObjective(ds, make_loss("logistic"))
+    consts = ProblemConstants(n=2, d=2, L=1.0, mu=0.0)
+    rows = []
+    for _ in kernel_paths():
+        res = run("saga_u", obj, np.zeros(2), epochs=3, seed=0, consts=consts,
+                  policy=StepSizePolicy("manual", gamma=1e-307))
+        rows.append([r.x.tobytes() for r in res.records])
+    assert rows == [rows[0]] * len(rows)
+    assert np.frombuffer(rows[0][-1]).tolist() == [5.0, 5.0]
+
+
+@pytest.mark.parametrize("method", TABLE_METHODS)
+def test_table_yielded_iterates_never_change_afterwards(method, kernel_paths):
+    obj = _table_objective(method, "logistic", 0.1, False, 9)
+    mu = 0.1
+    L = 0.25 * float(obj.dataset.sqnorms().max()) + obj.split_l2
+    for _ in kernel_paths():
+        passes = _table_passes(method, obj, np.ones(obj.d), 0.3, mu, L, 0.0,
+                               4, np.random.default_rng(1), "full", "iid")
+        seen = [(x, x.tobytes()) for _, _, x, _ in passes]
+        assert len({b for _, b in seen}) == 5
+        assert [x.tobytes() for x, _ in seen] == [b for _, b in seen]
+
+
+# ---------------------------------------------------------------------------
+# the lazy pass
+
+def _lazy_state(it, c, g_avg):
+    return (it.x.tobytes(), it.lag.tobytes(), it.beta.hex(), it.k, it.touches,
+            c.tobytes(), g_avg.tobytes())
+
+
+@pytest.mark.parametrize("threshold", [lazy.BETA_RENORM_THRESHOLD, 2.0, 0.01])
+def test_lazy_pass_keeps_every_byte_of_its_state(threshold, kernel_paths,
+                                                 monkeypatch):
+    ds = generate_synthetic("ridge", n=30, d=40, density=0.1, seed=9)
+    points = ds.features.to_dense().T
+    points[7] = 0.0  # an empty column
+    ds = Dataset.from_dense(points, ds.labels)
+    obj = FiniteSumObjective(ds, make_loss("squared"))
+    gamma = 0.3 / float(ds.sqnorms().max())
+    reg = 0.4 / gamma  # rho = 0.6: at 0.01, a renormalisation every 10 steps
+    monkeypatch.setattr(lazy, "BETA_RENORM_THRESHOLD", threshold)
+    states = []
+    for _ in kernel_paths():
+        rng = np.random.default_rng(4)
+        it, c = LaggedIterate.zeros(ds.d), np.zeros(ds.n)
+        g_avg = obj.point_sum(-obj.labels) / ds.n
+        scaling = build_lag_scaling(1.0 - reg * gamma, 3 * ds.n)
+        got = []
+        for _ in range(3):  # no flush between passes: gaps up to 2n
+            sparse_saga_lstsq_epoch(ds.features, obj.labels, it, c, g_avg,
+                                    gamma, reg, rng, scaling)
+            got.append(_lazy_state(it, c, g_avg))
+        states.append((got, rng.bit_generator.state))
+    assert states == [states[0]] * len(states)
+
+
+def test_lazy_pass_past_its_scaling_table_fails_alike(kernel_paths):
+    ds = generate_synthetic("ridge", n=30, d=40, density=0.1, seed=9)
+    obj = FiniteSumObjective(ds, make_loss("squared"))
+    gamma = 0.3 / float(ds.sqnorms().max())
+    outcomes = []
+    for _ in kernel_paths():
+        it, c = LaggedIterate.zeros(ds.d), np.zeros(ds.n)
+        g_avg = obj.point_sum(-obj.labels) / ds.n
+        scaling = build_lag_scaling(1.0 - 0.1 * gamma, 3)
+        with pytest.raises(lazy.ConfigError, match="lag gap exceeds"):
+            sparse_saga_lstsq_epoch(ds.features, obj.labels, it, c, g_avg,
+                                    gamma, 0.1, np.random.default_rng(0),
+                                    scaling)
+        outcomes.append(_lazy_state(it, c, g_avg))
+    assert outcomes == [outcomes[0]] * len(outcomes)
+
+
+def test_lazy_overflow_within_a_pass_stops_both_paths_at_step_121(
+        kernel_paths):
+    ds = generate_synthetic("ridge", n=200, d=2000, density=0.005, seed=1)
+    obj = FiniteSumObjective(ds, make_loss("squared"))
+    got = _outcomes(kernel_paths, "saga_lazy", obj, np.zeros(ds.d),
+                    explicit_l2=1e-10,
+                    policy=StepSizePolicy("manual", gamma=9.9e9))
+    assert got == (DivergenceError,
+                   "solver diverged at step 121 (non-finite step)", 121)
+
+
+# ---------------------------------------------------------------------------
+# who imports the loader
+
+def _modules_after(code):
+    src = os.path.dirname(os.path.dirname(_kernel.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    return json.loads(out.stdout)
+
+
+_RUNS = (
+    "import json, sys, numpy as np\n"
+    "from incgrad import FiniteSumObjective, Regularizer, make_loss, run\n"
+    "from incgrad.datasets import generate_synthetic\n"
+    "ds = generate_synthetic('ridge', n=12, d=4, density=0.5, seed=1)\n"
+    "loss = make_loss('squared')\n"
+    "objs = {'split': FiniteSumObjective(ds, loss, split_l2=0.1),\n"
+    "        'separate': FiniteSumObjective(ds, loss, reg=Regularizer(l2=0.1)),\n"
+    "        'explicit': FiniteSumObjective(ds, loss)}\n"
+    "forms = {'sdca': 'separate', 'sdca_variant5': 'separate',\n"
+    "         'saga_explicit_l2': 'explicit', 'saga_lazy': 'explicit'}\n"
+    "seen = []\n"
+    "for name in NAMES:\n"
+    "    form = forms.get(name, 'split')\n"
+    "    run(name, objs[form], np.zeros(4), epochs=2,\n"
+    "        explicit_l2=0.1 if form == 'explicit' else 0.0)\n"
+    "    seen.append('incgrad._kernel' in sys.modules)\n"
+    "print(json.dumps(seen))\n")
+
+
+def test_only_compiled_methods_import_the_kernel():
+    # one process runs every plain method; one process per compiled one
+    plain = ("saga", "sag", "saga_explicit_l2", "sdca", "midpoint")
+    assert _modules_after(_RUNS.replace("NAMES", repr(plain))) == [
+        False] * len(plain)
+    for name in ("svrg", *TABLE_METHODS, "saga_lazy"):
+        code = _RUNS.replace("NAMES", repr((name,)))
+        assert _modules_after(code) == [True], name
+
+
+def test_certify_and_l1_saga_never_import_the_kernel():
+    code = (
+        "import io, json, sys, contextlib, numpy as np\n"
+        "from incgrad import FiniteSumObjective, Regularizer, make_loss, run\n"
+        "from incgrad.cli import main\n"
+        "from incgrad.datasets import generate_synthetic\n"
+        "ds = generate_synthetic('logistic', n=30, d=8, seed=1)\n"
+        "obj = FiniteSumObjective(ds, make_loss('logistic'), split_l2=1e-3,\n"
+        "                         reg=Regularizer(l1=1e-3))\n"
+        "run('saga', obj, np.zeros(8), epochs=2)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['certify', '--seed', '0', '--instances', '3',\n"
+        "          '--lemma-instances', '3', '--traj-seeds', '2'])\n"
+        "print(json.dumps('incgrad._kernel' in sys.modules))\n")
+    assert _modules_after(code) is False

@@ -207,18 +207,22 @@ def _scalar_draw_run(obj, gamma, reg, epochs, rng, renorm_threshold):
 
 
 @pytest.mark.parametrize("renorm_threshold", [BETA_RENORM_THRESHOLD, 2.0])
-def test_lazy_run_equals_scalar_draw_loop(renorm_threshold, monkeypatch):
+def test_lazy_run_equals_scalar_draw_loop(renorm_threshold, monkeypatch,
+                                         kernel_paths):
+    # by bytes, on the compiled pass and on the numpy loop
     ds = generate_synthetic("ridge", n=40, d=30, density=0.1, noise=0.3, seed=9)
     obj = FiniteSumObjective(ds, make_loss("squared"))
     gamma = 0.3 / float(ds.sqnorms().max())
-    got_rng, want_rng = np.random.default_rng(4), np.random.default_rng(4)
+    want_rng = np.random.default_rng(4)
     monkeypatch.setattr(lazy, "BETA_RENORM_THRESHOLD", renorm_threshold)
-    res = _lazy_run(obj, gamma, 0.4 / gamma, 4, got_rng)
     xs = _scalar_draw_run(obj, gamma, 0.4 / gamma, 4, want_rng, renorm_threshold)
-    for rec, x in zip(res.records[1:], xs):
-        assert np.array_equal(rec.x, x)
-    assert np.array_equal(res.x, xs[-1])
-    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    for path in kernel_paths():
+        got_rng = np.random.default_rng(4)
+        res = _lazy_run(obj, gamma, 0.4 / gamma, 4, got_rng)
+        assert [rec.x.tobytes() for rec in res.records[1:]] == [
+            x.tobytes() for x in xs], path
+        assert res.x.tobytes() == xs[-1].tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_zero_column_touches_nothing():

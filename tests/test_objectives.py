@@ -18,6 +18,15 @@ from incgrad.objectives import _solve_margin, sigmoid
 from conftest import central_difference_gradient, make_random_objective
 
 
+def component_value(obj, i, x) -> float:
+    """f_i(x) = psi_i(a_i' x) + (split_l2/2) |x|^2."""
+    x = np.asarray(x, float)
+    val = float(obj.loss.value(float(obj.points[i] @ x), obj.labels[i]))
+    if obj.split_l2:
+        val += 0.5 * obj.split_l2 * float(x @ x)
+    return val
+
+
 # ---------------------------------------------------------------------------
 # component and full gradients
 
@@ -292,7 +301,7 @@ def test_scalar_loss_prox_is_true_minimizer():
     phi, _ = scalar_loss_prox(obj, 0, gamma, z)
 
     def total(q):
-        return obj.component_value(0, q) + float(np.sum((q - z) ** 2)) / (2 * gamma)
+        return component_value(obj, 0, q) + float(np.sum((q - z) ** 2)) / (2 * gamma)
 
     base = total(phi)
     for _ in range(300):
@@ -429,8 +438,8 @@ def test_strong_convexity_witness():
         x = rng.standard_normal(4)
         y = rng.standard_normal(4)
         i = int(rng.integers(0, 5))
-        lhs = obj.component_value(i, y)
-        rhs = (obj.component_value(i, x)
+        lhs = component_value(obj, i, y)
+        rhs = (component_value(obj, i, x)
                + float(obj.component_gradient(i, x) @ (y - x))
                + 0.5 * mu * float(np.sum((y - x) ** 2)))
         assert lhs - rhs >= -1e-12

@@ -25,7 +25,6 @@ from incgrad.solvers import (
     finito_init,
     finito_step,
     method_info,
-    midpoint_identity_residual,
     midpoint_step,
     saga_init,
     saga_step,
@@ -40,7 +39,7 @@ from incgrad.analysis import fixed_point_residual
 from incgrad.harness import ExperimentConfig, method_objective
 from incgrad.objectives import scalar_loss_prox
 from incgrad.datasets import generate_synthetic
-from conftest import make_random_objective, svrg_paths
+from conftest import make_random_objective, midpoint_identity_residual
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +340,7 @@ def _svrg_draw_cases():
 
 
 @pytest.mark.parametrize("kind, split, l1, n, m", _svrg_draw_cases())
-def test_svrg_equals_scalar_draw_loop(kind, split, l1, n, m, monkeypatch):
+def test_svrg_equals_scalar_draw_loop(kind, split, l1, n, m, kernel_paths):
     # by bytes, so that -0.0 against +0.0 shows; on the compiled pass and
     # on the numpy loop
     rng = np.random.default_rng(16)
@@ -349,7 +348,7 @@ def test_svrg_equals_scalar_draw_loop(kind, split, l1, n, m, monkeypatch):
     x0 = rng.standard_normal(4)
     want_rng = np.random.default_rng(3)
     xs, xbar = _svrg_scalar_draws(obj, x0, 0.3, m, 4, want_rng)
-    for path in svrg_paths(monkeypatch):
+    for path in kernel_paths():
         got_rng = np.random.default_rng(3)
         res = run("svrg", obj, x0, epochs=4, inner_steps=m,
                   policy=StepSizePolicy("manual", gamma=0.3), rng=got_rng)
