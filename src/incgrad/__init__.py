@@ -36,7 +36,6 @@ from .solvers import (
     check_method,
     prox_gradient_optimum,
     run,
-    saga_chains,
     step_size,
 )
 
@@ -67,7 +66,6 @@ __all__ = [
     "make_loss",
     "prox_gradient_optimum",
     "run",
-    "saga_chains",
     "scalar_loss_prox",
     "step_size",
 ]

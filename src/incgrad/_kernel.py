@@ -2,14 +2,16 @@
 compiler on first use, serving every compiled engine.
 
 The shared library is cached in ``$XDG_CACHE_HOME/incgrad`` (default
-``~/.cache/incgrad``) under a name that carries the sha256 of the
+``~/.cache/incgrad``) under a name that carries a 64-bit hash of the
 source, the compiler command and the flags, so a second process loads
 it without compiling; a cache that cannot be written gets a private
-build for this process only.  The library takes every dot product from
-the BLAS ``ddot`` that numpy itself calls, and is trusted only after it
-has matched ``np.vdot`` bit for bit.  When there is no compiler, the
-build fails or that check fails, :func:`load` returns None and every
-engine runs its numpy loop, which gives the same bytes.
+build for this process only.  The hash is ``importlib.util.source_hash``
+(keyed by the Python version), which numpy has imported already, where
+``hashlib`` would first load OpenSSL.  The library takes every dot
+product from the BLAS ``ddot`` that numpy itself calls, and is trusted
+only after it has matched ``np.vdot`` bit for bit.  When there is no
+compiler, the build fails or that check fails, :func:`load` returns
+None and every engine runs its numpy loop, which gives the same bytes.
 
 Each engine has one factory here (:func:`svrg_pass`, :func:`table_pass`,
 :func:`lazy_pass`), returning a function that runs one pass in place,
@@ -22,10 +24,10 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import hashlib
 import os
 import shutil
 import tempfile
+from importlib.util import source_hash
 from pathlib import Path
 
 import numpy as np
@@ -67,8 +69,8 @@ def build(directory: Path) -> Path:
 
         cc = shlex.split(os.environ["CC"])
     source = SOURCE.read_bytes()
-    tag = hashlib.sha256(repr((cc, FLAGS)).encode() + source).hexdigest()
-    target = directory / f"_passes-{tag[:16]}.so"
+    tag = source_hash(repr((cc, FLAGS)).encode() + source).hex()
+    target = directory / f"_passes-{tag}.so"
     if not target.exists():
         import subprocess  # only a build pays for it
 
@@ -246,6 +248,9 @@ def table_pass(code, obj, params, limit):
         return None
     kernel, data = problem
     n, d = obj.n, obj.d
+    # a scalar table on sparse data steps on the support; C reads these
+    # only with a scalar table
+    csc = _csc(obj.dataset.features) if obj.sparse else [None] * 3
     scratch = np.empty(d)
     why = ctypes.c_int()
 
@@ -256,8 +261,7 @@ def table_pass(code, obj, params, limit):
             kernel.ddot, code, order.size, _indices(order, n), n, d, *data,
             obj.split_l2, *(*params, 0.0)[:2], *_ptrs(F64, (d,), t.avg),
             *_ptrs(F64, (n, d), t.vecs if dense else None),
-            *_ptrs(F64, (n,), None if dense else t.coeffs),
-            *(_csc(obj.dataset.features) if t.support else [None] * 3),
+            *_ptrs(F64, (n,), None if dense else t.coeffs), *csc,
             *_ptrs(F64, (d,), state.u), *_ptrs(F64, (n, d), state.phi),
             *_ptrs(F64, (d,), state.phi_mean, scratch, state.x, xsum),
             limit, ctypes.byref(why))

@@ -481,11 +481,11 @@ def _check_unbiasedness(rng, trials):
 
 
 def _check_bound_dominance(seed, seeds):
-    """Mean squared distance along seeded runs, advanced in lockstep by
-    ``saga_chains``, against twice the closed-form geometric bound, on a
-    small ridge problem."""
+    """Mean squared distance along seeded ``saga_u`` runs (saga's
+    iterates, through the compiled table pass) against twice the
+    closed-form geometric bound, on a small ridge problem."""
     from .datasets import generate_synthetic
-    from .solvers import run, saga_chains
+    from .solvers import run
 
     ds = generate_synthetic("ridge", n=40, d=8, density=1.0, noise=0.4,
                             seed=seed, normalize=True)
@@ -496,13 +496,13 @@ def _check_bound_dominance(seed, seeds):
     x_star, f_star = prox_gradient_optimum(obj)
     x0 = np.zeros(obj.d)
     epochs = 15
-    chains = saga_chains(obj, x0, epochs=epochs,
-                         seeds=range(1000, 1000 + seeds),
-                         reference=(x_star, f_star))
+    reference = (x_star, f_star)
+    runs = (run("saga_u", obj, x0, epochs=epochs, seed=s, reference=reference)
+            for s in range(1000, 1000 + seeds))
     mean = sum(np.array([r.dist_sq for r in res.records])
-               for res in chains) / seeds
+               for res in runs) / seeds
     ks = [r.k for r in run("saga", obj, x0, epochs=epochs, seed=0,
-                           reference=(x_star, f_star)).records]
+                           reference=reference).records]
     worst = -math.inf
     for k, m in zip(ks, mean):
         bound = bound_value("corollary_sc", obj, consts, x0, x_star, k)

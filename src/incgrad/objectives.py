@@ -354,18 +354,6 @@ class FiniteSumObjective:
             vals = vals + 0.5 * self.split_l2 * np.einsum("ij,ij->i", phi, phi)
         return vals
 
-    def values(self, xs) -> np.ndarray:
-        """F(x) = f(x) + h(x) at every row x of xs, all margins from one
-        einsum (not a BLAS product, whose work buffer would raise peak
-        memory): equal to :meth:`value` up to rounding."""
-        xs = np.asarray(xs, float)
-        margins = np.einsum("ij,kj->ik", xs, self.points)
-        vals = self.loss.value(margins, self.labels)
-        out = np.add.reduce(vals, axis=1) / self.n
-        out += (0.5 * (self.split_l2 + self.reg.l2)
-                * np.einsum("ij,ij->i", xs, xs))
-        return out + self.reg.l1 * np.add.reduce(np.abs(xs), axis=1)
-
     def gradients_at_points(self, phi) -> np.ndarray:
         """(n, d) matrix whose row i is f_i'(phi_i)."""
         phi = np.asarray(phi, float)

@@ -132,9 +132,9 @@ class SagaState:
     phi_mean: np.ndarray | None = None
 
 
-def saga_init(obj, x0, mode=None) -> SagaState:
+def saga_init(obj, x0) -> SagaState:
     x0 = np.array(x0, dtype=float)
-    return SagaState(x=x0, table=GradientTable.at_point(obj, x0, mode))
+    return SagaState(x=x0, table=GradientTable.at_point(obj, x0))
 
 
 def saga_u_init(obj, x0, gamma) -> SagaState:
@@ -686,99 +686,6 @@ def _svrg_passes(obj, x0, gamma, m, epochs, rng):
                 xsum += x
                 _check_iterate(x, k)
         yield k, evals, x, xsum
-
-
-def saga_chains(obj, x0, *, epochs, seeds, policy=None, reference=None) -> list:
-    """One ``saga`` chain per seed, advanced in lockstep as one batch.
-
-    Chain i is ``run("saga", obj, x0, epochs=epochs, seed=seeds[i],
-    policy=policy, reference=reference)``: the same full-pass table at
-    x0, the same index stream (each chain owns ``default_rng(seed)`` and
-    draws an epoch at a time, as ``run`` does), the same update, resync,
-    divergence guard and a trace row after every epoch.  The S iterates
-    form one (S, d) array and the S tables one array whose row i*n + j
-    is chain i's entry j, so a step costs a handful of numpy calls for
-    all chains instead of a few per chain.  Margins come from a row-wise
-    product that need not round like ``run``'s ``a @ x``, so chains
-    match ``run`` to rounding (about 1e-15 relative), not bit for bit:
-    use this for statistics over seeds, and ``run`` where output bytes
-    matter.  A chain failing the guard raises :class:`DivergenceError`
-    at the first step any chain fails, naming that chain's seed.
-    Returns one :class:`RunResult` per seed.
-    """
-    seeds = list(seeds)
-    if not seeds:
-        raise ConfigError("saga_chains needs at least one seed")
-    if epochs < 0:
-        raise ConfigError("epochs must be nonnegative")
-    x0 = np.asarray(x0, dtype=float)
-    gamma = _setup("saga", obj, policy=policy)[2]
-
-    n, S = obj.n, len(seeds)
-    points, labels, deriv = obj.points, obj.labels, obj.loss.deriv
-    split, prox = obj.split_l2, obj.reg.prox if obj.reg.kind != "none" else None
-    table = GradientTable.at_point(obj, x0)
-    scalar = table.mode == "scalar"
-    entries = (np.tile(table.coeffs, S) if scalar
-               else np.tile(table.vecs, (S, 1)))
-    avg = np.tile(table.avg, (S, 1))
-    x = np.tile(x0, (S, 1))
-    xsum = np.zeros_like(x)
-    base = np.arange(S) * n
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    records = [[] for _ in seeds]
-
-    def trace(k, evals, x, xbar):
-        # a row for every chain, F evaluated for all chains at once
-        cols = [[None] * S] * 3
-        if reference is not None:
-            x_star, f_star = reference
-            cols = [c.tolist() for c in (
-                obj.values(x) - f_star, obj.values(xbar) - f_star,
-                np.sum((x - x_star) ** 2, axis=1))]
-        for chain, *row in zip(records, x.copy(), xbar, *cols):
-            chain.append(TraceRecord(k, evals, *row))
-
-    trace(0, 0.0, x, x.copy())
-    steps = 0
-
-    for ep in range(epochs):
-        order = np.stack([rng.integers(0, n, size=n) for rng in rngs], axis=1)
-        for js in order:
-            a = points[js]
-            c = deriv(np.einsum("ij,ij->i", a, x), labels[js])
-            rows = base + js
-            g_new = c[:, None] * a
-            if scalar:
-                c_old = entries[rows]
-                g_old = c_old[:, None] * a
-            else:  # a dense table means split_l2 > 0
-                g_new += split * x
-                g_old = entries[rows]
-            w = x - gamma * (g_new - g_old + avg)
-            if prox is not None:
-                w = prox(gamma, w)
-            if scalar:
-                avg += ((c - c_old) / n)[:, None] * a
-                entries[rows] = c
-            else:
-                avg += (g_new - g_old) / n
-                entries[rows] = g_new
-            x = w
-            steps += 1
-            ok = np.einsum("ij,ij->i", x, x) < DIVERGENCE_SQNORM
-            if not ok.all():
-                raise DivergenceError(
-                    steps, detail="non-finite or oversized iterate in the "
-                    f"chain of seed {seeds[int(np.argmin(ok))]}")
-            xsum += x
-        avg = (entries.reshape(S, n) @ points / n if scalar
-               else entries.reshape(S, n, -1).mean(axis=1))
-        trace(steps, float(n + steps), x, xsum / steps)
-
-    return [RunResult("saga", chain, x[i].copy(),
-                      xsum[i] / steps if steps else x0.copy(), float(n + steps))
-            for i, chain in enumerate(records)]
 
 
 def _smooth_lipschitz(obj, max_lipschitz):

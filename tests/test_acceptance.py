@@ -19,7 +19,6 @@ from incgrad import (
     make_loss,
     prox_gradient_optimum,
     run,
-    saga_chains,
 )
 from incgrad.analysis import (
     LyapunovParams,
@@ -77,15 +76,15 @@ def _ridge_unit_condition(seed=42):
 
 
 def _mean_trajectory(obj, policy, seeds, epochs, field):
-    """Trace steps, the mean of ``field`` over ``seeds`` seeded saga
-    runs (advanced in lockstep by ``saga_chains``), and x*."""
-    x_star, f_star = prox_gradient_optimum(obj)
-    chains = saga_chains(obj, np.zeros(obj.d), epochs=epochs,
-                         seeds=range(seeds), policy=policy,
-                         reference=(x_star, f_star))
+    """Trace steps, the mean of ``field`` over ``seeds`` seeded runs of
+    ``saga_u`` (saga's iterates, through the compiled table pass), and
+    x*."""
+    reference = prox_gradient_optimum(obj)
+    runs = [run("saga_u", obj, np.zeros(obj.d), epochs=epochs, seed=s,
+                policy=policy, reference=reference) for s in range(seeds)]
     acc = sum(np.array([getattr(r, field) for r in res.records])
-              for res in chains)
-    return np.array([r.k for r in chains[0].records]), acc / seeds, x_star
+              for res in runs)
+    return np.array([r.k for r in runs[0].records]), acc / seeds, reference[0]
 
 
 # The worst ratio is the one at k = 0, before any step; from epoch 1 on
@@ -112,8 +111,8 @@ def test_criterion_2_corollary_bound_tracking():
 
 
 def test_criterion_2_through_run():
-    # the same bound on the mean over seeded runs of run itself, which
-    # the lockstep chains above only match to rounding
+    # the same bound on the mean over seeded runs of saga itself, whose
+    # iterates the saga_u runs above match only to rounding
     t0 = time.time()
     obj, consts = _ridge_unit_condition()
     reference = prox_gradient_optimum(obj)

@@ -421,18 +421,33 @@ def test_only_compiled_methods_import_the_kernel():
         assert _modules_after(code) == [True], name
 
 
-def test_certify_and_l1_saga_never_import_the_kernel():
+def test_l1_saga_never_imports_the_kernel():
     code = (
-        "import io, json, sys, contextlib, numpy as np\n"
+        "import json, sys, numpy as np\n"
         "from incgrad import FiniteSumObjective, Regularizer, make_loss, run\n"
-        "from incgrad.cli import main\n"
         "from incgrad.datasets import generate_synthetic\n"
         "ds = generate_synthetic('logistic', n=30, d=8, seed=1)\n"
         "obj = FiniteSumObjective(ds, make_loss('logistic'), split_l2=1e-3,\n"
         "                         reg=Regularizer(l1=1e-3))\n"
         "run('saga', obj, np.zeros(8), epochs=2)\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    main(['certify', '--seed', '0', '--instances', '3',\n"
-        "          '--lemma-instances', '3', '--traj-seeds', '2'])\n"
         "print(json.dumps('incgrad._kernel' in sys.modules))\n")
     assert _modules_after(code) is False
+
+
+_CERTIFY = (
+    "import io, json, sys, contextlib\n"
+    "from incgrad.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    main(['certify', '--seed', '0', '--instances', '3',\n"
+    "          '--lemma-instances', '3', '--traj-seeds', '2'FLAGS])\n"
+    "print(json.dumps('incgrad._kernel' in sys.modules))\n")
+
+
+def test_certify_without_the_trajectory_never_imports_the_kernel():
+    assert _modules_after(
+        _CERTIFY.replace("FLAGS", ", '--skip-trajectory'")) is False
+
+
+def test_certify_trajectory_imports_the_kernel():
+    # its seeded runs are saga_u runs, through the compiled table pass
+    assert _modules_after(_CERTIFY.replace("FLAGS", "")) is True

@@ -139,17 +139,6 @@ def test_sigmoid_and_smooth_value_equal_their_old_formulas():
         assert np.array_equal(obj.full_gradient(x, margins=obj.points @ x), g)
 
 
-def test_values_of_rows_match_value():
-    rng = np.random.default_rng(38)
-    for kind, split, reg in (("squared", 0.2, Regularizer()),
-                             ("logistic", 0.0, Regularizer(l2=0.1, l1=0.05))):
-        obj = make_random_objective(rng, kind=kind, n=30, d=6, split=split)
-        obj = FiniteSumObjective(obj.dataset, obj.loss, split_l2=split, reg=reg)
-        xs = rng.standard_normal((5, 6))
-        want = np.array([obj.value(x, composite=True) for x in xs])
-        assert np.allclose(obj.values(xs), want, rtol=1e-15, atol=0.0)
-
-
 def test_objective_values(two_quadratics):
     obj, _ = two_quadratics
     assert obj.value(np.array([0.0])) == pytest.approx(0.5)

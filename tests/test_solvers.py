@@ -16,7 +16,6 @@ from incgrad import (
     make_loss,
     prox_gradient_optimum,
     run,
-    saga_chains,
     step_size,
 )
 from incgrad.solvers import (
@@ -1190,80 +1189,57 @@ def test_run_rejects_options_of_other_methods(method, option, value, owners):
 
 
 # ---------------------------------------------------------------------------
-# lockstep chains
+# saga_u runs in place of saga runs, for statistics over seeds
 
-def _chain_cases():
+def _trajectory_cases():
     ridge = generate_synthetic("ridge", n=100, d=20, density=1.0, noise=0.5,
                                seed=42, normalize=True)
     wide = generate_synthetic("ridge", n=50, d=60, density=1.0, noise=0.3,
                               seed=7)
-    logit = generate_synthetic("logistic", n=60, d=12, seed=3, normalize=True)
-    return {
+    cases = {
         # criterion 2: split L2, dense table, default policy
         "corollary": (FiniteSumObjective(ridge, make_loss("squared"),
                                          split_l2=1.0 / 99), None, 30),
         # criterion 4: no L2, scalar table, adaptive policy
         "nonsc": (FiniteSumObjective(wide, make_loss("squared")),
                   StepSizePolicy("adaptive"), 30),
-        "logistic_l1": (FiniteSumObjective(logit, make_loss("logistic"),
-                                           split_l2=1e-2,
-                                           reg=Regularizer(l1=1e-2)),
-                        None, 12),
     }
+    for seed in (0, 3, 7):  # certify's trajectory problem
+        small = generate_synthetic("ridge", n=40, d=8, density=1.0,
+                                   noise=0.4, seed=seed, normalize=True)
+        cases[f"certify{seed}"] = (FiniteSumObjective(
+            small, make_loss("squared"), split_l2=1.0 / 39), None, 15)
+    return cases
 
 
-@pytest.mark.parametrize("case", ["corollary", "nonsc", "logistic_l1"])
-def test_saga_chains_each_chain_equals_run(case):
-    obj, policy, epochs = _chain_cases()[case]
+@pytest.mark.parametrize("case", ["corollary", "nonsc", "certify0",
+                                  "certify3", "certify7"])
+def test_saga_u_run_equals_saga_run(case, kernel_paths):
+    # saga_u steps through u = x + gamma * sum, so its iterates are
+    # saga's up to rounding, on either path
+    obj, policy, epochs = _trajectory_cases()[case]
     x0 = np.zeros(obj.d)
     reference = prox_gradient_optimum(obj)
-    seeds = [0, 5, 11, 12]
-    chains = saga_chains(obj, x0, epochs=epochs, seeds=seeds, policy=policy,
-                         reference=reference)
-    assert len(chains) == len(seeds)
-    for seed, got in zip(seeds, chains):
-        want = run("saga", obj, x0, epochs=epochs, seed=seed, policy=policy,
-                   reference=reference)
-        assert got.method == "saga"
-        assert got.grad_evals == want.grad_evals
-        assert [r.k for r in got.records] == [r.k for r in want.records]
-        assert ([r.grad_evals for r in got.records]
-                == [r.grad_evals for r in want.records])
-        pairs = [(got.x, want.x), (got.xbar, want.xbar)]
-        for g, w in zip(got.records, want.records):
-            pairs += [(g.x, w.x), (g.xbar, w.xbar), (g.subopt, w.subopt),
-                      (g.subopt_avg, w.subopt_avg), (g.dist_sq, w.dist_sq)]
-        for g, w in pairs:
-            w = np.asarray(w, float)
-            assert np.all(np.abs(np.asarray(g) - w)
-                          <= 1e-13 * np.maximum(1.0, np.abs(w)))
-        # the batched trace rows keep each chain's own squared distance
-        for rec in got.records:
-            assert rec.dist_sq == float(np.sum((rec.x - reference[0]) ** 2))
-
-
-def test_saga_chains_divergence_at_the_first_failing_step():
-    rng = np.random.default_rng(45)
-    obj = make_random_objective(rng, split=0.0, n=6, d=3)
-    policy = StepSizePolicy("manual", gamma=30.0)
-    seeds = list(range(6))
-    steps = []
-    for seed in seeds:
-        with pytest.raises(DivergenceError) as err:
-            run("saga", obj, np.zeros(3), epochs=200, seed=seed, policy=policy)
-        steps.append(err.value.step)
-    first = int(np.argmin(steps))
-    assert steps.count(steps[first]) == 1  # one chain fails first
-    with pytest.raises(DivergenceError) as err:
-        saga_chains(obj, np.zeros(3), epochs=200, seeds=seeds, policy=policy)
-    assert err.value.step == steps[first]
-    assert f"seed {seeds[first]})" in str(err.value)
-
-
-def test_saga_chains_rejects_no_seeds(two_quadratics):
-    obj, _ = two_quadratics
-    with pytest.raises(ConfigError):
-        saga_chains(obj, np.zeros(1), epochs=1, seeds=[])
+    saga = {seed: run("saga", obj, x0, epochs=epochs, seed=seed,
+                      policy=policy, reference=reference)
+            for seed in [0, 5, 11, 1000]}
+    for _ in kernel_paths():
+        for seed, want in saga.items():
+            got = run("saga_u", obj, x0, epochs=epochs, seed=seed,
+                      policy=policy, reference=reference)
+            assert got.grad_evals == want.grad_evals
+            assert [r.k for r in got.records] == [r.k for r in want.records]
+            assert ([r.grad_evals for r in got.records]
+                    == [r.grad_evals for r in want.records])
+            pairs = [(got.x, want.x), (got.xbar, want.xbar)]
+            for g, w in zip(got.records, want.records):
+                pairs += [(g.x, w.x), (g.xbar, w.xbar), (g.subopt, w.subopt),
+                          (g.subopt_avg, w.subopt_avg),
+                          (g.dist_sq, w.dist_sq)]
+            for g, w in pairs:
+                w = np.asarray(w, float)
+                assert np.all(np.abs(np.asarray(g) - w)
+                              <= 1e-13 * np.maximum(1.0, np.abs(w)))
 
 
 @pytest.mark.parametrize("method", ALL_METHODS)
