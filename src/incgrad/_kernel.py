@@ -13,11 +13,13 @@ only after it has matched ``np.vdot`` bit for bit.  When there is no
 compiler, the build fails or that check fails, :func:`load` returns
 None and every engine runs its numpy loop, which gives the same bytes.
 
-Each engine has one factory here (:func:`svrg_pass`, :func:`table_pass`,
-:func:`lazy_pass`), returning a function that runs one pass in place,
-or None without a kernel.  The C loops read and write the arrays they
-are given without checking them, so the functions check dtype, shape,
-contiguity and index range first.
+Only this module knows the library's arguments and status codes.  Each
+engine has one factory here (:func:`svrg_pass`, :func:`table_pass`,
+:func:`lazy_pass`), returning a function that runs one pass in place
+and raises what the engine's numpy loop raises, or None without a
+kernel.  The C loops read and write what they are given unchecked, so
+the factories check what lives for the whole run and the functions
+check the rest on every pass, before any C call.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DivergenceError
+from . import lazy, solvers
+from .errors import ConfigError, DivergenceError
 from .objectives import LogisticLoss, SquaredLoss
 
 SOURCE = Path(__file__).with_name("_passes.c")
@@ -44,15 +47,6 @@ DDOT = "scipy_cblas_ddot64_"
 _LOSSES = {SquaredLoss: 0, LogisticLoss: 1}
 # how a pass ended other than OK (0); the C enum
 MARGIN, DIVERGED, GAP = 1, 2, 3
-
-
-def check(why, k, detail):
-    """Raise what the numpy loops raise where a pass ended ``why``, with
-    ``detail`` for a divergence at step k."""
-    if why == MARGIN:
-        raise ValueError("x must be finite")
-    if why == DIVERGED:
-        raise DivergenceError(k, detail=detail)
 
 
 def cache_dir() -> Path:
@@ -115,9 +109,9 @@ class Kernel:
         lib = ctypes.CDLL(str(path))
         steps = ctypes.c_int64
         self.dot = _bind(lib.incgrad_dot, ctypes.c_double, "PIPP")
-        self.svrg = _bind(lib.incgrad_svrg_pass, steps, "PIPIPPiFFiFPPPPFP")
+        self.svrg = _bind(lib.incgrad_svrg_pass, steps, "PIPPiFFiFFPIPPPPP")
         self.table = _bind(lib.incgrad_table_pass, steps,
-                           "PiIPIIPPiFFF" + "P" * 12 + "FP")
+                           "PiIIPPiFFFF" + "P" * 9 + "FPIPPPP")
         self.lazy = _bind(lib.incgrad_lazy_pass, steps, "PIPIIPPPFFFPI" + "P" * 9)
 
     def agrees_with_numpy(self) -> bool:
@@ -183,11 +177,6 @@ def _ptrs(dtype, shape, *arrays, below=None):
     return [None if a is None else a.ctypes.data for a in arrays]
 
 
-def _indices(order, n):
-    """Pointer to a pass's indices, checked to be int64 in [0, n)."""
-    return _ptrs(I64, (order.size,), order, below=n)[0]
-
-
 def _csc(mat):
     """Pointers to indptr, indices and data of the CSC matrix ``mat``,
     checked so that no column reads out of bounds."""
@@ -198,6 +187,17 @@ def _csc(mat):
     return (*_ptrs(I64, (n + 1,), indptr, below=mat.nnz + 1),
             *_ptrs(I64, (mat.nnz,), mat.indices, below=d),
             *_ptrs(F64, (mat.nnz,), mat.data))
+
+
+def _raise(why, step, detail):
+    """Raise what the numpy loop raises where a pass ended ``why``, with
+    ``detail`` for a divergence at ``step``."""
+    if why == MARGIN:
+        raise ValueError("x must be finite")
+    if why == DIVERGED:
+        raise DivergenceError(step, detail=detail)
+    if why == GAP:
+        raise ConfigError(lazy._GAP)
 
 
 def _problem(obj):
@@ -211,72 +211,78 @@ def _problem(obj):
                     *_ptrs(F64, (obj.n,), obj.labels), logistic]
 
 
-def svrg_pass(obj, gamma, limit):
+def _pass_of(fn, bound, n, d, keep):
+    """The function running one pass of the C pass ``fn``, which takes
+    ``bound``, the divergence limit, the status, then per pass int64
+    indices in [0, n) and d-vectors.  It returns the steps taken and
+    raises as the numpy loop does, at the step counted over all its
+    passes.  ``keep`` holds what the bound pointers point into."""
+    why = ctypes.c_int()
+    call = functools.partial(fn, *bound, solvers.DIVERGENCE_SQNORM,
+                             ctypes.byref(why))
+    done = 0
+
+    def run_pass(order, *vectors):
+        nonlocal done
+        steps = call(order.size, *_ptrs(I64, (order.size,), order, below=n),
+                     *_ptrs(F64, (d,), *vectors))
+        done += steps
+        _raise(why.value, done, solvers._DIVERGED)
+        return steps
+
+    run_pass.keep = keep
+    return run_pass
+
+
+def svrg_pass(obj, gamma):
     """A function running one inner pass of svrg on ``obj`` in place, or
     None without a kernel.  It takes the pass's int64 indices, the
-    snapshot, its full gradient, x and the running sum of iterates, and
-    returns the steps taken and how the pass ended (``MARGIN``: a margin
-    was not finite, that step not taken; ``DIVERGED``: the last step
-    failed ``x @ x < limit``)."""
+    snapshot, its full gradient, x and the running sum of iterates (see
+    :func:`_pass_of`)."""
     problem = _problem(obj)
     if problem is None:
         return None
     kernel, data = problem
     l1 = obj.reg.l1  # svrg's split form leaves h no L2 term
-    why = ctypes.c_int()
-
-    def run_pass(order, snap, g_full, x, xsum):
-        steps = kernel.svrg(
-            kernel.ddot, order.size, _indices(order, obj.n), obj.d, *data, obj.split_l2, gamma, bool(l1), gamma * l1,
-            *_ptrs(F64, (obj.d,), snap, g_full, x, xsum), limit,
-            ctypes.byref(why))
-        return steps, why.value
-
-    return run_pass
+    return _pass_of(kernel.svrg, (kernel.ddot, obj.d, *data, obj.split_l2,
+                                  gamma, bool(l1), gamma * l1),
+                    obj.n, obj.d, obj)
 
 
-def table_pass(code, obj, params, limit):
-    """A function running one pass of the table step with ``code`` (its
-    place in ``solvers.COMPILED_STEPS``) on ``obj`` in place, or None
-    without a kernel; ``params`` are the step's arguments after
-    ``(state, obj, j)``.  It takes the pass's int64 indices, the
-    ``SagaState`` that step's init built and the running sum of
-    iterates, and returns as the svrg pass does (``MARGIN`` only with a
-    dense table)."""
+def table_pass(code, obj, state, xsum, *, gamma, mu, L):
+    """A function running one pass of the table step with ``code`` (see
+    ``solvers.COMPILED_STEPS``) on ``obj`` in place, or None without a
+    kernel, bound once to the ``SagaState`` the step's init built and the
+    run's sum of iterates ``xsum``.  ``gamma`` is None for sdca_variant5,
+    whose step C derives from ``mu`` and ``L``.  It takes the pass's
+    indices and what a pass-end replaces: x, the table's mean and
+    finito's phi_mean, else None (see :func:`_pass_of`)."""
     problem = _problem(obj)
     if problem is None:
         return None
     kernel, data = problem
     n, d = obj.n, obj.d
-    # a scalar table on sparse data steps on the support; C reads these
-    # only with a scalar table
+    t = state.table
+    dense = t.mode == "dense"
+    # a scalar table on sparse data steps on the support (C reads no CSC
+    # pointer of a dense table)
     csc = _csc(obj.dataset.features) if obj.sparse else [None] * 3
     scratch = np.empty(d)
-    why = ctypes.c_int()
-
-    def run_pass(order, state, xsum):
-        t = state.table
-        dense = t.mode == "dense"
-        steps = kernel.table(
-            kernel.ddot, code, order.size, _indices(order, n), n, d, *data,
-            obj.split_l2, *(*params, 0.0)[:2], *_ptrs(F64, (d,), t.avg),
-            *_ptrs(F64, (n, d), t.vecs if dense else None),
-            *_ptrs(F64, (n,), None if dense else t.coeffs), *csc,
-            *_ptrs(F64, (d,), state.u), *_ptrs(F64, (n, d), state.phi),
-            *_ptrs(F64, (d,), state.phi_mean, scratch, state.x, xsum),
-            limit, ctypes.byref(why))
-        return steps, why.value
-
-    return run_pass
+    return _pass_of(kernel.table, (
+        kernel.ddot, code, n, d, *data, obj.split_l2,
+        np.nan if gamma is None else gamma, mu, L,
+        *_ptrs(F64, (n, d), t.vecs if dense else None),
+        *_ptrs(F64, (n,), None if dense else t.coeffs), *csc,
+        *_ptrs(F64, (d,), state.u), *_ptrs(F64, (n, d), state.phi),
+        *_ptrs(F64, (d,), scratch, xsum)),
+        n, d, (obj, t.vecs, t.coeffs, state.u, state.phi, scratch, xsum))
 
 
 def lazy_pass(mat):
     """A function running one pass of ``lazy.sparse_saga_lstsq_epoch`` on
     the CSC matrix ``mat`` in place, or None without a kernel.  It takes
-    that function's state and the pass's int64 indices, and returns the
-    steps taken and how the pass ended (``DIVERGED``: the next step's
-    coefficient was not finite; ``GAP``: a lag gap reached past the
-    scaling table)."""
+    that function's state and the pass's int64 indices, and raises what
+    the numpy loop raises."""
     kernel = load()
     if kernel is None:
         return None
@@ -289,15 +295,15 @@ def lazy_pass(mat):
     def run_pass(order, it, c, g_avg, gamma, rho, threshold, scaling):
         entries = scaling.entries
         k.value, beta.value, touches.value = it.k, it.beta, it.touches
-        steps = kernel.lazy(
-            kernel.ddot, order.size, _indices(order, n), n, d, *csc, gamma,
-            rho, threshold, *_ptrs(F64, (entries.size,), entries), entries.size,
+        kernel.lazy(
+            kernel.ddot, order.size, *_ptrs(I64, (order.size,), order, below=n),
+            n, d, *csc, gamma, rho, threshold,
+            *_ptrs(F64, (entries.size,), entries), entries.size,
             *_ptrs(F64, (d,), it.x), *_ptrs(I64, (d,), it.lag),
-            *_ptrs(F64, (n,), c), *_ptrs(F64, (d,), g_avg),
-            gathered.ctypes.data,
+            *_ptrs(F64, (n,), c), *_ptrs(F64, (d,), g_avg), gathered.ctypes.data,
             ctypes.byref(k), ctypes.byref(beta), ctypes.byref(touches),
             ctypes.byref(why))
         it.k, it.beta, it.touches = k.value, beta.value, touches.value
-        return steps, why.value
+        _raise(why.value, it.k + 1, lazy._NON_FINITE)
 
     return run_pass

@@ -60,14 +60,14 @@ enum { OK = 0, MARGIN = 1, DIVERGED = 2, GAP = 3 };
 /* m steps x <- prox(x - gamma * (f_j'(x) - f_j'(snap) + g_full)), with
  * j = idx[s], xsum += x and the divergence check after each; the prox
  * is the soft threshold at thr when l1 is set (svrg's split form leaves
- * h no L2 term).  Returns the number of steps taken; DIVERGED when the
- * last step's x @ x was not below limit. */
+ * h no L2 term).  The arguments from m on change from pass to pass.
+ * Returns the number of steps taken; DIVERGED when the last step's
+ * x @ x was not below limit. */
 int64_t incgrad_svrg_pass(
-    ddot_fn ddot, int64_t m, const int64_t *idx, int64_t d,
-    const double *points, const double *labels, int logistic, double split,
-    double gamma, int l1, double thr,
-    const double *snap, const double *g_full, double *x, double *xsum,
-    double limit, int *why)
+    ddot_fn ddot, int64_t d, const double *points, const double *labels,
+    int logistic, double split, double gamma, int l1, double thr,
+    double limit, int *why, int64_t m, const int64_t *idx,
+    const double *snap, const double *g_full, double *x, double *xsum)
 {
     for (int64_t s = 0; s < m; s++) {
         const double *a = points + idx[s] * d;
@@ -103,33 +103,33 @@ int64_t incgrad_svrg_pass(
     return m;
 }
 
-/* the table steps, in the order of solvers.COMPILED_STEPS */
+/* the table steps, by their codes in solvers.COMPILED_STEPS */
 enum { SAGA_U = 0, FINITO = 1, SDCA_VARIANT5 = 2 };
 
 /* m steps of one table method, with j = idx[s], each followed by the
  * divergence check and xsum += x.  The table is dense (vecs, n x d) or,
  * for saga_u without a split L2 term, scalar (coeffs, n), whose mean
- * moves over the nonzeros of the CSC column j when indptr is set.
- * p0 and p1 are the step's parameters after (state, obj, j): gamma for
- * saga_u and finito, mu and L for sdca_variant5; u is saga_u's, phi
- * (n x d) and phi_mean finito's, and g holds d doubles of scratch.
+ * avg moves over the nonzeros of the CSC column j when indptr is set.
+ * saga_u and finito step with gamma; sdca_variant5 derives its step
+ * and weight from mu and L, as its numpy step does.  u is saga_u's,
+ * phi (n x d) and phi_mean finito's, g holds d doubles of scratch, and
+ * the arguments from m on change from pass to pass.
  * Returns the number of steps taken; MARGIN when the step's margin was
  * not finite in a dense table (component_gradient's ValueError),
  * DIVERGED when the last step's x @ x was not below limit. */
 int64_t incgrad_table_pass(
-    ddot_fn ddot, int method, int64_t m, const int64_t *idx,
-    int64_t n, int64_t d, const double *points, const double *labels,
-    int logistic, double split, double p0, double p1,
-    double *avg, double *vecs, double *coeffs, const int64_t *indptr,
-    const int64_t *indices, const double *values,
-    double *u, double *phi, double *phi_mean, double *g,
-    double *x, double *xsum, double limit, int *why)
+    ddot_fn ddot, int method, int64_t n, int64_t d, const double *points,
+    const double *labels, int logistic, double split, double gamma,
+    double mu, double L, double *vecs, double *coeffs,
+    const int64_t *indptr, const int64_t *indices, const double *values,
+    double *u, double *phi, double *g, double *xsum, double limit,
+    int *why, int64_t m, const int64_t *idx, double *x, double *avg,
+    double *phi_mean)
 {
-    double dn = (double)n;
-    double gamma = p0, beta = 0.0;
+    double dn = (double)n, beta = 0.0;
     if (method == SDCA_VARIANT5) {  /* its weights, as the step forms them */
-        beta = p0 * dn / (p1 + p0 * dn);
-        gamma = 1.0 / (p0 * dn);
+        beta = mu * dn / (L + mu * dn);
+        gamma = 1.0 / (mu * dn);
     }
     for (int64_t s = 0; s < m; s++) {
         int64_t j = idx[s];

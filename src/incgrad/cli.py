@@ -103,7 +103,7 @@ def main(argv=None) -> int:
             code = _cmd_certify(args)
         else:
             code = _cmd_optimum(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (DivergenceError, InconsistentReferenceError, OptimumError,

@@ -15,9 +15,10 @@ def load_libsvm(path, n_features=None, normalize=False) -> Dataset:
     """Parse the plain-text sparse format "label idx:val idx:val ...".
 
     Indices are 1-based in the file and converted to 0-based; they must
-    be strictly increasing within a line.  The dimension is inferred
-    from the largest index unless ``n_features`` pins it.  With
-    ``normalize`` every point is scaled to unit euclidean norm.
+    be strictly increasing within a line, and every label and value must
+    be finite.  The dimension is inferred from the largest index unless
+    ``n_features`` pins it.  With ``normalize`` every point is scaled to
+    unit euclidean norm.
     """
     labels = []
     cols = []
@@ -33,6 +34,9 @@ def load_libsvm(path, n_features=None, normalize=False) -> Dataset:
             except ValueError:
                 raise ConfigError(
                     f"{path}:{lineno}: malformed label {parts[0]!r}") from None
+            if not math.isfinite(label):
+                raise ConfigError(
+                    f"{path}:{lineno}: non-finite label {parts[0]!r}")
             idxs = []
             vals = []
             prev = -1
@@ -44,6 +48,9 @@ def load_libsvm(path, n_features=None, normalize=False) -> Dataset:
                 except ValueError:
                     raise ConfigError(
                         f"{path}:{lineno}: malformed feature {tok!r}") from None
+                if not math.isfinite(val):
+                    raise ConfigError(
+                        f"{path}:{lineno}: non-finite feature {tok!r}")
                 if idx < 0:
                     raise ConfigError(
                         f"{path}:{lineno}: feature index must be >= 1")

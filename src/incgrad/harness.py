@@ -56,6 +56,14 @@ def _checked(key, value, kind):
                       f"(expected {_EXPECTED[kind]})")
 
 
+def _only(raw, allowed, where):
+    """ConfigError naming every key of the object ``raw`` that is not in
+    ``allowed``: a misspelled key must not fall back to a default."""
+    extra = set(raw) - set(allowed)
+    if extra:
+        raise ConfigError(f"unknown {where} keys: {sorted(extra)}")
+
+
 @dataclass
 class MethodSpec:
     name: str
@@ -68,6 +76,7 @@ class MethodSpec:
         if not isinstance(entry, dict):
             raise ConfigError(
                 f"'methods' entries must be names or objects, got {entry!r}")
+        _only(entry, ("name", "step_size"), "'methods' entry")
         name = entry.get("name")
         if not name or not isinstance(name, str):
             raise ConfigError(f"'methods' entry {entry!r} needs a 'name' string")
@@ -96,11 +105,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        known = {"dataset", "loss", "l2", "l1", "methods", "epochs",
-                 "seeds", "trace_every", "out"}
-        extra = set(raw) - known
-        if extra:
-            raise ConfigError(f"unknown config keys: {sorted(extra)}")
+        _only(raw, ("dataset", "loss", "l2", "l1", "methods", "epochs",
+                    "seeds", "trace_every", "out"), "config")
         dataset = raw.get("dataset", {})
         if not isinstance(dataset, dict):
             raise ConfigError("'dataset' must be an object")
@@ -136,6 +142,8 @@ class ExperimentConfig:
                 raw = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{path}: malformed JSON ({exc})") from None
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: the config must be a JSON object")
         return cls.from_dict(raw)
@@ -174,6 +182,7 @@ def validate_config(cfg: ExperimentConfig):
 def build_dataset(cfg: ExperimentConfig):
     ds_cfg = cfg.dataset
     if "path" in ds_cfg:
+        _only(ds_cfg, ("path", "n_features", "normalize"), "file 'dataset'")
         path = ds_cfg["path"]
         if not isinstance(path, str):
             raise ConfigError(f"'dataset' 'path' must be a path string, "
@@ -185,9 +194,12 @@ def build_dataset(cfg: ExperimentConfig):
         return load_libsvm(path, n_features=n_features,
                            normalize=normalize)
     if "synthetic" in ds_cfg:
+        _only(ds_cfg, ("synthetic",), "synthetic 'dataset'")
         s = ds_cfg["synthetic"]
         if not isinstance(s, dict):
             raise ConfigError("'synthetic' must be an object")
+        _only(s, ("kind", "n", "d", "density", "noise", "seed", "normalize"),
+              "'synthetic'")
         try:
             sizes = dict(n=_checked("n", s["n"], int), d=_checked("d", s["d"], int),
                          density=_checked("density", s.get("density", 1.0), float),

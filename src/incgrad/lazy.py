@@ -25,6 +25,7 @@ from .errors import ConfigError, DivergenceError
 
 BETA_RENORM_THRESHOLD = 1e-280
 _GAP = "lag gap exceeds the scaling table; size it to the full step budget"
+_NON_FINITE = "non-finite step"
 
 
 @dataclass
@@ -96,21 +97,22 @@ def _renormalize(it: LaggedIterate, g, table: LagScalingTable, gamma: float):
     it.beta = 1.0
 
 
-def sparse_saga_lstsq_epoch(data, b, it: LaggedIterate, c, g_avg, gamma, reg,
-                            rng, scaling: LagScalingTable):
+def sparse_saga_lstsq_epoch(data, it: LaggedIterate, c, g_avg, gamma, reg, rng,
+                            scaling: LagScalingTable):
     """One pass of n lagged steps for squared loss with explicit L2.
 
     ``c[i]`` stores the margin a_i' (beta x) from the last visit of
-    point i, so the stored gradient is (c[i] - b[i]) a_i and a single
-    scalar per point suffices.  The very first pass (it.k < n on entry)
-    sweeps the points in order; later passes sample uniformly from rng.
-    State (it, c, g_avg) is mutated in place.  The caller keeps
-    reg * gamma < 1 and builds ``scaling`` for rho = 1 - reg * gamma,
-    covering every gap since the last flush.  Raises
-    :class:`DivergenceError` at the first step whose margin or step
-    coefficient is not finite.  The pass runs in one call of the
-    compiled library when it loads (see ``_kernel.lazy_pass``), with the
-    same bytes and state as this loop.
+    point i, so the stored gradient is (c[i] - b[i]) a_i (b, the labels,
+    enter through ``g_avg``) and a single scalar per point suffices.  The
+    first pass (it.k < n on entry) sweeps the points in order; later
+    passes sample uniformly from rng.  State (it, c, g_avg) is mutated
+    in place.  The caller keeps reg * gamma < 1 and builds ``scaling``
+    for rho = 1 - reg * gamma, covering every gap since the last flush.
+    Raises :class:`DivergenceError` at the first step whose margin or
+    step coefficient is not finite, and ConfigError at a gap past
+    ``scaling``.  The pass runs in one call of the compiled library when
+    it loads (see ``_kernel.lazy_pass``), with the same bytes, state and
+    errors as this loop.
     """
     d, n = data.shape
     rho = 1.0 - reg * gamma
@@ -119,10 +121,7 @@ def sparse_saga_lstsq_epoch(data, b, it: LaggedIterate, c, g_avg, gamma, reg,
     from . import _kernel  # built or loaded by the first lazy pass only
     kernel_pass = _kernel.lazy_pass(data)
     if kernel_pass is not None:
-        _, why = kernel_pass(order, it, c, g_avg, gamma, rho, threshold, scaling)
-        _kernel.check(why, it.k + 1, "non-finite step")
-        if why == _kernel.GAP:
-            raise ConfigError(_GAP)
+        kernel_pass(order, it, c, g_avg, gamma, rho, threshold, scaling)
         return
     for i in order.tolist():
         idx, vals = data.column(i)
@@ -136,7 +135,7 @@ def sparse_saga_lstsq_epoch(data, b, it: LaggedIterate, c, g_avg, gamma, reg,
         it.beta *= rho
         coef = -cchange * gamma / it.beta
         if not math.isfinite(coef):
-            raise DivergenceError(it.k + 1, detail="non-finite step")
+            raise DivergenceError(it.k + 1, detail=_NON_FINITE)
         it.x[idx] += coef * vals
         it.touches += idx.size
         it.k += 1
@@ -166,7 +165,8 @@ def lazy_passes(obj, x0, gamma, reg, epochs, rng):
     evals = n * 1.0
     yield 0, evals, it.x, None
     for _ in range(epochs):
-        sparse_saga_lstsq_epoch(data, obj.labels, it, c, g_avg, gamma, reg,
-                                rng, scaling)
+        # it and the rest by keyword: the benchmark tracer reads `it` by name
+        sparse_saga_lstsq_epoch(data, it=it, c=c, g_avg=g_avg, gamma=gamma,
+                                reg=reg, rng=rng, scaling=scaling)
         evals += n
         yield it.k, evals, flush_lags(it, g_avg, scaling, -gamma / it.beta), None

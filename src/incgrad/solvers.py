@@ -358,9 +358,8 @@ def midpoint_step(state: SagaState, obj, j, mu):
     state.x = phi_j
 
 
-# the steps whose whole pass runs in one call of the compiled library;
-# a step's place here is its code there (see _kernel.table_pass)
-COMPILED_STEPS = (saga_u_step, finito_step, sdca_variant5_step)
+# table methods with a compiled pass, and their codes (see _kernel.table_pass)
+COMPILED_STEPS = {"saga_u": 0, "finito": 1, "sdca_variant5": 2}
 
 
 # ---------------------------------------------------------------------------
@@ -583,59 +582,54 @@ def run(method, obj, x0, *, epochs, policy=None, seed=0, rng=None,
 def _table_passes(method, obj, x0, gamma, mu, L, explicit_l2, epochs, rng,
                   init, sampling):
     """Engine of the table methods (see :func:`run`)."""
-    step, *params = {
-        "saga": (saga_step, gamma),
-        "sag": (saga_step, gamma, True),
-        "saga_explicit_l2": (saga_step, gamma, False, explicit_l2),
-        "saga_u": (saga_u_step, gamma),
-        "finito": (finito_step, gamma),
-        "sdca": (sdca_primal_step, mu),
-        "sdca_variant5": (sdca_variant5_step, mu, L),
-        "midpoint": (midpoint_step, mu),
-    }[method]
-    kernel_pass = None
-    if step in COMPILED_STEPS:  # made before the table, so the memory
+    if method in COMPILED_STEPS:  # loaded before the table, so the memory
         # the first import takes and the table's do not add up
         from . import _kernel  # built or loaded by the first compiled run only
-        kernel_pass = _kernel.table_pass(COMPILED_STEPS.index(step), obj,
-                                         params, DIVERGENCE_SQNORM)
+        _kernel.load()
     n = obj.n
     heuristic = init == "one_by_one"
+    if method == "saga_u":
+        state, step, args = saga_u_init(obj, x0, gamma), saga_u_step, (gamma,)
+    elif method == "finito":
+        state, step, args = finito_init(obj, x0), finito_step, (gamma,)
+    elif method == "midpoint":
+        state, step, args = finito_init(obj, x0), midpoint_step, (mu,)
+    elif method == "sdca":
+        state, step, args = sdca_init(obj, x0, mu), sdca_primal_step, (mu,)
+    elif method == "sdca_variant5":
+        state, step, args = sdca_init(obj, x0, mu), sdca_variant5_step, (mu, L)
+    else:  # saga, sag and saga_explicit_l2
+        step, args = saga_step, (gamma, method == "sag", explicit_l2)
+        if heuristic:  # an empty table, filled by warm_step in epoch 0
+            scalar = obj.split_l2 == 0
+            state = SagaState(x=np.array(x0), table=GradientTable(
+                obj, "scalar" if scalar else "dense", avg=np.zeros(obj.d),
+                coeffs=np.zeros(n) if scalar else None,
+                vecs=None if scalar else np.zeros((n, obj.d))))
+        else:
+            state = saga_init(obj, x0)
     evals = 0.0 if heuristic else float(n)  # the full pass at x0
-    if heuristic:  # an empty table, filled by warm_step in epoch 0
-        scalar = obj.split_l2 == 0
-        state = SagaState(x=np.array(x0), table=GradientTable(
-            obj, "scalar" if scalar else "dense", avg=np.zeros(obj.d),
-            coeffs=np.zeros(n) if scalar else None,
-            vecs=None if scalar else np.zeros((n, obj.d))))
-    elif method == "saga_u":
-        state = saga_u_init(obj, x0, gamma)
-    elif method in ("finito", "midpoint"):
-        state = finito_init(obj, x0)
-    elif method in ("sdca", "sdca_variant5"):
-        state = sdca_init(obj, x0, mu)
-    else:
-        state = saga_init(obj, x0)
-
     xsum = np.zeros_like(x0)
+    kernel_pass = (_kernel.table_pass(COMPILED_STEPS[method], obj, state, xsum,
+                                      gamma=gamma, mu=mu, L=L)
+                   if method in COMPILED_STEPS else None)
     steps = 0
     yield 0, evals, state.x, xsum
 
     for ep in range(epochs):
         if heuristic and ep == 0:
-            kernel, args, order = warm_step, (gamma,), np.arange(n)
+            fn, fn_args, order = warm_step, (gamma,), np.arange(n)
         else:
-            kernel, args = step, params
+            fn, fn_args = step, args
             order = (rng.permutation(n) if sampling == "perm"
                      else rng.integers(0, n, size=n))
         if kernel_pass is not None:  # never the warm start: saga and sag only
             state.x = state.x.copy()  # the kernel works in place; yielded x stay
-            taken, why = kernel_pass(order, state, xsum)
-            steps += taken
-            _kernel.check(why, steps, _DIVERGED)
+            steps += kernel_pass(order, state.x, state.table.avg,
+                                 state.phi_mean)
         else:
             for j in order.tolist():
-                kernel(state, obj, j, *args)
+                fn(state, obj, j, *fn_args)
                 steps += 1
                 _check_iterate(state.x, steps)
                 xsum += state.x
@@ -664,7 +658,7 @@ def _svrg_passes(obj, x0, gamma, m, epochs, rng):
     has_prox = obj.reg.kind != "none"
     yield 0, evals, x, xsum
     from . import _kernel  # built or loaded by the first compiled run only
-    kernel_pass = _kernel.svrg_pass(obj, gamma, DIVERGENCE_SQNORM)
+    kernel_pass = _kernel.svrg_pass(obj, gamma)
     for _ in range(epochs):
         snap = x.copy()
         g_full = obj.full_gradient(snap)
@@ -672,10 +666,9 @@ def _svrg_passes(obj, x0, gamma, m, epochs, rng):
         order = rng.integers(0, obj.n, size=m)
         if kernel_pass is not None:
             x = snap.copy()  # the kernel works in place; yielded x stay
-            steps, why = kernel_pass(order, snap, g_full, x, xsum)
+            steps = kernel_pass(order, snap, g_full, x, xsum)
             k += steps
             evals += 2.0 * steps
-            _kernel.check(why, k, _DIVERGED)
         else:  # the same steps in numpy
             for j in order.tolist():
                 g = obj.component_gradient(j, x) - obj.component_gradient(j, snap) + g_full

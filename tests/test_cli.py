@@ -286,3 +286,65 @@ def test_integral_floats_and_json_booleans_are_accepted(config_path, tmp_path):
     out = tmp_path / "rows.csv"
     assert main(["run", "--config", str(p), "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 1 + 2 * 4
+
+
+@pytest.mark.parametrize("where, key", [
+    ("synthetic", "densty"), ("method", "stepsize"), ("dataset", "normalise"),
+    ("dataset", "path"),
+])
+def test_misspelled_nested_key_exits_one(config_path, tmp_path, capsys, where,
+                                         key):
+    # no key below the top level falls back to a default unnoticed; a
+    # dataset with both a path and a synthetic entry names the other one
+    p = tmp_path / "bad.json"
+    cfg = json.loads(config_path.read_text())
+    if where == "synthetic":
+        cfg["dataset"]["synthetic"][key] = 0.1
+    elif where == "method":
+        cfg["methods"] = [{"name": "saga", key: 0.5}]
+    elif key == "path":
+        data = tmp_path / "data.svm"
+        data.write_text("1 1:0.5 2:1.0\n")
+        cfg["dataset"]["path"] = str(data)
+        key = "synthetic"
+    else:
+        cfg["dataset"][key] = True
+    p.write_text(json.dumps(cfg))
+    for command in ("run", "optimum"):
+        _assert_config_error([command, "--config", str(p)], capsys,
+                             mentions=f"'{key}'")
+
+
+@pytest.mark.parametrize("command", ["run", "optimum"])
+def test_config_that_is_a_directory_exits_one(tmp_path, capsys, command):
+    _assert_config_error([command, "--config", str(tmp_path)], capsys,
+                         mentions=str(tmp_path))
+
+
+@pytest.mark.parametrize("command", ["run", "optimum"])
+def test_config_that_is_not_utf8_exits_one(tmp_path, capsys, command):
+    p = tmp_path / "latin1.json"
+    p.write_bytes('{"loss": "squared", "methods": ["saga"]} \xe9'.encode("latin-1"))
+    _assert_config_error([command, "--config", str(p)], capsys,
+                         mentions=str(p))
+
+
+def test_out_that_is_a_directory_exits_one(config_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    _assert_config_error(["run", "--config", str(config_path), "--out",
+                          str(out)], capsys, mentions=str(out))
+
+
+@pytest.mark.parametrize("line", ["nan 1:0.5", "1 1:0.5 2:inf",
+                                  "-inf 1:1.0", "1 1:-nan"])
+def test_file_dataset_with_a_non_finite_number_exits_one(tmp_path, capsys,
+                                                         line):
+    data = tmp_path / "data.svm"
+    data.write_text(f"1 1:0.5 2:1.0\n{line}\n")
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"dataset": {"path": str(data)},
+                             "loss": "squared", "methods": ["saga"]}))
+    for command in ("run", "optimum"):
+        _assert_config_error([command, "--config", str(p)], capsys,
+                             mentions=f"{data}:2: non-finite")

@@ -28,7 +28,13 @@ from incgrad import (
 )
 from incgrad.datasets import generate_synthetic
 from incgrad.lazy import LaggedIterate, build_lag_scaling, sparse_saga_lstsq_epoch
-from incgrad.solvers import _svrg_passes, _table_passes
+from incgrad.solvers import (
+    COMPILED_STEPS,
+    _svrg_passes,
+    _table_passes,
+    finito_init,
+    saga_u_init,
+)
 from conftest import make_random_objective
 
 TABLE_METHODS = ("saga_u", "finito", "sdca_variant5")
@@ -319,6 +325,74 @@ def test_table_yielded_iterates_never_change_afterwards(method, kernel_paths):
 
 
 # ---------------------------------------------------------------------------
+# the bound table pass checks what it is given before any C call
+
+def _bound_state(method, split=0.1):
+    """(obj, state, xsum) of a ``method`` run on 9 points in 6 features,
+    before its first pass; skips without a kernel."""
+    if _kernel.load() is None:
+        pytest.skip("the compiled passes do not build here")
+    obj = _table_objective(method, "logistic", split, False, 9)
+    x0 = np.random.default_rng(1).standard_normal(obj.d)
+    state = (saga_u_init(obj, x0, 0.3) if method == "saga_u"
+             else finito_init(obj, x0))
+    return obj, state, np.zeros(obj.d)
+
+
+def _bind(method, obj, state, xsum):
+    return _kernel.table_pass(COMPILED_STEPS[method], obj, state, xsum,
+                              gamma=0.3, mu=0.1, L=1.0)
+
+
+def _finito_bytes(state, xsum):
+    return [a.tobytes() for a in (state.x, state.table.avg, state.table.vecs,
+                                  state.phi, state.phi_mean, xsum)]
+
+
+def test_bound_table_pass_rejects_bad_input_before_any_c_call():
+    obj, state, xsum = _bound_state("finito")
+    run_pass = _bind("finito", obj, state, xsum)
+    arrays = (state.x, state.table.avg, state.phi_mean)
+    before = _finito_bytes(state, xsum)
+    ok = np.arange(9)
+    bad_orders = [np.array([0, 9]), np.array([3, -1]), np.array([2**40]),
+                  ok.astype(np.int32), ok.astype(float)]
+    for order in bad_orders:  # indices outside [0, n), or not int64
+        with pytest.raises(ValueError, match="int64"):
+            run_pass(order, *arrays)
+    for i in range(3):  # a replaced x, mean or phi_mean of the wrong kind
+        for bad in (arrays[i].astype(np.float32), np.zeros(obj.d + 1),
+                    np.zeros(2 * obj.d)[::2], np.zeros((1, obj.d)),
+                    arrays[i].astype(np.int64)):
+            replaced = list(arrays)
+            replaced[i] = bad
+            with pytest.raises(ValueError, match="float64"):
+                run_pass(ok, *replaced)
+    assert _finito_bytes(state, xsum) == before
+    assert run_pass(ok, *arrays) == 9  # the same pass, given good input
+    assert _finito_bytes(state, xsum) != before
+
+
+@pytest.mark.parametrize("method, split, array", [
+    ("finito", 0.1, "vecs"), ("finito", 0.1, "phi"), ("finito", 0.1, "xsum"),
+    ("saga_u", 0.1, "u"), ("saga_u", 0.0, "coeffs")])
+def test_binding_rejects_a_non_contiguous_run_long_array(method, split, array):
+    obj, state, xsum = _bound_state(method, split)
+    if array == "xsum":
+        xsum = np.zeros(2 * obj.d)[::2]
+    elif array == "u":
+        state.u = np.zeros(2 * obj.d)[::2]
+    elif array == "coeffs":
+        state.table.coeffs = np.zeros(2 * obj.n)[::2]
+    elif array == "phi":
+        state.phi = np.asfortranarray(state.phi)
+    else:
+        state.table.vecs = np.asfortranarray(state.table.vecs)
+    with pytest.raises(ValueError, match="contiguous float64"):
+        _bind(method, obj, state, xsum)
+
+
+# ---------------------------------------------------------------------------
 # the lazy pass
 
 def _lazy_state(it, c, g_avg):
@@ -345,7 +419,7 @@ def test_lazy_pass_keeps_every_byte_of_its_state(threshold, kernel_paths,
         scaling = build_lag_scaling(1.0 - reg * gamma, 3 * ds.n)
         got = []
         for _ in range(3):  # no flush between passes: gaps up to 2n
-            sparse_saga_lstsq_epoch(ds.features, obj.labels, it, c, g_avg,
+            sparse_saga_lstsq_epoch(ds.features, it, c, g_avg,
                                     gamma, reg, rng, scaling)
             got.append(_lazy_state(it, c, g_avg))
         states.append((got, rng.bit_generator.state))
@@ -362,7 +436,7 @@ def test_lazy_pass_past_its_scaling_table_fails_alike(kernel_paths):
         g_avg = obj.point_sum(-obj.labels) / ds.n
         scaling = build_lag_scaling(1.0 - 0.1 * gamma, 3)
         with pytest.raises(lazy.ConfigError, match="lag gap exceeds"):
-            sparse_saga_lstsq_epoch(ds.features, obj.labels, it, c, g_avg,
+            sparse_saga_lstsq_epoch(ds.features, it, c, g_avg,
                                     gamma, 0.1, np.random.default_rng(0),
                                     scaling)
         outcomes.append(_lazy_state(it, c, g_avg))

@@ -235,7 +235,7 @@ def test_zero_column_touches_nothing():
     g_avg = (obj.points.T @ (-obj.labels)) / 1.0
     assert np.allclose(g_avg, 0.0)
     scaling = build_lag_scaling(1.0 - 0.1 * 0.5, 10)
-    sparse_saga_lstsq_epoch(mat, ds.labels, it, c, g_avg, 0.5, 0.1,
+    sparse_saga_lstsq_epoch(mat, it, c, g_avg, 0.5, 0.1,
                             np.random.default_rng(0), scaling)
     assert np.allclose(it.x, 0.0)
     assert np.allclose(g_avg, 0.0)
@@ -252,7 +252,7 @@ def test_touch_count_proportional_to_column_nnz():
     c = np.zeros(ds.n)
     g_avg = (obj.points.T @ (-ds.labels)) / ds.n
     scaling = build_lag_scaling(1.0 - 0.05 * gamma, ds.n + 1)
-    sparse_saga_lstsq_epoch(mat, ds.labels, it, c, g_avg, gamma, 0.05,
+    sparse_saga_lstsq_epoch(mat, it, c, g_avg, gamma, 0.05,
                             np.random.default_rng(0), scaling)
     # first epoch sweeps every column once; 4 coordinate passes per step
     assert it.touches == 4 * mat.nnz
