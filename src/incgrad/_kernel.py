@@ -17,9 +17,12 @@ Only this module knows the library's arguments and status codes.  Each
 engine has one factory here (:func:`svrg_pass`, :func:`table_pass`,
 :func:`lazy_pass`), returning a function that runs one pass in place
 and raises what the engine's numpy loop raises, or None without a
-kernel.  The C loops read and write what they are given unchecked, so
-the factories check what lives for the whole run and the functions
-check the rest on every pass, before any C call.
+kernel.  The table pass serves every method in
+``solvers.COMPILED_STEPS``; midpoint's also runs the margin solve of
+``objectives.scalar_loss_prox``, with that function's tolerance and
+iteration cap.  The C loops read and write what they are given
+unchecked, so the factories check what lives for the whole run and the
+functions check the rest on every pass, before any C call.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ from pathlib import Path
 import numpy as np
 
 from . import lazy, solvers
-from .errors import ConfigError, DivergenceError
-from .objectives import LogisticLoss, SquaredLoss
+from .errors import ConfigError, DivergenceError, ProxSolveError
+from .objectives import _PROX_MAX_ITER, _PROX_TOL, LogisticLoss, SquaredLoss
 
 SOURCE = Path(__file__).with_name("_passes.c")
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
@@ -46,7 +49,7 @@ BLAS_LIB = "libscipy_openblas64_"
 DDOT = "scipy_cblas_ddot64_"
 _LOSSES = {SquaredLoss: 0, LogisticLoss: 1}
 # how a pass ended other than OK (0); the C enum
-MARGIN, DIVERGED, GAP = 1, 2, 3
+MARGIN, DIVERGED, GAP, NO_ROOT = 1, 2, 3, 4
 
 
 def cache_dir() -> Path:
@@ -111,7 +114,7 @@ class Kernel:
         self.dot = _bind(lib.incgrad_dot, ctypes.c_double, "PIPP")
         self.svrg = _bind(lib.incgrad_svrg_pass, steps, "PIPPiFFiFFPIPPPPP")
         self.table = _bind(lib.incgrad_table_pass, steps,
-                           "PiIIPPiFFFF" + "P" * 9 + "FPIPPPP")
+                           "PiIIPPiFFFF" + "P" * 8 + "FIPPPFPIPPPP")
         self.lazy = _bind(lib.incgrad_lazy_pass, steps, "PIPIIPPPFFFPI" + "P" * 9)
 
     def agrees_with_numpy(self) -> bool:
@@ -189,9 +192,12 @@ def _csc(mat):
             *_ptrs(F64, (mat.nnz,), mat.data))
 
 
-def _raise(why, step, detail):
+def _raise(why, step, detail, residual=None):
     """Raise what the numpy loop raises where a pass ended ``why``, with
-    ``detail`` for a divergence at ``step``."""
+    ``detail`` for a divergence at ``step`` and the ``residual`` (a
+    ctypes double) of a margin solve that did not converge."""
+    if why == NO_ROOT:
+        raise ProxSolveError(residual=residual.value, iterations=_PROX_MAX_ITER)
     if why == MARGIN:
         raise ValueError("x must be finite")
     if why == DIVERGED:
@@ -211,12 +217,13 @@ def _problem(obj):
                     *_ptrs(F64, (obj.n,), obj.labels), logistic]
 
 
-def _pass_of(fn, bound, n, d, keep):
+def _pass_of(fn, bound, n, d, keep, residual=None):
     """The function running one pass of the C pass ``fn``, which takes
     ``bound``, the divergence limit, the status, then per pass int64
     indices in [0, n) and d-vectors.  It returns the steps taken and
     raises as the numpy loop does, at the step counted over all its
-    passes.  ``keep`` holds what the bound pointers point into."""
+    passes (see :func:`_raise` for ``residual``).  ``keep`` holds what
+    the bound pointers point into."""
     why = ctypes.c_int()
     call = functools.partial(fn, *bound, solvers.DIVERGENCE_SQNORM,
                              ctypes.byref(why))
@@ -227,7 +234,7 @@ def _pass_of(fn, bound, n, d, keep):
         steps = call(order.size, *_ptrs(I64, (order.size,), order, below=n),
                      *_ptrs(F64, (d,), *vectors))
         done += steps
-        _raise(why.value, done, solvers._DIVERGED)
+        _raise(why.value, done, solvers._DIVERGED, residual)
         return steps
 
     run_pass.keep = keep
@@ -252,11 +259,13 @@ def svrg_pass(obj, gamma):
 def table_pass(code, obj, state, xsum, *, gamma, mu, L):
     """A function running one pass of the table step with ``code`` (see
     ``solvers.COMPILED_STEPS``) on ``obj`` in place, or None without a
-    kernel, bound once to the ``SagaState`` the step's init built and the
-    run's sum of iterates ``xsum``.  ``gamma`` is None for sdca_variant5,
-    whose step C derives from ``mu`` and ``L``.  It takes the pass's
-    indices and what a pass-end replaces: x, the table's mean and
-    finito's phi_mean, else None (see :func:`_pass_of`)."""
+    kernel, bound once to the ``SagaState`` the step's init built (for
+    sag's warm start, the table it fills) and the run's sum of iterates
+    ``xsum``.  ``gamma`` is None for sdca_variant5 and midpoint, whose
+    steps C derives from ``mu`` and ``L``; midpoint's pass also binds
+    the data's squared norms.  It takes the pass's indices and what a
+    pass-end replaces: x, the table's mean and the phi_mean of finito
+    and midpoint, else None (see :func:`_pass_of`)."""
     problem = _problem(obj)
     if problem is None:
         return None
@@ -267,15 +276,19 @@ def table_pass(code, obj, state, xsum, *, gamma, mu, L):
     # a scalar table on sparse data steps on the support (C reads no CSC
     # pointer of a dense table)
     csc = _csc(obj.dataset.features) if obj.sparse else [None] * 3
-    scratch = np.empty(d)
+    midpoint = code == solvers.COMPILED_STEPS["midpoint"]
+    sqnorms = obj.dataset.sqnorms() if midpoint else None  # its prox's |a_j|^2
+    scratch, residual = np.empty(d), ctypes.c_double()
     return _pass_of(kernel.table, (
         kernel.ddot, code, n, d, *data, obj.split_l2,
         np.nan if gamma is None else gamma, mu, L,
         *_ptrs(F64, (n, d), t.vecs if dense else None),
         *_ptrs(F64, (n,), None if dense else t.coeffs), *csc,
         *_ptrs(F64, (d,), state.u), *_ptrs(F64, (n, d), state.phi),
-        *_ptrs(F64, (d,), scratch, xsum)),
-        n, d, (obj, t.vecs, t.coeffs, state.u, state.phi, scratch, xsum))
+        *_ptrs(F64, (n,), sqnorms), _PROX_TOL, _PROX_MAX_ITER,
+        ctypes.byref(residual), *_ptrs(F64, (d,), scratch, xsum)),
+        n, d, (obj, t.vecs, t.coeffs, state.u, state.phi, sqnorms, scratch,
+               xsum), residual)
 
 
 def lazy_pass(mat):

@@ -1,12 +1,14 @@
 /* Whole passes of incgrad's engines, each bit for bit the numpy loop it
  * replaces: the svrg inner pass (solvers._svrg_passes), a pass of the
- * saga_u, finito or sdca_variant5 step (solvers._table_passes) and a
- * pass of the lazy engine (lazy.sparse_saga_lstsq_epoch).
+ * saga_u, finito, sdca_variant5, sag or midpoint step
+ * (solvers._table_passes) and a pass of the lazy engine
+ * (lazy.sparse_saga_lstsq_epoch).
  *
  * Every dot product is the BLAS ddot that numpy calls, added to a zero
  * sum as numpy's DOUBLE_dot does; the logistic derivative takes the
- * branches of objectives._sigmoid_scalar with libm exp; elementwise
- * updates keep numpy's order of operations and its sign/maximum rules.
+ * branches of objectives._sigmoid_scalar with libm exp, and midpoint's
+ * margin solve those of objectives._solve_margin; elementwise updates
+ * keep numpy's order of operations and its sign/maximum rules.
  * Build with -ffp-contract=off: a fused multiply-add rounds once where
  * numpy rounds twice.
  */
@@ -54,8 +56,10 @@ static double sign(double v)
 
 /* How a pass ended: OK; MARGIN, a margin was not finite (the step was
  * not taken); DIVERGED, the last step failed its check; GAP, a lag gap
- * reached past the scaling table (nothing of that catch-up applied). */
-enum { OK = 0, MARGIN = 1, DIVERGED = 2, GAP = 3 };
+ * reached past the scaling table (nothing of that catch-up applied);
+ * NO_ROOT, a prox step's margin solve did not converge (the step was
+ * not taken). */
+enum { OK = 0, MARGIN = 1, DIVERGED = 2, GAP = 3, NO_ROOT = 4 };
 
 /* m steps x <- prox(x - gamma * (f_j'(x) - f_j'(snap) + g_full)), with
  * j = idx[s], xsum += x and the divergence check after each; the prox
@@ -103,48 +107,124 @@ int64_t incgrad_svrg_pass(
     return m;
 }
 
+/* objectives._solve_margin: the root t of shrink*t + gq*psi'(t) - az for
+ * the logistic psi', by Newton steps that bisect the bracket instead
+ * when they leave it or |g| does not halve against the best iterate.
+ * NO_ROOT, with the last |g| in *res, when max_iter steps and the check
+ * after them do not reach |g| <= tol. */
+static int solve_margin(double b, double shrink, double gq, double az,
+                        double tol, int64_t max_iter, double *t, double *res)
+{
+    if (gq == 0.0) {
+        *t = az / shrink;
+        return OK;
+    }
+    /* |psi'| <= 1 for logistic, so the root lies in this bracket */
+    double lo = (az - gq) / shrink, hi = (az + gq) / shrink, best = INFINITY;
+    *t = az / shrink;
+    for (int64_t it = 0; it < max_iter; it++) {
+        double s = sigmoid(-b * *t);
+        double g = shrink * *t + gq * (-b * s) - az, size = fabs(g);
+        if (size <= tol)
+            return OK;
+        if (g > 0)
+            hi = *t;
+        else
+            lo = *t;
+        double t_new = *t - g / (shrink + gq * s * (1.0 - s));
+        if (!(lo < t_new && t_new < hi && size < 0.5 * best))
+            t_new = 0.5 * (lo + hi);
+        if (size < best)
+            best = size;
+        *t = t_new;
+    }
+    *res = fabs(shrink * *t + gq * (-b * sigmoid(-b * *t)) - az);
+    return *res <= tol ? OK : NO_ROOT;
+}
+
 /* the table steps, by their codes in solvers.COMPILED_STEPS */
-enum { SAGA_U = 0, FINITO = 1, SDCA_VARIANT5 = 2 };
+enum { SAGA_U = 0, FINITO = 1, SDCA_VARIANT5 = 2, SAG = 3, MIDPOINT = 4 };
 
 /* m steps of one table method, with j = idx[s], each followed by the
  * divergence check and xsum += x.  The table is dense (vecs, n x d) or,
- * for saga_u without a split L2 term, scalar (coeffs, n), whose mean
- * avg moves over the nonzeros of the CSC column j when indptr is set.
- * saga_u and finito step with gamma; sdca_variant5 derives its step
- * and weight from mu and L, as its numpy step does.  u is saga_u's,
- * phi (n x d) and phi_mean finito's, g holds d doubles of scratch, and
- * the arguments from m on change from pass to pass.
- * Returns the number of steps taken; MARGIN when the step's margin was
- * not finite in a dense table (component_gradient's ValueError),
- * DIVERGED when the last step's x @ x was not below limit. */
+ * for saga_u and sag without a split L2 term, scalar (coeffs, n), whose
+ * mean avg moves over the nonzeros of the CSC column j when indptr is
+ * set.  saga_u, finito and sag step with gamma; sdca_variant5 and
+ * midpoint derive their steps from mu (and L), as their numpy steps do.
+ * u is saga_u's, phi (n x d) and phi_mean finito's and midpoint's;
+ * sqnorms (the |a_j|^2), tol and max_iter are midpoint's prox, which
+ * leaves the residual of a failed margin solve in *res; g holds d
+ * doubles of scratch, and the arguments from m on change from pass to
+ * pass.  Returns the number of steps taken; MARGIN when the step's
+ * margin was not finite in a dense table (component_gradient's
+ * ValueError), DIVERGED when the last step's x @ x was not below limit,
+ * NO_ROOT when a midpoint margin solve failed (ProxSolveError). */
 int64_t incgrad_table_pass(
     ddot_fn ddot, int method, int64_t n, int64_t d, const double *points,
     const double *labels, int logistic, double split, double gamma,
     double mu, double L, double *vecs, double *coeffs,
     const int64_t *indptr, const int64_t *indices, const double *values,
-    double *u, double *phi, double *g, double *xsum, double limit,
+    double *u, double *phi, const double *sqnorms, double tol,
+    int64_t max_iter, double *res, double *g, double *xsum, double limit,
     int *why, int64_t m, const int64_t *idx, double *x, double *avg,
     double *phi_mean)
 {
-    double dn = (double)n, beta = 0.0;
+    double dn = (double)n, dn1 = (double)(n - 1), beta = 0.0;
     if (method == SDCA_VARIANT5) {  /* its weights, as the step forms them */
         beta = mu * dn / (L + mu * dn);
         gamma = 1.0 / (mu * dn);
-    }
+    } else if (method == MIDPOINT)  /* the prox weight 1 / (mu (n - 1)) */
+        gamma = 1.0 / (mu * dn1);
     for (int64_t s = 0; s < m; s++) {
         int64_t j = idx[s];
         const double *a = points + j * d;
         double b = labels[j];
+        double *row = vecs ? vecs + j * d : NULL;
+        double *pj = phi ? phi + j * d : NULL;
         if (method == SAGA_U)  /* u <- u + (x - u) / n, at the old x */
             for (int64_t i = 0; i < d; i++)
                 u[i] = u[i] + (x[i] - u[i]) / dn;
         else if (method == FINITO)  /* x <- mean(phi) - gamma * sum */
             for (int64_t i = 0; i < d; i++)
                 x[i] = phi_mean[i] - gamma * (avg[i] * dn);
-        double t = incgrad_dot(ddot, d, a, x);
-        if (coeffs) {  /* scalar table: no margin check, as _new_gradient */
-            double c = loss_deriv(logistic, t, b);
-            double q = (c - coeffs[j]) / dn;
+        else if (method == MIDPOINT)  /* z, from the other points, in g */
+            for (int64_t i = 0; i < d; i++)
+                g[i] = (phi_mean[i] * dn - pj[i]) / dn1
+                       - (avg[i] * dn - row[i]) / (mu * dn1);
+        double t = incgrad_dot(ddot, d, a, method == MIDPOINT ? g : x);
+        if (method == MIDPOINT) {  /* phi_j <- x <- the prox of f_j at z */
+            double shrink = 1.0 + gamma * split, gq = gamma * sqnorms[j];
+            if (!logistic)
+                t = (t + gq * b) / (shrink + gq);
+            else if (solve_margin(b, shrink, gq, t, tol, max_iter, &t, res)
+                     != OK) {
+                *why = NO_ROOT;
+                return s;
+            }
+            double gc = gamma * loss_deriv(logistic, t, b);
+            for (int64_t i = 0; i < d; i++) {
+                double p = (g[i] - gc * a[i]) / shrink;
+                double stored = (g[i] - p) / gamma;
+                avg[i] = avg[i] + (stored - row[i]) / dn;
+                row[i] = stored;
+                phi_mean[i] = phi_mean[i] + (p - pj[i]) / dn;
+                pj[i] = x[i] = p;
+            }
+        } else if (coeffs) {  /* scalar: no margin check, as _new_gradient */
+            double c = loss_deriv(logistic, t, b), old = coeffs[j];
+            double q = (c - old) / dn;
+            if (method == SAG && indptr) {  /* as _step_direction's support */
+                for (int64_t i = 0; i < d; i++)
+                    g[i] = avg[i];
+                for (int64_t p = indptr[j]; p < indptr[j + 1]; p++)
+                    g[indices[p]] = (c * values[p] - old * values[p]) / dn
+                                    + g[indices[p]];
+                for (int64_t i = 0; i < d; i++)
+                    x[i] = x[i] - g[i] * gamma;
+            } else if (method == SAG)  /* x - gamma ((g - g_old) / n + avg) */
+                for (int64_t i = 0; i < d; i++)
+                    x[i] = x[i]
+                           - gamma * ((c * a[i] - old * a[i]) / dn + avg[i]);
             if (indptr)
                 for (int64_t p = indptr[j]; p < indptr[j + 1]; p++)
                     avg[indices[p]] = avg[indices[p]] + q * values[p];
@@ -158,7 +238,6 @@ int64_t incgrad_table_pass(
                 return s;
             }
             double c = loss_deriv(logistic, t, b);
-            double *row = vecs + j * d;
             for (int64_t i = 0; i < d; i++) {
                 double gi = c * a[i];  /* f_j'(x) */
                 if (split != 0)
@@ -166,7 +245,8 @@ int64_t incgrad_table_pass(
                 if (method == SDCA_VARIANT5) {  /* blend, then move x */
                     gi = (1.0 - beta) * row[i] + beta * gi;
                     x[i] = x[i] - gamma * (gi - row[i]);
-                }
+                } else if (method == SAG)
+                    x[i] = x[i] - gamma * ((gi - row[i]) / dn + avg[i]);
                 g[i] = gi;
             }
             for (int64_t i = 0; i < d; i++) {
@@ -177,13 +257,11 @@ int64_t incgrad_table_pass(
         if (method == SAGA_U)  /* x <- u - gamma * sum */
             for (int64_t i = 0; i < d; i++)
                 x[i] = u[i] - gamma * (avg[i] * dn);
-        else if (method == FINITO) {  /* phi_j <- x */
-            double *pj = phi + j * d;
+        else if (method == FINITO)  /* phi_j <- x */
             for (int64_t i = 0; i < d; i++) {
                 phi_mean[i] = phi_mean[i] + (x[i] - pj[i]) / dn;
                 pj[i] = x[i];
             }
-        }
         if (!(incgrad_dot(ddot, d, x, x) < limit)) {
             *why = DIVERGED;
             return s + 1;

@@ -9,6 +9,8 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 
 from . import analysis, harness
@@ -64,8 +66,13 @@ def _cmd_run(args) -> int:
             ) from None
     if args.out:
         cfg.out = args.out
-    rows = harness.run_experiment(cfg, sweep_steps=args.sweep_steps)
     out = cfg.out or "traces.csv"
+    parent = os.path.dirname(out) or "."
+    if os.path.isdir(out) or not os.path.isdir(parent):  # before any work
+        code = (errno.EISDIR if os.path.isdir(out) else
+                errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT)
+        raise OSError(code, os.strerror(code), out)  # as open() would
+    rows = harness.run_experiment(cfg, sweep_steps=args.sweep_steps)
     harness.emit_csv(rows, out)
     print(f"wrote {len(rows)} rows to {out}")
     return 0

@@ -23,9 +23,12 @@ def load_libsvm(path, n_features=None, normalize=False) -> Dataset:
     labels = []
     cols = []
     max_idx = -1
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+    with open(path, "rb") as fh:  # lines end as in text mode: \n, \r\n or \r
+        for lineno, raw in enumerate(fh.read().splitlines(), start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                raise ConfigError(f"{path}:{lineno}: not UTF-8 text") from None
             if not line or line.startswith("#"):
                 continue
             parts = line.split()

@@ -379,8 +379,12 @@ def estimate_constants(obj: FiniteSumObjective) -> ProblemConstants:
     return ProblemConstants(n=obj.n, d=obj.d, L=L, mu=mu)
 
 
+# where scalar_loss_prox's margin solve stops; the compiled midpoint pass too
+_PROX_TOL, _PROX_MAX_ITER = 1e-12, 100
+
+
 def scalar_loss_prox(obj: FiniteSumObjective, i: int, gamma: float, z,
-                     tol: float = 1e-12, max_iter: int = 100):
+                     tol: float = _PROX_TOL, max_iter: int = _PROX_MAX_ITER):
     """Proximal step on a single component f_i.
 
     Solves phi = argmin_x f_i(x) + |x - z|^2 / (2 gamma) by reducing to

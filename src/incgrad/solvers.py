@@ -359,7 +359,8 @@ def midpoint_step(state: SagaState, obj, j, mu):
 
 
 # table methods with a compiled pass, and their codes (see _kernel.table_pass)
-COMPILED_STEPS = {"saga_u": 0, "finito": 1, "sdca_variant5": 2}
+COMPILED_STEPS = {"saga_u": 0, "finito": 1, "sdca_variant5": 2, "sag": 3,
+                  "midpoint": 4}
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +624,7 @@ def _table_passes(method, obj, x0, gamma, mu, L, explicit_l2, epochs, rng,
             fn, fn_args = step, args
             order = (rng.permutation(n) if sampling == "perm"
                      else rng.integers(0, n, size=n))
-        if kernel_pass is not None:  # never the warm start: saga and sag only
+        if kernel_pass is not None and fn is step:  # warm_step stays numpy
             state.x = state.x.copy()  # the kernel works in place; yielded x stay
             steps += kernel_pass(order, state.x, state.table.avg,
                                  state.phi_mean)

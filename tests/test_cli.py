@@ -329,11 +329,68 @@ def test_config_that_is_not_utf8_exits_one(tmp_path, capsys, command):
                          mentions=str(p))
 
 
-def test_out_that_is_a_directory_exits_one(config_path, tmp_path, capsys):
+def _no_solver_runs(monkeypatch):
+    """A list that records every reference optimum and solver run."""
+    ran = []
+    monkeypatch.setattr(harness, "compute_reference_optimum",
+                        lambda *args, **kw: ran.append("optimum"))
+    monkeypatch.setattr(harness, "run", lambda *args, **kw: ran.append("run"))
+    return ran
+
+
+def test_out_that_is_a_directory_exits_one(config_path, tmp_path, capsys,
+                                           monkeypatch):
     out = tmp_path / "out"
     out.mkdir()
+    ran = _no_solver_runs(monkeypatch)
     _assert_config_error(["run", "--config", str(config_path), "--out",
-                          str(out)], capsys, mentions=str(out))
+                          str(out)], capsys,
+                         mentions=f"[Errno 21] Is a directory: '{out}'")
+    assert ran == []
+
+
+@pytest.mark.parametrize("parent", ["missing", "file"])
+def test_out_whose_parent_is_not_a_directory_exits_one(
+        config_path, tmp_path, capsys, monkeypatch, parent):
+    if parent == "file":
+        (tmp_path / parent).write_text("")
+    out = tmp_path / parent / "out.csv"
+    ran = _no_solver_runs(monkeypatch)
+    with pytest.raises(OSError) as opened:  # what writing it would say
+        open(out, "w")
+    _assert_config_error(["run", "--config", str(config_path), "--out",
+                          str(out)], capsys, mentions=str(opened.value))
+    assert ran == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["cfg.json", *(["file"] if parent == "file" else [])])
+
+
+def test_out_that_exists_is_left_alone_until_the_rows_are_written(
+        config_path, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "old.csv"
+    out.write_text("old")
+    monkeypatch.setattr(harness, "run_experiment", lambda *args, **kw: [])
+    # no rows: emit_csv refuses before it opens the file
+    _assert_config_error(["run", "--config", str(config_path), "--out",
+                          str(out)], capsys, mentions="no rows")
+    assert out.read_text() == "old"
+
+
+@pytest.mark.parametrize("bad_line", [1, 3, 4])
+def test_data_file_that_is_not_utf8_names_its_line(tmp_path, capsys,
+                                                   bad_line):
+    data = tmp_path / "data.svm"
+    # lines end in each way text mode reads: \n, \r\n and \r
+    lines = [[b"1 1:0.5", b"\n"], [b"-1 2:1.0", b"\r\n"],
+             [b"# a comment", b"\r"], [b"1 1:2.0 2:0.5", b"\n"]]
+    lines[bad_line - 1][0] += b" \xff"  # never a UTF-8 byte
+    data.write_bytes(b"".join(b"".join(line) for line in lines))
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"dataset": {"path": str(data)},
+                             "loss": "squared", "methods": ["saga"]}))
+    for command in ("run", "optimum"):
+        _assert_config_error([command, "--config", str(p)], capsys,
+                             mentions=f"{data}:{bad_line}: not UTF-8 text")
 
 
 @pytest.mark.parametrize("line", ["nan 1:0.5", "1 1:0.5 2:inf",

@@ -19,12 +19,14 @@ from incgrad import (
     FiniteSumObjective,
     GradientTable,
     ProblemConstants,
+    ProxSolveError,
     Regularizer,
     StepSizePolicy,
     _kernel,
     lazy,
     make_loss,
     run,
+    solvers,
 )
 from incgrad.datasets import generate_synthetic
 from incgrad.lazy import LaggedIterate, build_lag_scaling, sparse_saga_lstsq_epoch
@@ -33,11 +35,12 @@ from incgrad.solvers import (
     _svrg_passes,
     _table_passes,
     finito_init,
+    saga_init,
     saga_u_init,
 )
 from conftest import make_random_objective
 
-TABLE_METHODS = ("saga_u", "finito", "sdca_variant5")
+TABLE_METHODS = ("saga_u", "finito", "sdca_variant5", "sag", "midpoint")
 
 
 @pytest.fixture
@@ -181,12 +184,13 @@ def test_only_an_svrg_run_imports_the_kernel():
 
 
 # ---------------------------------------------------------------------------
-# the table pass: saga_u, finito and sdca_variant5
+# the table pass: saga_u, finito, sdca_variant5, sag and midpoint
 
 def _table_objective(method, kind, split, sparse, n, seed=3):
     """Logistic or squared-loss data in the form ``method`` takes: split
-    L2 for saga_u and finito, separate for sdca_variant5.  ``sparse``
-    data falls below ``SUPPORT_DENSITY`` with d >= ``SUPPORT_MIN_D``."""
+    L2 for saga_u, finito, sag and midpoint, separate for sdca_variant5.
+    ``sparse`` data falls below ``SUPPORT_DENSITY`` with d >=
+    ``SUPPORT_MIN_D``."""
     ds = generate_synthetic("ridge" if kind == "squared" else "logistic",
                             n=n, d=1200 if sparse else 6,
                             density=0.004 if sparse else 1.0, seed=seed,
@@ -201,7 +205,9 @@ def _table_cases():
     cases = []
     for method in TABLE_METHODS:
         splits = {"saga_u": (0.0, 0.1), "finito": (0.1,),
-                  "sdca_variant5": (0.0,)}[method]
+                  "sdca_variant5": (0.0,), "sag": (0.0, 0.1),
+                  "midpoint": (0.1,)}[method]
+        small = 2 if method == "midpoint" else 1  # midpoint needs n >= 2
         for kind in ("squared", "logistic"):
             for split in splits:
                 for sparse in (False, True):
@@ -211,10 +217,31 @@ def _table_cases():
                             id=f"{method}-{kind}-split{split}-"
                                f"{'sparse' if sparse else 'dense'}-{sampling}"))
         cases.append(pytest.param(method, "logistic", splits[-1], False, "iid",
-                                  1, 1, id=f"{method}-n1"))
+                                  small, 1, id=f"{method}-n{small}"))
         cases.append(pytest.param(method, "squared", splits[0], False, "perm",
                                   20, 3, id=f"{method}-trace3"))
     return cases
+
+
+def _recorded_states(monkeypatch):
+    """A list collecting every ``SagaState`` the table engine makes."""
+    states = []
+
+    class Recorded(solvers.SagaState):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            states.append(self)
+
+    monkeypatch.setattr(solvers, "SagaState", Recorded)
+    return states
+
+
+def _state_bytes(state):
+    """Bytes of the iterate, the table's mean and entries, u, phi and
+    phi_mean (None where the method keeps none)."""
+    t = state.table
+    return [None if a is None else a.tobytes() for a in (
+        state.x, t.avg, t.vecs, t.coeffs, state.u, state.phi, state.phi_mean)]
 
 
 @pytest.mark.parametrize("method, kind, split, sparse, sampling, n, every",
@@ -223,10 +250,11 @@ def test_table_pass_keeps_every_byte(method, kind, split, sparse, sampling, n,
                                      every, kernel_paths, monkeypatch):
     obj = _table_objective(method, kind, split, sparse, n)
     assert obj.sparse == sparse
-    if method == "saga_u":  # a scalar table steps on the support
+    if method in ("saga_u", "sag"):  # a scalar table steps on the support
         assert GradientTable.at_point(obj, np.zeros(obj.d)).support == (
             sparse and split == 0.0)
     x0 = np.random.default_rng(1).standard_normal(obj.d) / 4
+    states = _recorded_states(monkeypatch)
     updates = []
     update = GradientTable.update
 
@@ -238,16 +266,47 @@ def test_table_pass_keeps_every_byte(method, kind, split, sparse, sampling, n,
     outs = {}
     for path in kernel_paths():
         updates.clear()
+        states.clear()
         rng = np.random.default_rng(5)
         res = run(method, obj, x0, epochs=5, rng=rng, sampling=sampling,
                   trace_every=every)
         outs[path] = ([(r.k, r.grad_evals, r.x.tobytes(), r.xbar.tobytes())
                        for r in res.records], res.x.tobytes(),
-                      res.xbar.tobytes(), rng.bit_generator.state)
+                      res.xbar.tobytes(), rng.bit_generator.state,
+                      _state_bytes(states[0]))
         # the compiled pass never calls the numpy step
         assert (len(updates) == 0) == (path == "kernel")
     assert [r[0] for r in outs["numpy"][0]] == [0] + [
         ep * n for ep in range(1, 6) if ep % every == 0 or ep == 5]
+    assert outs["kernel" if "kernel" in outs else "numpy"] == outs["numpy"]
+
+
+@pytest.mark.parametrize("kind, split, sparse", [
+    ("squared", 0.0, False), ("logistic", 0.0, True), ("logistic", 0.1, False),
+    ("squared", 0.1, True)])
+def test_sag_warm_start_keeps_every_byte(kind, split, sparse, kernel_paths,
+                                         monkeypatch):
+    # epoch 0 is numpy's warm_step on both paths, the kernel runs from 1
+    obj = _table_objective("sag", kind, split, sparse, 20)
+    x0 = np.random.default_rng(1).standard_normal(obj.d) / 4
+    states = _recorded_states(monkeypatch)
+    updates = []
+    update = GradientTable.update
+    monkeypatch.setattr(GradientTable, "update", lambda table, i, new: (
+        updates.append(i), update(table, i, new)))
+    outs = {}
+    for path in kernel_paths():
+        states.clear()
+        updates.clear()
+        rng = np.random.default_rng(5)
+        res = run("sag", obj, x0, epochs=4, rng=rng, init="one_by_one",
+                  sampling="perm")
+        outs[path] = ([(r.k, r.grad_evals, r.x.tobytes(), r.xbar.tobytes())
+                       for r in res.records], _state_bytes(states[0]),
+                      rng.bit_generator.state)
+        assert len(updates) == (0 if path == "kernel" else 3 * 20)
+    assert [r[:2] for r in outs["numpy"][0]] == [
+        (0, 0.0), (20, 20.0), (40, 40.0), (60, 60.0), (80, 80.0)]
     assert outs["kernel" if "kernel" in outs else "numpy"] == outs["numpy"]
 
 
@@ -265,7 +324,8 @@ def _outcomes(kernel_paths, method, obj, x0, **kw):
 
 @pytest.mark.parametrize("method, kind, split, gamma", [
     ("saga_u", "squared", 0.0, 30.0), ("saga_u", "logistic", 0.1, 60.0),
-    ("finito", "logistic", 0.1, 60.0)])
+    ("finito", "logistic", 0.1, 60.0), ("sag", "squared", 0.0, 100.0),
+    ("sag", "logistic", 0.1, 1e3)])
 def test_table_divergence_stops_both_paths_at_the_same_step(
         method, kind, split, gamma, kernel_paths):
     obj = make_random_objective(np.random.default_rng(2), kind=kind, n=10,
@@ -284,7 +344,56 @@ def test_sdca_variant5_divergence_stops_both_paths_at_the_same_step(
     assert got[0] is DivergenceError and got[2] == 1
 
 
-@pytest.mark.parametrize("method", ["saga_u", "finito"])
+def test_midpoint_safeguarded_margin_solve_keeps_every_byte(kernel_paths):
+    # points of norm about 28 with mu = 0.01 give gq = gamma |a_j|^2 in
+    # the thousands, where Newton steps that do not halve |g| are replaced
+    # by bisection: a solve without that safeguard changes these bytes
+    rng = np.random.default_rng(0)
+    pts = rng.standard_normal((6, 2)) * 20
+    labels = np.where(rng.random(6) < 0.5, 1.0, -1.0)
+    obj = FiniteSumObjective(Dataset.from_dense(pts, labels),
+                             make_loss("logistic"), split_l2=0.01)
+    rows = []
+    for _ in kernel_paths():
+        res = run("midpoint", obj, np.zeros(2), epochs=5, seed=0)
+        rows.append([r.x.tobytes() for r in res.records]
+                    + [res.xbar.tobytes()])
+    assert rows == [rows[0]] * len(rows)
+
+
+def test_midpoint_failed_margin_solve_raises_alike_at_the_same_step(
+        kernel_paths, monkeypatch):
+    # with mu = 1e-7 the leave-one-out point z is of length about 1/mu,
+    # and near the -1 point's margin root the doubles lie too far apart
+    # for |g| to reach 1e-12: the solve fails in the third pass
+    pts = np.abs(np.random.default_rng(26).standard_normal((6, 2)))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    obj = FiniteSumObjective(Dataset.from_dense(pts, [1.0] * 5 + [-1.0]),
+                             make_loss("logistic"), split_l2=1e-7)
+    states = _recorded_states(monkeypatch)
+    outs = []
+    for _ in kernel_paths():
+        states.clear()
+        rng = np.random.default_rng(4)
+        passes = _table_passes("midpoint", obj, np.zeros(2), None, 1e-7, 1.0,
+                               0.0, 3, rng, "full", "iid")
+        ks = []
+        with pytest.raises(ProxSolveError) as failed:
+            for k, _, _, xsum in passes:
+                ks.append(k)
+        err = failed.value
+        with pytest.raises(ProxSolveError) as through_run:
+            run("midpoint", obj, np.zeros(2), epochs=3, seed=4)
+        outs.append((ks, str(err), err.residual, err.iterations,
+                     xsum.tobytes(), _state_bytes(states[0]),
+                     rng.bit_generator.state, str(through_run.value)))
+    assert outs[0][0] == [0, 6, 12] and outs[0][3] == 100
+    assert outs[0][-1] == outs[0][1]
+    assert outs[0][2] > 1e-12
+    assert outs == [outs[0]] * len(outs)
+
+
+@pytest.mark.parametrize("method", ["saga_u", "finito", "sag"])
 def test_table_non_finite_margin_raises_the_same_value_error(method,
                                                              kernel_paths):
     # the dense table's margins overflow once x leaves the origin
@@ -334,8 +443,12 @@ def _bound_state(method, split=0.1):
         pytest.skip("the compiled passes do not build here")
     obj = _table_objective(method, "logistic", split, False, 9)
     x0 = np.random.default_rng(1).standard_normal(obj.d)
-    state = (saga_u_init(obj, x0, 0.3) if method == "saga_u"
-             else finito_init(obj, x0))
+    if method == "saga_u":
+        state = saga_u_init(obj, x0, 0.3)
+    elif method == "sag":
+        state = saga_init(obj, x0)
+    else:  # finito and midpoint
+        state = finito_init(obj, x0)
     return obj, state, np.zeros(obj.d)
 
 
@@ -375,7 +488,9 @@ def test_bound_table_pass_rejects_bad_input_before_any_c_call():
 
 @pytest.mark.parametrize("method, split, array", [
     ("finito", 0.1, "vecs"), ("finito", 0.1, "phi"), ("finito", 0.1, "xsum"),
-    ("saga_u", 0.1, "u"), ("saga_u", 0.0, "coeffs")])
+    ("saga_u", 0.1, "u"), ("saga_u", 0.0, "coeffs"), ("sag", 0.1, "vecs"),
+    ("sag", 0.0, "coeffs"), ("sag", 0.1, "xsum"), ("midpoint", 0.1, "phi"),
+    ("midpoint", 0.1, "vecs"), ("midpoint", 0.1, "sqnorms")])
 def test_binding_rejects_a_non_contiguous_run_long_array(method, split, array):
     obj, state, xsum = _bound_state(method, split)
     if array == "xsum":
@@ -386,10 +501,34 @@ def test_binding_rejects_a_non_contiguous_run_long_array(method, split, array):
         state.table.coeffs = np.zeros(2 * obj.n)[::2]
     elif array == "phi":
         state.phi = np.asfortranarray(state.phi)
+    elif array == "sqnorms":  # midpoint's prox reads the dataset's cache
+        obj.dataset._sqnorms = np.repeat(obj.dataset.sqnorms(), 2)[::2]
     else:
         state.table.vecs = np.asfortranarray(state.table.vecs)
     with pytest.raises(ValueError, match="contiguous float64"):
         _bind(method, obj, state, xsum)
+
+
+@pytest.mark.parametrize("method", ["sag", "midpoint"])
+def test_bound_sag_and_midpoint_passes_reject_bad_input(method):
+    obj, state, xsum = _bound_state(method)
+    run_pass = _bind(method, obj, state, xsum)
+    arrays = (state.x, state.table.avg, state.phi_mean)  # no phi_mean in sag
+    before = _state_bytes(state) + [xsum.tobytes()]
+    ok = np.arange(9)
+    for order in (np.array([0, 9]), np.array([-1]), ok.astype(np.int32)):
+        with pytest.raises(ValueError, match="int64"):
+            run_pass(order, *arrays)
+    for i in range(3 if method == "midpoint" else 2):
+        for bad in (np.zeros(obj.d + 1), np.zeros(2 * obj.d)[::2],
+                    arrays[i].astype(np.float32)):
+            replaced = list(arrays)
+            replaced[i] = bad
+            with pytest.raises(ValueError, match="float64"):
+                run_pass(ok, *replaced)
+    assert _state_bytes(state) + [xsum.tobytes()] == before
+    assert run_pass(ok, *arrays) == 9
+    assert _state_bytes(state) + [xsum.tobytes()] != before
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +626,7 @@ _RUNS = (
 
 def test_only_compiled_methods_import_the_kernel():
     # one process runs every plain method; one process per compiled one
-    plain = ("saga", "sag", "saga_explicit_l2", "sdca", "midpoint")
+    plain = ("saga", "saga_explicit_l2", "sdca")
     assert _modules_after(_RUNS.replace("NAMES", repr(plain))) == [
         False] * len(plain)
     for name in ("svrg", *TABLE_METHODS, "saga_lazy"):
