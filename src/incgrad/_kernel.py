@@ -18,11 +18,12 @@ engine has one factory here (:func:`svrg_pass`, :func:`table_pass`,
 :func:`lazy_pass`), returning a function that runs one pass in place
 and raises what the engine's numpy loop raises, or None without a
 kernel.  The table pass serves every method in
-``solvers.COMPILED_STEPS``; midpoint's also runs the margin solve of
-``objectives.scalar_loss_prox``, with that function's tolerance and
-iteration cap.  The C loops read and write what they are given
-unchecked, so the factories check what lives for the whole run and the
-functions check the rest on every pass, before any C call.
+``solvers.COMPILED_STEPS`` (saga_explicit_l2 on dense data only);
+midpoint's also runs the margin solve of ``objectives.scalar_loss_prox``,
+with that function's tolerance and iteration cap.  The C loops read and
+write what they are given unchecked, so the factories check what lives
+for the whole run and the functions check the rest on every pass,
+before any C call.
 """
 
 from __future__ import annotations
@@ -263,15 +264,19 @@ def table_pass(code, obj, state, xsum, *, gamma, mu, L):
     sag's warm start, the table it fills) and the run's sum of iterates
     ``xsum``.  ``gamma`` is None for sdca_variant5 and midpoint, whose
     steps C derives from ``mu`` and ``L``; midpoint's pass also binds
-    the data's squared norms.  It takes the pass's indices and what a
+    the data's squared norms.  ``mu`` is saga_explicit_l2's explicit L2
+    term, and that method has no pass on sparse data, whose support step
+    stays numpy's (None).  It takes the pass's indices and what a
     pass-end replaces: x, the table's mean and the phi_mean of finito
     and midpoint, else None (see :func:`_pass_of`)."""
+    t = state.table
+    if t.support and code == solvers.COMPILED_STEPS["saga_explicit_l2"]:
+        return None
     problem = _problem(obj)
     if problem is None:
         return None
     kernel, data = problem
     n, d = obj.n, obj.d
-    t = state.table
     dense = t.mode == "dense"
     # a scalar table on sparse data steps on the support (C reads no CSC
     # pointer of a dense table)

@@ -1,6 +1,6 @@
 /* Whole passes of incgrad's engines, each bit for bit the numpy loop it
  * replaces: the svrg inner pass (solvers._svrg_passes), a pass of the
- * saga_u, finito, sdca_variant5, sag or midpoint step
+ * saga_u, finito, sdca_variant5, sag, midpoint or saga_explicit_l2 step
  * (solvers._table_passes) and a pass of the lazy engine
  * (lazy.sparse_saga_lstsq_epoch).
  *
@@ -143,14 +143,21 @@ static int solve_margin(double b, double shrink, double gq, double az,
 }
 
 /* the table steps, by their codes in solvers.COMPILED_STEPS */
-enum { SAGA_U = 0, FINITO = 1, SDCA_VARIANT5 = 2, SAG = 3, MIDPOINT = 4 };
+enum {
+    SAGA_U = 0, FINITO = 1, SDCA_VARIANT5 = 2, SAG = 3, MIDPOINT = 4,
+    SAGA_EXPLICIT_L2 = 5
+};
 
 /* m steps of one table method, with j = idx[s], each followed by the
  * divergence check and xsum += x.  The table is dense (vecs, n x d) or,
  * for saga_u and sag without a split L2 term, scalar (coeffs, n), whose
  * mean avg moves over the nonzeros of the CSC column j when indptr is
- * set.  saga_u, finito and sag step with gamma; sdca_variant5 and
- * midpoint derive their steps from mu (and L), as their numpy steps do.
+ * set; saga_explicit_l2's is scalar, on dense data only.  saga_u,
+ * finito, sag and saga_explicit_l2 step with gamma, the last scaling x
+ * by 1 - gamma * mu, mu its explicit L2 term (numpy skips the scaling
+ * at mu = 0, where it is 1.0 * x, the same bits);
+ * sdca_variant5 and midpoint derive their steps from mu (and L), as
+ * their numpy steps do.
  * u is saga_u's, phi (n x d) and phi_mean finito's and midpoint's;
  * sqnorms (the |a_j|^2), tol and max_iter are midpoint's prox, which
  * leaves the residual of a failed margin solve in *res; g holds d
@@ -170,6 +177,7 @@ int64_t incgrad_table_pass(
     double *phi_mean)
 {
     double dn = (double)n, dn1 = (double)(n - 1), beta = 0.0;
+    double scale = 1.0 - gamma * mu;  /* saga_explicit_l2's, as numpy's */
     if (method == SDCA_VARIANT5) {  /* its weights, as the step forms them */
         beta = mu * dn / (L + mu * dn);
         gamma = 1.0 / (mu * dn);
@@ -225,6 +233,10 @@ int64_t incgrad_table_pass(
                 for (int64_t i = 0; i < d; i++)
                     x[i] = x[i]
                            - gamma * ((c * a[i] - old * a[i]) / dn + avg[i]);
+            else if (method == SAGA_EXPLICIT_L2)  /* scale = 1 - gamma mu */
+                for (int64_t i = 0; i < d; i++)
+                    x[i] = scale * x[i]
+                           - gamma * ((c * a[i] - old * a[i]) + avg[i]);
             if (indptr)
                 for (int64_t p = indptr[j]; p < indptr[j + 1]; p++)
                     avg[indices[p]] = avg[indices[p]] + q * values[p];

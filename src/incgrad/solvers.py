@@ -360,7 +360,7 @@ def midpoint_step(state: SagaState, obj, j, mu):
 
 # table methods with a compiled pass, and their codes (see _kernel.table_pass)
 COMPILED_STEPS = {"saga_u": 0, "finito": 1, "sdca_variant5": 2, "sag": 3,
-                  "midpoint": 4}
+                  "midpoint": 4, "saga_explicit_l2": 5}
 
 
 # ---------------------------------------------------------------------------
@@ -611,9 +611,11 @@ def _table_passes(method, obj, x0, gamma, mu, L, explicit_l2, epochs, rng,
             state = saga_init(obj, x0)
     evals = 0.0 if heuristic else float(n)  # the full pass at x0
     xsum = np.zeros_like(x0)
-    kernel_pass = (_kernel.table_pass(COMPILED_STEPS[method], obj, state, xsum,
-                                      gamma=gamma, mu=mu, L=L)
-                   if method in COMPILED_STEPS else None)
+    kernel_pass = None
+    if method in COMPILED_STEPS:  # the explicit form scales by explicit_l2
+        kernel_pass = _kernel.table_pass(
+            COMPILED_STEPS[method], obj, state, xsum, gamma=gamma, L=L,
+            mu=explicit_l2 if method == "saga_explicit_l2" else mu)
     steps = 0
     yield 0, evals, state.x, xsum
 

@@ -40,7 +40,8 @@ from incgrad.solvers import (
 )
 from conftest import make_random_objective
 
-TABLE_METHODS = ("saga_u", "finito", "sdca_variant5", "sag", "midpoint")
+TABLE_METHODS = ("saga_u", "finito", "sdca_variant5", "sag", "midpoint",
+                 "saga_explicit_l2")
 
 
 @pytest.fixture
@@ -184,11 +185,13 @@ def test_only_an_svrg_run_imports_the_kernel():
 
 
 # ---------------------------------------------------------------------------
-# the table pass: saga_u, finito, sdca_variant5, sag and midpoint
+# the table pass: saga_u, finito, sdca_variant5, sag, midpoint and
+# saga_explicit_l2
 
 def _table_objective(method, kind, split, sparse, n, seed=3):
     """Logistic or squared-loss data in the form ``method`` takes: split
-    L2 for saga_u, finito, sag and midpoint, separate for sdca_variant5.
+    L2 for saga_u, finito, sag and midpoint, separate for sdca_variant5,
+    none for saga_explicit_l2 (its L2 term is the run's ``explicit_l2``).
     ``sparse`` data falls below ``SUPPORT_DENSITY`` with d >=
     ``SUPPORT_MIN_D``."""
     ds = generate_synthetic("ridge" if kind == "squared" else "logistic",
@@ -198,12 +201,25 @@ def _table_objective(method, kind, split, sparse, n, seed=3):
     loss = make_loss(kind)
     if method == "sdca_variant5":
         return FiniteSumObjective(ds, loss, reg=Regularizer(l2=0.1))
+    if method == "saga_explicit_l2":
+        return FiniteSumObjective(ds, loss)
     return FiniteSumObjective(ds, loss, split_l2=split)
 
 
 def _table_cases():
+    """(method, kind, split, sparse, sampling, n, trace_every) of the byte
+    test; ``split`` is saga_explicit_l2's ``explicit_l2``, whose cases
+    are on dense data only (its support step stays numpy's)."""
     cases = []
-    for method in TABLE_METHODS:
+    for kind in ("squared", "logistic"):
+        for l2 in (0.0, 0.1):
+            for sampling in ("iid", "perm"):
+                for every in (1, 2):
+                    cases.append(pytest.param(
+                        "saga_explicit_l2", kind, l2, False, sampling, 20,
+                        every, id=f"saga_explicit_l2-{kind}-explicit{l2}-dense-"
+                                  f"{sampling}-trace{every}"))
+    for method in TABLE_METHODS[:-1]:  # all but saga_explicit_l2
         splits = {"saga_u": (0.0, 0.1), "finito": (0.1,),
                   "sdca_variant5": (0.0,), "sag": (0.0, 0.1),
                   "midpoint": (0.1,)}[method]
@@ -236,6 +252,19 @@ def _recorded_states(monkeypatch):
     return states
 
 
+def _counted_updates(monkeypatch):
+    """A list collecting the entry of every ``GradientTable.update``."""
+    updates = []
+    update = GradientTable.update
+
+    def counted(table, i, new):
+        updates.append(i)
+        update(table, i, new)
+
+    monkeypatch.setattr(GradientTable, "update", counted)
+    return updates
+
+
 def _state_bytes(state):
     """Bytes of the iterate, the table's mean and entries, u, phi and
     phi_mean (None where the method keeps none)."""
@@ -254,22 +283,16 @@ def test_table_pass_keeps_every_byte(method, kind, split, sparse, sampling, n,
         assert GradientTable.at_point(obj, np.zeros(obj.d)).support == (
             sparse and split == 0.0)
     x0 = np.random.default_rng(1).standard_normal(obj.d) / 4
+    explicit_l2 = split if method == "saga_explicit_l2" else 0.0
     states = _recorded_states(monkeypatch)
-    updates = []
-    update = GradientTable.update
-
-    def counted(table, i, new):
-        updates.append(i)
-        update(table, i, new)
-
-    monkeypatch.setattr(GradientTable, "update", counted)
+    updates = _counted_updates(monkeypatch)
     outs = {}
     for path in kernel_paths():
         updates.clear()
         states.clear()
         rng = np.random.default_rng(5)
         res = run(method, obj, x0, epochs=5, rng=rng, sampling=sampling,
-                  trace_every=every)
+                  trace_every=every, explicit_l2=explicit_l2)
         outs[path] = ([(r.k, r.grad_evals, r.x.tobytes(), r.xbar.tobytes())
                        for r in res.records], res.x.tobytes(),
                       res.xbar.tobytes(), rng.bit_generator.state,
@@ -290,10 +313,7 @@ def test_sag_warm_start_keeps_every_byte(kind, split, sparse, kernel_paths,
     obj = _table_objective("sag", kind, split, sparse, 20)
     x0 = np.random.default_rng(1).standard_normal(obj.d) / 4
     states = _recorded_states(monkeypatch)
-    updates = []
-    update = GradientTable.update
-    monkeypatch.setattr(GradientTable, "update", lambda table, i, new: (
-        updates.append(i), update(table, i, new)))
+    updates = _counted_updates(monkeypatch)
     outs = {}
     for path in kernel_paths():
         states.clear()
@@ -325,12 +345,17 @@ def _outcomes(kernel_paths, method, obj, x0, **kw):
 @pytest.mark.parametrize("method, kind, split, gamma", [
     ("saga_u", "squared", 0.0, 30.0), ("saga_u", "logistic", 0.1, 60.0),
     ("finito", "logistic", 0.1, 60.0), ("sag", "squared", 0.0, 100.0),
-    ("sag", "logistic", 0.1, 1e3)])
+    ("sag", "logistic", 0.1, 1e3), ("saga_explicit_l2", "squared", 0.0, 30.0),
+    ("saga_explicit_l2", "logistic", 0.0, 1e12)])
 def test_table_divergence_stops_both_paths_at_the_same_step(
         method, kind, split, gamma, kernel_paths):
     obj = make_random_objective(np.random.default_rng(2), kind=kind, n=10,
                                 d=5, split=split)
+    # saga_explicit_l2 at gamma * explicit_l2 = 0.5: each step halves x
+    # before it moves
+    explicit_l2 = 0.5 / gamma if method == "saga_explicit_l2" else 0.0
     got = _outcomes(kernel_paths, method, obj, np.ones(5),
+                    explicit_l2=explicit_l2,
                     policy=StepSizePolicy("manual", gamma=gamma))
     assert got[0] is DivergenceError and got[2] > 1
 
@@ -342,6 +367,40 @@ def test_sdca_variant5_divergence_stops_both_paths_at_the_same_step(
     obj = FiniteSumObjective(obj.dataset, obj.loss, reg=Regularizer(l2=1e-11))
     got = _outcomes(kernel_paths, "sdca_variant5", obj, np.full(5, 1e4))
     assert got[0] is DivergenceError and got[2] == 1
+
+
+@pytest.mark.parametrize("explicit_l2", [0.0, 0.05])
+def test_saga_explicit_l2_scales_by_explicit_l2_not_consts_mu(
+        explicit_l2, kernel_paths, monkeypatch):
+    # given consts, the step and the scaling come from different L2
+    # terms: the step from consts.mu = 0.5, the scaling from explicit_l2
+    obj = _table_objective("saga_explicit_l2", "logistic", 0.0, False, 20)
+    consts = ProblemConstants(n=obj.n, d=obj.d, L=1.0, mu=0.5)
+    states = _recorded_states(monkeypatch)
+    outs = []
+    for _ in kernel_paths():
+        states.clear()
+        res = run("saga_explicit_l2", obj, np.ones(obj.d), epochs=3, seed=2,
+                  consts=consts, explicit_l2=explicit_l2)
+        outs.append(([r.x.tobytes() for r in res.records], res.xbar.tobytes(),
+                     _state_bytes(states[0])))
+    assert outs == [outs[0]] * len(outs)
+
+
+def test_saga_explicit_l2_steps_in_numpy_on_sparse_data(monkeypatch):
+    # on sparse data the step stays numpy's support step: it is the only
+    # source of the GradientTable.update calls that LAYERS in
+    # perfbench/tracing.py requires on sparse_ridge (ROADMAP item 1), and
+    # its dense-row margin np.vdot(obj.points[j], x) is due to move over
+    # the nonzeros (ROADMAP item 4)
+    if _kernel.load() is None:
+        pytest.skip("the compiled passes do not build here")
+    obj = _table_objective("saga_explicit_l2", "squared", 0.0, True, 20)
+    assert obj.sparse
+    updates = _counted_updates(monkeypatch)
+    run("saga_explicit_l2", obj, np.zeros(obj.d), epochs=3, seed=0,
+        explicit_l2=0.1)
+    assert len(updates) == obj.n * 3
 
 
 def test_midpoint_safeguarded_margin_solve_keeps_every_byte(kernel_paths):
@@ -626,7 +685,7 @@ _RUNS = (
 
 def test_only_compiled_methods_import_the_kernel():
     # one process runs every plain method; one process per compiled one
-    plain = ("saga", "saga_explicit_l2", "sdca")
+    plain = ("saga", "sdca")
     assert _modules_after(_RUNS.replace("NAMES", repr(plain))) == [
         False] * len(plain)
     for name in ("svrg", *TABLE_METHODS, "saga_lazy"):
