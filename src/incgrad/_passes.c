@@ -110,8 +110,9 @@ int64_t incgrad_svrg_pass(
 /* objectives._solve_margin: the root t of shrink*t + gq*psi'(t) - az for
  * the logistic psi', by Newton steps that bisect the bracket instead
  * when they leave it or |g| does not halve against the best iterate.
- * NO_ROOT, with the last |g| in *res, when max_iter steps and the check
- * after them do not reach |g| <= tol. */
+ * Once no double lies strictly between the bracket's ends, the end
+ * with the smaller |g|.  NO_ROOT, with the last |g| in *res,
+ * when max_iter steps and the check after them do not reach |g| <= tol. */
 static int solve_margin(double b, double shrink, double gq, double az,
                         double tol, int64_t max_iter, double *t, double *res)
 {
@@ -132,8 +133,21 @@ static int solve_margin(double b, double shrink, double gq, double az,
         else
             lo = *t;
         double t_new = *t - g / (shrink + gq * s * (1.0 - s));
-        if (!(lo < t_new && t_new < hi && size < 0.5 * best))
+        if (!(lo < t_new && t_new < hi && size < 0.5 * best)) {
+            if (size < INFINITY && nextafter(lo, INFINITY) >= hi
+                && nextafter(hi, INFINITY) >= lo) {
+                /* no double lies strictly between lo and hi (t is one of
+                 * them), so the iterates can only revisit them; an
+                 * initial end may not have been evaluated yet */
+                double g_lo = fabs(shrink * lo + gq * (-b * sigmoid(-b * lo))
+                                   - az);
+                double g_hi = fabs(shrink * hi + gq * (-b * sigmoid(-b * hi))
+                                   - az);
+                *t = g_lo <= g_hi ? lo : hi;
+                return OK;
+            }
             t_new = 0.5 * (lo + hi);
+        }
         if (size < best)
             best = size;
         *t = t_new;

@@ -80,15 +80,6 @@ class ProblemSnapshot:
     consts: ProblemConstants
 
 
-def fixed_point_residual(obj, x, consts=None) -> float:
-    """|x - prox_{1/L}(x - (1/L) f'(x))|; zero exactly at the optimum."""
-    if consts is None:
-        consts = estimate_constants(obj)
-    step = 1.0 / consts.L
-    w = x - step * obj.full_gradient(x)
-    return float(np.linalg.norm(x - obj.reg.prox(step, w)))
-
-
 def lyapunov_value(snap: ProblemSnapshot, obj, c: float) -> float:
     """T = mean f_i(phi_i) - f(x*) - mean <f_i'(x*), phi_i - x*> + c|x-x*|^2."""
     xs = snap.x_star
@@ -345,13 +336,11 @@ def bound_value(kind: str, obj, consts: ProblemConstants, x0, x_star, k: int,
 # ---------------------------------------------------------------------------
 # random instances for certification
 
-def random_strongly_convex_objective(rng, kind=None, n=None, d=None):
+def random_strongly_convex_objective(rng, kind=None):
     """Random small dense problem whose components are strongly convex
     through a split-in L2 term sized relative to the loss curvature."""
-    if n is None:
-        n = int(rng.integers(2, 51))
-    if d is None:
-        d = int(rng.integers(1, 11))
+    n = int(rng.integers(2, 51))
+    d = int(rng.integers(1, 11))
     if kind is None:
         kind = "squared" if rng.random() < 0.5 else "logistic"
     pts = rng.standard_normal((n, d)) / math.sqrt(d)
@@ -368,9 +357,8 @@ def random_strongly_convex_objective(rng, kind=None, n=None, d=None):
     return FiniteSumObjective(ds, loss, split_l2=split)
 
 
-def random_snapshot(rng, obj, x_star, consts, scale=None) -> ProblemSnapshot:
-    if scale is None:
-        scale = 10.0 ** rng.uniform(-3, 0.5)
+def random_snapshot(rng, obj, x_star, consts) -> ProblemSnapshot:
+    scale = 10.0 ** rng.uniform(-3, 0.5)
     x = x_star + scale * rng.standard_normal(obj.d)
     phi = x_star[None, :] + scale * rng.standard_normal((obj.n, obj.d))
     return ProblemSnapshot(x=x, phi=phi, x_star=x_star, consts=consts)
@@ -429,9 +417,9 @@ def _check_lemmas(rng, instances):
     return worst
 
 
-def _check_estimator(rng, trials):
+def _check_estimator(rng):
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(200):
         size = int(rng.integers(2, 12))
         xs = rng.standard_normal(size)
         ys = 0.7 * xs + 0.3 * rng.standard_normal(size)
@@ -447,11 +435,11 @@ def _check_estimator(rng, trials):
     return worst
 
 
-def _check_moreau(rng, trials):
+def _check_moreau(rng):
     worst = 0.0
     lam, mu = 0.7, 1.3
     gamma = 0.9
-    v = 3.0 * rng.standard_normal(trials)
+    v = 3.0 * rng.standard_normal(1000)
     l1 = Regularizer(l1=lam)
     resid = (v - l1.prox(gamma, v)) - np.clip(v, -gamma * lam, gamma * lam)
     worst = max(worst, float(np.abs(resid).max()))
@@ -461,9 +449,9 @@ def _check_moreau(rng, trials):
     return worst
 
 
-def _check_unbiasedness(rng, trials):
+def _check_unbiasedness(rng):
     worst_saga = worst_sag = 0.0
-    for _ in range(trials):
+    for _ in range(100):
         obj = random_strongly_convex_objective(rng)
         x = rng.standard_normal(obj.d)
         phi = rng.standard_normal((obj.n, obj.d))
@@ -510,8 +498,7 @@ def _check_bound_dominance(seed, seeds):
     return worst
 
 
-def certify(seed=0, instances=1000, lemma_instances=1000, estimator_trials=200,
-            moreau_trials=1000, unbiased_trials=100, traj_seeds=200,
+def certify(seed=0, instances=1000, lemma_instances=1000, traj_seeds=200,
             include_trajectory=True):
     """Run the full property battery; returns a list of PropertyResult.
 
@@ -544,17 +531,17 @@ def certify(seed=0, instances=1000, lemma_instances=1000, estimator_trials=200,
             f"lemma_{kind}", w >= -1e-12, w,
             f"min gap over {lemma_instances} instances"))
 
-    worst = _check_estimator(rng, estimator_trials)
+    worst = _check_estimator(rng)
     results.append(PropertyResult(
         "estimator_algebra", worst <= 1e-14, worst,
         "max |closed form - brute force| for bias and variance"))
 
-    worst = _check_moreau(rng, moreau_trials)
+    worst = _check_moreau(rng)
     results.append(PropertyResult(
         "moreau_decomposition", worst <= 1e-12, worst,
         "max residual of v - prox(v) against the conjugate prox"))
 
-    w_saga, w_sag = _check_unbiasedness(rng, unbiased_trials)
+    w_saga, w_sag = _check_unbiasedness(rng)
     results.append(PropertyResult(
         "direction_unbiasedness", w_saga <= 1e-12, w_saga,
         "max |mean_j direction - f'(x)|"))

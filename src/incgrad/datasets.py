@@ -91,17 +91,6 @@ def load_libsvm(path, n_features=None, normalize=False) -> Dataset:
     return Dataset(mat, np.array(labels))
 
 
-def save_libsvm(path, dataset: Dataset):
-    """Write the dataset back out; values use shortest exact decimals."""
-    mat = dataset.features
-    with open(path, "w", encoding="utf-8") as fh:
-        for j in range(dataset.n):
-            idxs, vals = mat.column(j)
-            toks = [repr(float(dataset.labels[j]))]
-            toks += [f"{int(i) + 1}:{float(v)!r}" for i, v in zip(idxs, vals)]
-            fh.write(" ".join(toks) + "\n")
-
-
 _SYNTH_KINDS = ("ridge", "lasso_ls", "logistic")
 
 # entries per row chunk of the generator's temporaries (1 MB of doubles)

@@ -229,10 +229,10 @@ def method_objective(ds, cfg, name):
     return obj, {"explicit_l2": cfg.l2} if form == "explicit" else {}
 
 
-def compute_reference_optimum(obj, tol=1e-12, max_iter=1_000_000):
+def compute_reference_optimum(obj):
     """Deterministic accelerated proximal gradient run to a certified
     fixed point; returns (x_star, F_star)."""
-    return prox_gradient_optimum(obj, tol=tol, max_iter=max_iter)
+    return prox_gradient_optimum(obj)
 
 
 def _sweep_gamma(name, obj, x0, cfg, kwargs, reference):

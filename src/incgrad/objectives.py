@@ -384,7 +384,7 @@ _PROX_TOL, _PROX_MAX_ITER = 1e-12, 100
 
 
 def scalar_loss_prox(obj: FiniteSumObjective, i: int, gamma: float, z,
-                     tol: float = _PROX_TOL, max_iter: int = _PROX_MAX_ITER):
+                     max_iter: int = _PROX_MAX_ITER):
     """Proximal step on a single component f_i.
 
     Solves phi = argmin_x f_i(x) + |x - z|^2 / (2 gamma) by reducing to
@@ -412,7 +412,7 @@ def scalar_loss_prox(obj: FiniteSumObjective, i: int, gamma: float, z,
     if obj.loss.kind == "squared":
         t = (az + gamma * q * b) / (shrink + gamma * q)
     else:
-        t = _solve_margin(b, shrink, gamma * q, az, tol, max_iter)
+        t = _solve_margin(b, shrink, gamma * q, az, _PROX_TOL, max_iter)
 
     coef = obj.loss.deriv_scalar(t, b)
     phi = (z - gamma * coef * a) / shrink
@@ -441,9 +441,11 @@ def _solve_margin(b, shrink, gq, az, tol, max_iter):
     iterations are needed: 86 at gq = 1.7, shrink = 1 and tol = 1e-12,
     and at most 100 for gq up to about 70.  In practice Newton's
     quadratic convergence needs far fewer: at most 46 on a grid of gq in
-    [1e-8, 1e3] and az in [-60, 60].  In floating point the bound holds
-    while the spacing of doubles near the root, times shrink + gq/4, is
-    under tol.
+    [1e-8, 1e3] and az in [-60, 60].  Where the doubles near the root
+    lie too far apart for |g| to reach tol, the bracket closes instead:
+    once no double lies strictly between its ends, the solve returns
+    the end with the smaller |g|: each end is the latest iterate on its
+    side of the root, or an initial end.
     """
     if gq == 0.0:
         return az / shrink
@@ -465,6 +467,15 @@ def _solve_margin(b, shrink, gq, az, tol, max_iter):
         dg = shrink + gq * s * (1.0 - s)
         t_new = t - g / dg
         if not (lo < t_new < hi and size < 0.5 * best):
+            if (size < math.inf and math.nextafter(lo, math.inf) >= hi
+                    and math.nextafter(hi, math.inf) >= lo):
+                # no double lies strictly between lo and hi (t is one of
+                # them), so the iterates can only revisit them; an initial
+                # end may not have been evaluated yet
+                g_lo, g_hi = (
+                    abs(shrink * e + gq * (-b * _sigmoid_scalar(-b * e)) - az)
+                    for e in (lo, hi))
+                return lo if g_lo <= g_hi else hi
             t_new = 0.5 * (lo + hi)
         if size < best:
             best = size

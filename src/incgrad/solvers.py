@@ -73,10 +73,10 @@ class GradientTable:
         if mode is None:
             mode = "scalar" if obj.split_l2 == 0.0 else "dense"
         if mode == "scalar":
-            coeffs = np.array(obj.loss_coeffs(x), dtype=float)
+            coeffs = obj.loss_coeffs(x)
             avg = obj.point_sum(coeffs) / obj.n
             return cls(obj, "scalar", coeffs=coeffs, avg=avg)
-        vecs = obj.component_gradients(x).copy()
+        vecs = obj.component_gradients(x)
         return cls(obj, "dense", vecs=vecs, avg=vecs.mean(axis=0))
 
     def gradient(self, i) -> np.ndarray:
@@ -583,10 +583,6 @@ def run(method, obj, x0, *, epochs, policy=None, seed=0, rng=None,
 def _table_passes(method, obj, x0, gamma, mu, L, explicit_l2, epochs, rng,
                   init, sampling):
     """Engine of the table methods (see :func:`run`)."""
-    if method in COMPILED_STEPS:  # loaded before the table, so the memory
-        # the first import takes and the table's do not add up
-        from . import _kernel  # built or loaded by the first compiled run only
-        _kernel.load()
     n = obj.n
     heuristic = init == "one_by_one"
     if method == "saga_u":
@@ -613,6 +609,7 @@ def _table_passes(method, obj, x0, gamma, mu, L, explicit_l2, epochs, rng,
     xsum = np.zeros_like(x0)
     kernel_pass = None
     if method in COMPILED_STEPS:  # the explicit form scales by explicit_l2
+        from . import _kernel  # which loads the library only for a pass
         kernel_pass = _kernel.table_pass(
             COMPILED_STEPS[method], obj, state, xsum, gamma=gamma, L=L,
             mu=explicit_l2 if method == "saga_explicit_l2" else mu)
@@ -710,11 +707,10 @@ def _smooth_lipschitz(obj, max_lipschitz):
     return min(lip_new, max_lipschitz)
 
 
-def prox_gradient_optimum(obj, tol=1e-12, max_iter=1_000_000, x0=None,
-                          consts=None):
+def prox_gradient_optimum(obj, tol=1e-12, max_iter=1_000_000, x0=None):
     """Accelerated proximal gradient run to a certified fixed point.
 
-    Stopping contract: with L_max = ``consts.L`` and the operator
+    Stopping contract: with L_max = ``estimate_constants(obj).L`` and
     T(y) = prox_{1/L_max}^h(y - f'(y) / L_max), the run stops at the
     first tested point y with |T(y) - y| <= ``tol`` and returns
     (T(y), F(T(y))); :class:`OptimumError` is raised if ``max_iter``
@@ -738,9 +734,7 @@ def prox_gradient_optimum(obj, tol=1e-12, max_iter=1_000_000, x0=None,
     doublings, never convergence.  Momentum restarts whenever
     (y - x+)'(x+ - x) > 0.
     """
-    if consts is None:
-        consts = estimate_constants(obj)
-    l_max = consts.L
+    l_max = estimate_constants(obj).L
     lip = _smooth_lipschitz(obj, l_max)
     prox = obj.reg.prox if obj.reg.kind != "none" else (lambda gamma, w: w)
     x = np.zeros(obj.d) if x0 is None else np.array(x0, dtype=float)

@@ -10,7 +10,6 @@ from incgrad.analysis import (
     ProblemSnapshot,
     bound_value,
     expected_lyapunov_next,
-    fixed_point_residual,
     lemma_gap,
     lyapunov_value,
     random_snapshot,
@@ -18,6 +17,7 @@ from incgrad.analysis import (
     theta_estimator_stats,
 )
 from conftest import make_random_objective
+from helpers import fixed_point_residual
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ from incgrad import (
     prox_gradient_optimum,
 )
 from incgrad import cscmat
-from incgrad.datasets import generate_synthetic, load_libsvm, save_libsvm
+from incgrad.datasets import generate_synthetic, load_libsvm
 from incgrad.objectives import Dataset, sigmoid
+from helpers import save_libsvm
 
 
 # ---------------------------------------------------------------------------

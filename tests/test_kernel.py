@@ -420,21 +420,46 @@ def test_midpoint_safeguarded_margin_solve_keeps_every_byte(kernel_paths):
     assert rows == [rows[0]] * len(rows)
 
 
+def test_margin_solve_ends_where_the_bracket_closes(kernel_paths):
+    # 6 unit-norm 2-d points, one labelled -1, and an L2 term log-uniform
+    # in [1e-7, 1e-4]: margin roots reach magnitudes where the doubles lie
+    # too far apart for |g| to reach 1e-12, and most of these midpoint
+    # and sdca runs raised ProxSolveError while the solve stopped only there
+    rows = []
+    for path in kernel_paths():
+        xs = []
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            pts = rng.standard_normal((6, 2))
+            pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+            l2 = 10.0 ** rng.uniform(-7, -4)
+            ds = Dataset.from_dense(pts, [1.0] * 5 + [-1.0])
+            loss = make_loss("logistic")
+            obj = FiniteSumObjective(ds, loss, split_l2=l2)
+            xs.append(run("midpoint", obj, np.zeros(2), epochs=3,
+                          seed=seed).x.tobytes())
+            if path == "numpy":  # sdca has no compiled pass
+                obj = FiniteSumObjective(ds, loss, reg=Regularizer(l2=l2))
+                run("sdca", obj, np.zeros(2), epochs=3, seed=seed)
+        rows.append(xs)
+    assert rows == [rows[0]] * len(rows)
+
+
 def test_midpoint_failed_margin_solve_raises_alike_at_the_same_step(
         kernel_paths, monkeypatch):
-    # with mu = 1e-7 the leave-one-out point z is of length about 1/mu,
-    # and near the -1 point's margin root the doubles lie too far apart
-    # for |g| to reach 1e-12: the solve fails in the third pass
-    pts = np.abs(np.random.default_rng(26).standard_normal((6, 2)))
+    # with mu = 1e-13 a margin solve in the third pass starts from a
+    # bracket about 3e12 wide, and its 100 iterations end before the
+    # bracket closes
+    pts = np.random.default_rng(48).standard_normal((6, 2))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     obj = FiniteSumObjective(Dataset.from_dense(pts, [1.0] * 5 + [-1.0]),
-                             make_loss("logistic"), split_l2=1e-7)
+                             make_loss("logistic"), split_l2=1e-13)
     states = _recorded_states(monkeypatch)
     outs = []
     for _ in kernel_paths():
         states.clear()
         rng = np.random.default_rng(4)
-        passes = _table_passes("midpoint", obj, np.zeros(2), None, 1e-7, 1.0,
+        passes = _table_passes("midpoint", obj, np.zeros(2), None, 1e-13, 1.0,
                                0.0, 3, rng, "full", "iid")
         ks = []
         with pytest.raises(ProxSolveError) as failed:
@@ -691,6 +716,28 @@ def test_only_compiled_methods_import_the_kernel():
     for name in ("svrg", *TABLE_METHODS, "saga_lazy"):
         code = _RUNS.replace("NAMES", repr((name,)))
         assert _modules_after(code) == [True], name
+
+
+def test_sparse_saga_explicit_l2_builds_and_loads_no_library(tmp_path):
+    # its support step has no compiled pass: _kernel.table_pass says so
+    # before it loads anything, so an empty cache stays empty
+    code = (
+        "import json, numpy as np\n"
+        "from incgrad import FiniteSumObjective, make_loss, run, _kernel\n"
+        "from incgrad.datasets import generate_synthetic\n"
+        "ds = generate_synthetic('ridge', n=200, d=2000, density=0.004, seed=1)\n"
+        "obj = FiniteSumObjective(ds, make_loss('squared'))\n"
+        "assert obj.sparse\n"
+        "run('saga_explicit_l2', obj, np.zeros(ds.d), epochs=2, explicit_l2=0.1)\n"
+        "print(json.dumps(_kernel.load.cache_info().misses))\n")
+    src = os.path.dirname(os.path.dirname(_kernel.__file__))
+    cache = tmp_path / "cache"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src,
+                                  XDG_CACHE_HOME=str(cache)))
+    assert json.loads(out.stdout) == 0  # load() never called
+    assert list(cache.rglob("_passes-*.so")) == []
 
 
 def test_l1_saga_never_imports_the_kernel():

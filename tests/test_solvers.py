@@ -34,11 +34,11 @@ from incgrad.solvers import (
     sdca_primal_step,
     sdca_variant5_step,
 )
-from incgrad.analysis import fixed_point_residual
 from incgrad.harness import ExperimentConfig, method_objective
 from incgrad.objectives import scalar_loss_prox
 from incgrad.datasets import generate_synthetic
 from conftest import make_random_objective, midpoint_identity_residual
+from helpers import fixed_point_residual
 
 
 # ---------------------------------------------------------------------------
