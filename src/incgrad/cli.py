@@ -104,12 +104,12 @@ def _cmd_optimum(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            code = _cmd_run(args)
-        elif args.command == "certify":
-            code = _cmd_certify(args)
-        else:
-            code = _cmd_optimum(args)
+        code = {"run": _cmd_run, "certify": _cmd_certify,
+                "optimum": _cmd_optimum}[args.command](args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+    except BrokenPipeError:  # the reader left: not a config error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -42,10 +42,10 @@ class InconsistentReferenceError(RuntimeError):
 class OptimumError(RuntimeError):
     """Reference-optimum computation hit its iteration cap."""
 
-    def __init__(self, residual, iterations):
+    def __init__(self, residual, iterations, solver="proximal gradient"):
         self.residual = residual
         self.iterations = iterations
         super().__init__(
-            f"proximal gradient did not converge within {iterations} iterations; "
+            f"{solver} did not converge within {iterations} iterations; "
             f"final fixed-point residual {residual:.3e}"
         )

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from incgrad import ConfigError, estimate_constants, prox_gradient_optimum
+from incgrad import (
+    ConfigError,
+    OptimumError,
+    analysis,
+    estimate_constants,
+    prox_gradient_optimum,
+)
 from incgrad.analysis import (
     EstimatorSpec,
     LyapunovParams,
@@ -83,6 +89,44 @@ def test_contraction_on_random_snapshots_both_presets():
             t0 = lyapunov_value(snap, obj, params.c)
             t1 = expected_lyapunov_next(snap, obj, params)
             assert t1 <= params.contraction * t0 + 1e-10
+
+
+def test_newton_optimum_is_within_its_certified_distance():
+    # both points lie within |F'(x)|/mu of x*, so within the sum of
+    # their bounds of each other
+    rng = np.random.default_rng(52)
+    for _ in range(200):
+        obj = random_strongly_convex_objective(rng)
+        x_newton, bound = analysis._newton_optimum(obj)
+        x_fista, _ = prox_gradient_optimum(obj)
+        g = obj.full_gradient(x_fista)
+        assert bound <= 1e-12 / obj.split_l2
+        assert (np.linalg.norm(x_newton - x_fista)
+                <= bound + np.linalg.norm(g) / obj.split_l2)
+
+
+def test_certify_solves_one_optimum_by_proximal_gradient(monkeypatch):
+    # the contraction checks take Newton's optimum; only the trajectory
+    # check's ridge problem keeps the proximal gradient solve
+    calls = []
+
+    def counted(obj, *args, **kwargs):
+        calls.append(obj)
+        return prox_gradient_optimum(obj, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "prox_gradient_optimum", counted)
+    results = analysis.certify(seed=0, instances=100, lemma_instances=100,
+                               traj_seeds=20)
+    assert all(r.passed for r in results)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("cap", [0, 1])
+def test_newton_optimum_raises_at_its_step_cap(monkeypatch, cap):
+    monkeypatch.setattr(analysis, "NEWTON_MAX_STEPS", cap)
+    with pytest.raises(OptimumError, match="^Newton's method") as err:
+        analysis._check_contraction(np.random.default_rng(0), 20, "sc")
+    assert err.value.iterations == cap and err.value.residual > 1e-12
 
 
 def validate_snapshot(obj, snap: ProblemSnapshot, tol: float = 1e-10):

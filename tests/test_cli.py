@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
-from incgrad import InconsistentReferenceError, harness
+import incgrad
+from incgrad import InconsistentReferenceError, analysis, harness
 from incgrad.cli import main
 
 
@@ -158,6 +162,57 @@ def test_certify_quick(capsys):
     out = capsys.readouterr().out
     assert "lyapunov_contraction_strongly_convex" in out
     assert "FAIL" not in out
+
+
+def test_certify_at_the_newton_step_cap_exits_two(monkeypatch, capsys):
+    monkeypatch.setattr(analysis, "NEWTON_MAX_STEPS", 0)
+    assert main(["certify", "--instances", "5", "--lemma-instances", "5",
+                 "--skip-trajectory"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(
+        "numerical failure: Newton's method did not converge within 0 ")
+
+
+def _cli(argv, stdout, unbuffered=True):
+    """``python -m incgrad.cli argv`` from this checkout, as a Popen."""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(incgrad.__file__)))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen([sys.executable, "-m", "incgrad.cli", *argv],
+                            stdout=stdout, stderr=subprocess.PIPE, text=True,
+                            env=env)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_certify_into_a_closed_pipe_exits_one_silently(unbuffered):
+    # buffered, the report reaches the pipe only when stdout is flushed
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    proc = _cli(["certify", "--instances", "5", "--lemma-instances", "5",
+                 "--skip-trajectory"], write_end, unbuffered)
+    os.close(write_end)
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (1, "")
+
+
+def test_optimum_reader_closing_after_the_first_line(tmp_path):
+    # d = 20000 coordinates are far more than a pipe holds, so the
+    # program still writes after the reader has gone
+    cfg = tmp_path / "wide.json"
+    cfg.write_text(json.dumps({
+        "dataset": {"synthetic": {"kind": "ridge", "n": 20, "d": 20000,
+                                  "seed": 1}},
+        "loss": "squared", "l2": 0.1, "methods": ["saga"]}))
+    with _cli(["optimum", "--config", str(cfg)], subprocess.PIPE) as proc:
+        assert proc.stdout.readline().startswith("F_star = ")
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (1, "")
 
 
 @pytest.mark.parametrize("argv,mentions", [
