@@ -20,7 +20,7 @@ and raises what the engine's numpy loop raises, or None without a
 kernel.  The table pass serves every method in
 ``solvers.COMPILED_STEPS`` (saga_explicit_l2 on dense data only);
 midpoint's also runs the margin solve of ``objectives.scalar_loss_prox``,
-with that function's tolerance and iteration cap.  The C loops read and
+with that function's tolerance and iteration bound.  The C loops read and
 write what they are given unchecked, so the factories check what lives
 for the whole run and the functions check the rest on every pass,
 before any C call.
@@ -40,7 +40,7 @@ import numpy as np
 
 from . import lazy, solvers
 from .errors import ConfigError, DivergenceError, ProxSolveError
-from .objectives import _PROX_MAX_ITER, _PROX_TOL, LogisticLoss, SquaredLoss
+from .objectives import _PROX_TOL, LogisticLoss, SquaredLoss
 
 SOURCE = Path(__file__).with_name("_passes.c")
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
@@ -115,7 +115,7 @@ class Kernel:
         self.dot = _bind(lib.incgrad_dot, ctypes.c_double, "PIPP")
         self.svrg = _bind(lib.incgrad_svrg_pass, steps, "PIPPiFFiFFPIPPPPP")
         self.table = _bind(lib.incgrad_table_pass, steps,
-                           "PiIIPPiFFFF" + "P" * 8 + "FIPPPFPIPPPP")
+                           "PiIIPPiFFFF" + "P" * 8 + "FPPPFPIPPPP")
         self.lazy = _bind(lib.incgrad_lazy_pass, steps, "PIPIIPPPFFFPI" + "P" * 9)
 
     def agrees_with_numpy(self) -> bool:
@@ -195,10 +195,11 @@ def _csc(mat):
 
 def _raise(why, step, detail, residual=None):
     """Raise what the numpy loop raises where a pass ended ``why``, with
-    ``detail`` for a divergence at ``step`` and the ``residual`` (a
-    ctypes double) of a margin solve that did not converge."""
+    ``detail`` for a divergence at ``step`` and the ``residual`` (two
+    ctypes doubles: |g| and the iteration cap) of a margin solve that did
+    not converge."""
     if why == NO_ROOT:
-        raise ProxSolveError(residual=residual.value, iterations=_PROX_MAX_ITER)
+        raise ProxSolveError(residual=residual[0], iterations=int(residual[1]))
     if why == MARGIN:
         raise ValueError("x must be finite")
     if why == DIVERGED:
@@ -283,15 +284,15 @@ def table_pass(code, obj, state, xsum, *, gamma, mu, L):
     csc = _csc(obj.dataset.features) if obj.sparse else [None] * 3
     midpoint = code == solvers.COMPILED_STEPS["midpoint"]
     sqnorms = obj.dataset.sqnorms() if midpoint else None  # its prox's |a_j|^2
-    scratch, residual = np.empty(d), ctypes.c_double()
+    scratch, residual = np.empty(d), (ctypes.c_double * 2)()
     return _pass_of(kernel.table, (
         kernel.ddot, code, n, d, *data, obj.split_l2,
         np.nan if gamma is None else gamma, mu, L,
         *_ptrs(F64, (n, d), t.vecs if dense else None),
         *_ptrs(F64, (n,), None if dense else t.coeffs), *csc,
         *_ptrs(F64, (d,), state.u), *_ptrs(F64, (n, d), state.phi),
-        *_ptrs(F64, (n,), sqnorms), _PROX_TOL, _PROX_MAX_ITER,
-        ctypes.byref(residual), *_ptrs(F64, (d,), scratch, xsum)),
+        *_ptrs(F64, (n,), sqnorms), _PROX_TOL, ctypes.byref(residual),
+        *_ptrs(F64, (d,), scratch, xsum)),
         n, d, (obj, t.vecs, t.coeffs, state.u, state.phi, sqnorms, scratch,
                xsum), residual)
 

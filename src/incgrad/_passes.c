@@ -111,14 +111,22 @@ int64_t incgrad_svrg_pass(
  * the logistic psi', by Newton steps that bisect the bracket instead
  * when they leave it or |g| does not halve against the best iterate.
  * Once no double lies strictly between the bracket's ends, the end
- * with the smaller |g|.  NO_ROOT, with the last |g| in *res,
- * when max_iter steps and the check after them do not reach |g| <= tol. */
+ * with the smaller |g|.  NO_ROOT, with the last |g| in res[0] and the
+ * cap in res[1], when the cap's steps and the check after them do not
+ * reach |g| <= tol; the cap is the iteration bound of _solve_margin's
+ * docstring, rounded down, and 0 for a gq that is not finite. */
 static int solve_margin(double b, double shrink, double gq, double az,
-                        double tol, int64_t max_iter, double *t, double *res)
+                        double tol, double *t, double *res)
 {
     if (gq == 0.0) {
         *t = az / shrink;
         return OK;
+    }
+    int64_t max_iter = 0;
+    if (gq < INFINITY) {
+        double lg = log2(gq), lt = log2(tol);
+        max_iter = (int64_t)floor(
+            2 + lg - lt + ceil(1 + lg + log2(1 + gq / (4 * shrink)) - lt));
     }
     /* |psi'| <= 1 for logistic, so the root lies in this bracket */
     double lo = (az - gq) / shrink, hi = (az + gq) / shrink, best = INFINITY;
@@ -152,8 +160,9 @@ static int solve_margin(double b, double shrink, double gq, double az,
             best = size;
         *t = t_new;
     }
-    *res = fabs(shrink * *t + gq * (-b * sigmoid(-b * *t)) - az);
-    return *res <= tol ? OK : NO_ROOT;
+    res[0] = fabs(shrink * *t + gq * (-b * sigmoid(-b * *t)) - az);
+    res[1] = (double)max_iter;
+    return res[0] <= tol ? OK : NO_ROOT;
 }
 
 /* the table steps, by their codes in solvers.COMPILED_STEPS */
@@ -173,8 +182,8 @@ enum {
  * sdca_variant5 and midpoint derive their steps from mu (and L), as
  * their numpy steps do.
  * u is saga_u's, phi (n x d) and phi_mean finito's and midpoint's;
- * sqnorms (the |a_j|^2), tol and max_iter are midpoint's prox, which
- * leaves the residual of a failed margin solve in *res; g holds d
+ * sqnorms (the |a_j|^2) and tol are midpoint's prox, which leaves the
+ * residual and the cap of a failed margin solve in res[0..1]; g holds d
  * doubles of scratch, and the arguments from m on change from pass to
  * pass.  Returns the number of steps taken; MARGIN when the step's
  * margin was not finite in a dense table (component_gradient's
@@ -186,7 +195,7 @@ int64_t incgrad_table_pass(
     double mu, double L, double *vecs, double *coeffs,
     const int64_t *indptr, const int64_t *indices, const double *values,
     double *u, double *phi, const double *sqnorms, double tol,
-    int64_t max_iter, double *res, double *g, double *xsum, double limit,
+    double *res, double *g, double *xsum, double limit,
     int *why, int64_t m, const int64_t *idx, double *x, double *avg,
     double *phi_mean)
 {
@@ -218,8 +227,7 @@ int64_t incgrad_table_pass(
             double shrink = 1.0 + gamma * split, gq = gamma * sqnorms[j];
             if (!logistic)
                 t = (t + gq * b) / (shrink + gq);
-            else if (solve_margin(b, shrink, gq, t, tol, max_iter, &t, res)
-                     != OK) {
+            else if (solve_margin(b, shrink, gq, t, tol, &t, res) != OK) {
                 *why = NO_ROOT;
                 return s;
             }
@@ -235,7 +243,7 @@ int64_t incgrad_table_pass(
         } else if (coeffs) {  /* scalar: no margin check, as _new_gradient */
             double c = loss_deriv(logistic, t, b), old = coeffs[j];
             double q = (c - old) / dn;
-            if (method == SAG && indptr) {  /* as _step_direction's support */
+            if (method == SAG && indptr) {  /* as saga_step's support branch */
                 for (int64_t i = 0; i < d; i++)
                     g[i] = avg[i];
                 for (int64_t p = indptr[j]; p < indptr[j + 1]; p++)

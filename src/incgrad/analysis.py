@@ -82,15 +82,26 @@ class ProblemSnapshot:
     consts: ProblemConstants
 
 
+def _surplus(obj, phi, xs, g_star):
+    """(T - c|x-x*|^2, f_i(phi_i), <f_i'(x*), phi_i - x*>), given the
+    g_star = f_i'(x*) (see :func:`lyapunov_value`)."""
+    f_phi = obj.values_at_points(phi)
+    ip_phi = np.einsum("ij,ij->i", g_star, phi - xs)
+    surplus = float(np.mean(f_phi)) - obj.smooth_value(xs) - float(np.mean(ip_phi))
+    return surplus, f_phi, ip_phi
+
+
+def _table_gradients(obj, x, phi):
+    """(f_j'(x), f_j'(phi_j), their mean over j): saga's direction terms."""
+    g_phi = obj.gradients_at_points(phi)
+    return obj.component_gradients(x), g_phi, g_phi.mean(axis=0)
+
+
 def lyapunov_value(snap: ProblemSnapshot, obj, c: float) -> float:
     """T = mean f_i(phi_i) - f(x*) - mean <f_i'(x*), phi_i - x*> + c|x-x*|^2."""
     xs = snap.x_star
-    g_star = obj.component_gradients(xs)
-    t = float(np.mean(obj.values_at_points(snap.phi)))
-    t -= obj.smooth_value(xs)
-    t -= float(np.mean(np.einsum("ij,ij->i", g_star, snap.phi - xs)))
-    t += c * float(np.sum((snap.x - xs) ** 2))
-    return t
+    surplus = _surplus(obj, snap.phi, xs, obj.component_gradients(xs))[0]
+    return surplus + c * float(np.sum((snap.x - xs) ** 2))
 
 
 def expected_lyapunov_next(snap: ProblemSnapshot, obj,
@@ -108,19 +119,15 @@ def expected_lyapunov_next(snap: ProblemSnapshot, obj,
     x, phi, xs = snap.x, snap.phi, snap.x_star
     gamma, c = params.gamma, params.c
 
-    g_x = obj.component_gradients(x)
-    g_phi = obj.gradients_at_points(phi)
-    gbar = g_phi.mean(axis=0)
+    g_x, g_phi, gbar = _table_gradients(obj, x, phi)
     w = x[None, :] - gamma * (g_x - g_phi + gbar[None, :])
-    x_next = obj.reg.prox(gamma, w) if obj.reg.kind != "none" else w
+    x_next = obj.reg.prox(gamma, w) if obj.reg.l1 or obj.reg.l2 else w
     dist = np.sum((x_next - xs[None, :]) ** 2, axis=1)
 
     g_star = obj.component_gradients(xs)
-    f_phi = obj.values_at_points(phi)
+    base, f_phi, ip_phi = _surplus(obj, phi, xs, g_star)
     f_x = obj.component_values(x)
-    ip_phi = np.einsum("ij,ij->i", g_star, phi - xs)
     ip_x = g_star @ (x - xs)
-    base = float(np.mean(f_phi)) - obj.smooth_value(xs) - float(np.mean(ip_phi))
     t_next = base + (f_x - f_phi) / n - (ip_x - ip_phi) / n + c * dist
     return float(np.mean(t_next))
 
@@ -239,13 +246,10 @@ def lemma_grad_diff_gap(obj, phi, x_star, L) -> float:
     linearisation surplus at the stored points."""
     phi = np.asarray(phi, float)
     xs = np.asarray(x_star, float)
-    g_phi = obj.gradients_at_points(phi)
     g_star = obj.component_gradients(xs)
-    lhs = float(np.mean(np.sum((g_phi - g_star) ** 2, axis=1)))
-    bracket = float(np.mean(obj.values_at_points(phi)))
-    bracket -= obj.smooth_value(xs)
-    bracket -= float(np.mean(np.einsum("ij,ij->i", g_star, phi - xs)))
-    return 2.0 * L * bracket - lhs
+    lhs = float(np.mean(np.sum((obj.gradients_at_points(phi) - g_star) ** 2,
+                               axis=1)))
+    return 2.0 * L * _surplus(obj, phi, xs, g_star)[0] - lhs
 
 
 def lemma_wchange_gap(obj, x, phi, x_star, gamma, beta) -> float:
@@ -259,10 +263,8 @@ def lemma_wchange_gap(obj, x, phi, x_star, gamma, beta) -> float:
     x = np.asarray(x, float)
     phi = np.asarray(phi, float)
     xs = np.asarray(x_star, float)
-    g_x = obj.component_gradients(x)
-    g_phi = obj.gradients_at_points(phi)
+    g_x, g_phi, gbar = _table_gradients(obj, x, phi)
     g_star = obj.component_gradients(xs)
-    gbar = g_phi.mean(axis=0)
     gs_full = obj.full_gradient(xs)
     w = x[None, :] - gamma * (g_x - g_phi + gbar[None, :])
     lhs = float(np.mean(np.sum((w - x[None, :] + gamma * gs_full) ** 2, axis=1)))
@@ -428,12 +430,10 @@ def _check_lemmas(rng, instances):
             "ip_bound", obj=obj, x=x, x_star=y, mu=consts.mu, L=consts.L))
         worst["grad_diff"] = min(worst["grad_diff"], lemma_gap(
             "grad_diff", obj=obj, phi=phi, x_star=y, L=consts.L))
-        gamma = step_size(StepSizePolicy("strongly_convex"), consts)
-        betas = (0.5, 1.0, 2.0,
-                 (2.0 * consts.mu * n + consts.L) / consts.L)
+        params = LyapunovParams.strongly_convex(consts)
         worst["wchange"] = min(worst["wchange"], lemma_gap(
-            "wchange", obj=obj, x=x, phi=phi, x_star=y, gamma=gamma,
-            beta=betas))
+            "wchange", obj=obj, x=x, phi=phi, x_star=y, gamma=params.gamma,
+            beta=(0.5, 1.0, 2.0, params.beta)))
     return worst
 
 
@@ -475,9 +475,7 @@ def _check_unbiasedness(rng):
         obj = random_strongly_convex_objective(rng)
         x = rng.standard_normal(obj.d)
         phi = rng.standard_normal((obj.n, obj.d))
-        g_x = obj.component_gradients(x)
-        g_phi = obj.gradients_at_points(phi)
-        gbar = g_phi.mean(axis=0)
+        g_x, g_phi, gbar = _table_gradients(obj, x, phi)
         full = obj.full_gradient(x)
         saga_mean = (g_x - g_phi + gbar).mean(axis=0)
         worst_saga = max(worst_saga, float(np.abs(saga_mean - full).max()))
@@ -532,49 +530,33 @@ def certify(seed=0, instances=1000, lemma_instances=1000, traj_seeds=200,
     for name, size in sizes.items():
         if size < 1:
             raise ConfigError(f"{name} must be at least 1, got {size}")
-    results = []
-    rng = np.random.default_rng(seed)
-
-    worst = _check_contraction(rng, instances, "sc")
-    results.append(PropertyResult(
-        "lyapunov_contraction_strongly_convex", worst <= 1e-10, worst,
-        f"max E[T1] - (1-1/kappa) T0 over {instances} instances"))
-
-    worst = _check_contraction(rng, instances, "adaptive")
-    results.append(PropertyResult(
-        "lyapunov_contraction_adaptive", worst <= 1e-10, worst,
-        f"max E[T1] - (1-1/kappa) T0 over {instances} instances"))
-
-    worsts = _check_lemmas(rng, lemma_instances)
-    for kind, w in worsts.items():
-        results.append(PropertyResult(
-            f"lemma_{kind}", w >= -1e-12, w,
-            f"min gap over {lemma_instances} instances"))
-
-    worst = _check_estimator(rng)
-    results.append(PropertyResult(
-        "estimator_algebra", worst <= 1e-14, worst,
-        "max |closed form - brute force| for bias and variance"))
-
-    worst = _check_moreau(rng)
-    results.append(PropertyResult(
-        "moreau_decomposition", worst <= 1e-12, worst,
-        "max residual of v - prox(v) against the conjugate prox"))
-
+    rng, inf = np.random.default_rng(seed), math.inf
+    # (name, worst, (lo, hi), detail), in the order the checks draw from
+    # rng; a property passes when lo <= worst <= hi
+    contraction = f"max E[T1] - (1-1/kappa) T0 over {instances} instances"
+    table = [(f"lyapunov_contraction_{name}",
+              _check_contraction(rng, instances, preset), (-inf, 1e-10),
+              contraction)
+             for name, preset in (("strongly_convex", "sc"),
+                                  ("adaptive", "adaptive"))]
+    table += [(f"lemma_{kind}", gap, (-1e-12, inf),
+               f"min gap over {lemma_instances} instances")
+              for kind, gap in _check_lemmas(rng, lemma_instances).items()]
+    table += [("estimator_algebra", _check_estimator(rng), (-inf, 1e-14),
+               "max |closed form - brute force| for bias and variance"),
+              ("moreau_decomposition", _check_moreau(rng), (-inf, 1e-12),
+               "max residual of v - prox(v) against the conjugate prox")]
     w_saga, w_sag = _check_unbiasedness(rng)
-    results.append(PropertyResult(
-        "direction_unbiasedness", w_saga <= 1e-12, w_saga,
-        "max |mean_j direction - f'(x)|"))
-    results.append(PropertyResult(
-        "sag_bias_structure", w_sag <= 1e-12, w_sag,
-        "max |mean_j direction - (f'(x)/n + (1-1/n) mean)|"))
-
+    table += [("direction_unbiasedness", w_saga, (-inf, 1e-12),
+               "max |mean_j direction - f'(x)|"),
+              ("sag_bias_structure", w_sag, (-inf, 1e-12),
+               "max |mean_j direction - (f'(x)/n + (1-1/n) mean)|")]
     if include_trajectory:
-        worst = _check_bound_dominance(seed, traj_seeds)
-        results.append(PropertyResult(
-            "bound_dominance_trajectory", worst <= 0.0, worst,
-            f"max mean dist^2 - 2x bound over {traj_seeds} seeds"))
-    return results
+        table.append(("bound_dominance_trajectory",
+                      _check_bound_dominance(seed, traj_seeds), (-inf, 0.0),
+                      f"max mean dist^2 - 2x bound over {traj_seeds} seeds"))
+    return [PropertyResult(name, lo <= worst <= hi, worst, detail)
+            for name, worst, (lo, hi), detail in table]
 
 
 def format_report(results) -> str:

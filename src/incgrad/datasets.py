@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from array import array
 
 import numpy as np
 
@@ -20,8 +21,8 @@ def load_libsvm(path, n_features=None, normalize=False) -> Dataset:
     ``n_features`` pins it.  With ``normalize`` every point is scaled to
     unit euclidean norm.
     """
-    labels = []
-    cols = []
+    labels, indptr = [], [0]
+    indices, data = array("q"), array("d")  # every point's, in file order
     max_idx = -1
     with open(path, "rb") as fh:  # lines end as in text mode: \n, \r\n or \r
         for lineno, raw in enumerate(fh.read().splitlines(), start=1):
@@ -40,8 +41,6 @@ def load_libsvm(path, n_features=None, normalize=False) -> Dataset:
             if not math.isfinite(label):
                 raise ConfigError(
                     f"{path}:{lineno}: non-finite label {parts[0]!r}")
-            idxs = []
-            vals = []
             prev = -1
             for tok in parts[1:]:
                 try:
@@ -62,11 +61,11 @@ def load_libsvm(path, n_features=None, normalize=False) -> Dataset:
                         f"{path}:{lineno}: feature indices must be "
                         "strictly increasing")
                 prev = idx
-                idxs.append(idx)
-                vals.append(val)
+                indices.append(idx)
+                data.append(val)
             max_idx = max(max_idx, prev)
             labels.append(label)
-            cols.append((np.array(idxs, dtype=np.int64), np.array(vals)))
+            indptr.append(len(data))
     if not labels:
         raise ConfigError(f"{path}: no data points")
     d = max(max_idx + 1, 1)
@@ -75,19 +74,11 @@ def load_libsvm(path, n_features=None, normalize=False) -> Dataset:
             raise ConfigError(
                 f"n_features={n_features} below largest index {d}")
         d = n_features
-    n = len(labels)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    for j, (idxs, vals) in enumerate(cols):
-        indptr[j + 1] = indptr[j] + idxs.size
-    data = np.concatenate([c[1] for c in cols]) if indptr[-1] else np.zeros(0)
-    indices = np.concatenate([c[0] for c in cols]) if indptr[-1] \
-        else np.zeros(0, dtype=np.int64)
-    mat = CscMatrix(data, indices, indptr, (d, n))
+    mat = CscMatrix(data, indices, indptr, (d, len(labels)))
     if normalize:
         norms = np.sqrt(mat.col_sqnorms())
         scale = 1.0 / np.where(norms > 0, norms, 1.0)
-        data = mat.data * np.repeat(scale, np.diff(mat.indptr))
-        mat = CscMatrix(data, mat.indices, mat.indptr, mat.shape)
+        mat.data *= np.repeat(scale, np.diff(mat.indptr))
     return Dataset(mat, np.array(labels))
 
 

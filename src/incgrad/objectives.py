@@ -15,7 +15,7 @@ the components merely convex.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -96,9 +96,6 @@ class LossModel:
     def deriv(self, t, b):
         raise NotImplementedError
 
-    def deriv_scalar(self, t: float, b: float) -> float:
-        return float(self.deriv(t, b))
-
     def check_labels(self, labels):
         pass
 
@@ -156,21 +153,10 @@ class Regularizer:
 
     l2: float = 0.0
     l1: float = 0.0
-    # "none", "l2", "l1" or "elastic"; set once from the strengths
-    kind: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0 <= self.l2 < math.inf and 0 <= self.l1 < math.inf):
             raise ConfigError("regulariser strengths must be finite and nonnegative")
-        if self.l1 == 0 and self.l2 == 0:
-            kind = "none"
-        elif self.l1 == 0:
-            kind = "l2"
-        elif self.l2 == 0:
-            kind = "l1"
-        else:
-            kind = "elastic"
-        object.__setattr__(self, "kind", kind)
 
     def value(self, x):
         x = np.asarray(x, float)
@@ -189,10 +175,7 @@ class Regularizer:
         """
         if gamma <= 0:
             raise ValueError("prox step weight gamma must be positive")
-        y = np.asarray(y, float)
-        if self.kind == "none":
-            return y
-        out = y
+        out = np.asarray(y, float)
         if self.l1:
             thr = gamma * self.l1
             out = np.sign(out) * np.maximum(np.abs(out) - thr, 0.0)
@@ -286,12 +269,9 @@ class FiniteSumObjective:
             val += 0.5 * self.split_l2 * float(x @ x)
         return val
 
-    def value(self, x, composite: bool = False) -> float:
-        """f(x), or F(x) = f(x) + h(x) when composite is set."""
-        out = self.smooth_value(x)
-        if composite:
-            out += self.reg.value(x)
-        return out
+    def value(self, x) -> float:
+        """F(x) = f(x) + h(x)."""
+        return self.smooth_value(x) + self.reg.value(x)
 
     def full_gradient(self, x, margins=None) -> np.ndarray:
         """f'(x); ``margins`` may pass a precomputed ``margins(x)``."""
@@ -380,11 +360,11 @@ def estimate_constants(obj: FiniteSumObjective) -> ProblemConstants:
 
 
 # where scalar_loss_prox's margin solve stops; the compiled midpoint pass too
-_PROX_TOL, _PROX_MAX_ITER = 1e-12, 100
+_PROX_TOL = 1e-12
 
 
 def scalar_loss_prox(obj: FiniteSumObjective, i: int, gamma: float, z,
-                     max_iter: int = _PROX_MAX_ITER):
+                     max_iter: int | None = None):
     """Proximal step on a single component f_i.
 
     Solves phi = argmin_x f_i(x) + |x - z|^2 / (2 gamma) by reducing to
@@ -395,7 +375,8 @@ def scalar_loss_prox(obj: FiniteSumObjective, i: int, gamma: float, z,
 
     Squared loss gives t in closed form; logistic uses safeguarded
     Newton with a bisection fallback on a bracket that is guaranteed to
-    contain the root.  Returns (phi, stored_gradient) where
+    contain the root, for at most ``max_iter`` iterations (default: the
+    bound of :func:`_solve_margin`).  Returns (phi, stored_gradient) where
     stored_gradient = (z - phi)/gamma = f_i'(phi).
     """
     if gamma <= 0:
@@ -420,7 +401,7 @@ def scalar_loss_prox(obj: FiniteSumObjective, i: int, gamma: float, z,
     return phi, stored
 
 
-def _solve_margin(b, shrink, gq, az, tol, max_iter):
+def _solve_margin(b, shrink, gq, az, tol, max_iter=None):
     """Root of g(t) = shrink*t + gq*psi'(t) - az, strictly increasing,
     for the logistic psi'(t) = -b sigmoid(-b t).  Runs on Python floats:
     every argument is a scalar, and numpy's per-call cost on 0-d arrays
@@ -438,8 +419,10 @@ def _solve_margin(b, shrink, gq, az, tol, max_iter):
 
         2 + log2(gq / tol) + ceil(log2(2 gq (1 + gq / (4 shrink)) / tol))
 
-    iterations are needed: 86 at gq = 1.7, shrink = 1 and tol = 1e-12,
-    and at most 100 for gq up to about 70.  In practice Newton's
+    iterations are needed: 85.6 at gq = 1.7, shrink = 1 and tol = 1e-12,
+    and 203.7 at gq = 2e12.  Rounded down, and with the logarithms split
+    so that no term overflows, this is the cap unless ``max_iter`` sets
+    one; a gq that is not finite gets the cap 0.  In practice Newton's
     quadratic convergence needs far fewer: at most 46 on a grid of gq in
     [1e-8, 1e3] and az in [-60, 60].  Where the doubles near the root
     lie too far apart for |g| to reach tol, the bracket closes instead:
@@ -449,6 +432,10 @@ def _solve_margin(b, shrink, gq, az, tol, max_iter):
     """
     if gq == 0.0:
         return az / shrink
+    if max_iter is None:  # the bound above, rounded down; 0 for gq = inf
+        lg, lt = math.log2(gq), math.log2(tol)
+        max_iter = 0 if not gq < math.inf else math.floor(2 + lg - lt + math.ceil(
+            1 + lg + math.log2(1 + gq / (4 * shrink)) - lt))
     # |psi'| <= 1 for logistic, so the root lies in this bracket
     lo = (az - gq) / shrink
     hi = (az + gq) / shrink

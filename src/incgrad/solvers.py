@@ -12,6 +12,7 @@ single :func:`run` driver handles sampling, tracing and bookkeeping.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -201,19 +202,6 @@ def step_size(policy: StepSizePolicy, consts: ProblemConstants) -> float:
     return 1.0 / (3.0 * (consts.mu * consts.n + consts.L))
 
 
-def _policy_gamma(method, policy, consts: ProblemConstants):
-    """Step of ``policy`` for ``method``, None if the method is parameter
-    free.  Without a policy: 1/(2 mu n) for finito, otherwise
-    1/(2(mu n + L)) when mu > 0 and 1/(3L) when not."""
-    if METHODS[method].param_free:
-        return None
-    if policy is None:
-        if method == "finito":
-            return 1.0 / (2.0 * consts.mu * consts.n)
-        policy = StepSizePolicy("strongly_convex" if consts.mu > 0 else "adaptive")
-    return step_size(policy, consts)
-
-
 # ---------------------------------------------------------------------------
 # single steps: each updates the state in place and checks nothing; the
 # rules are checked once, before any table is built (see _setup)
@@ -228,27 +216,6 @@ def _new_gradient(obj, table, j, x):
     return g, g
 
 
-def _step_direction(obj, table, j, x, gamma, per_n):
-    """(new entry j, gamma * (g_new - g_old + mean)) at x, with
-    g_new - g_old divided by n if ``per_n`` (sag)."""
-    if table.support:
-        idx, a = obj.dataset.point(j)
-        c = obj.loss.deriv_scalar(float(np.vdot(obj.points[j], x)),
-                                  obj.labels[j])
-        diff = c * a - table.coeffs[j] * a
-        if per_n:
-            diff /= obj.n
-        out = table.avg.copy()
-        out[idx] = diff + out[idx]
-        out *= gamma
-        return c, out
-    entry, g_new = _new_gradient(obj, table, j, x)
-    diff = g_new - (table.vecs[j] if table.mode == "dense" else table.gradient(j))
-    if per_n:
-        diff /= obj.n
-    return entry, gamma * (diff + table.avg)
-
-
 def saga_step(state: SagaState, obj, j, gamma, per_n=False, mu=0.0):
     """One update of the saga family: x <- prox_gamma^h(w) with
     w = (1 - gamma mu) x - gamma (f_j'(x) - f_j'(phi_j) + mean_i f_i'(phi_i)),
@@ -256,10 +223,27 @@ def saga_step(state: SagaState, obj, j, gamma, per_n=False, mu=0.0):
     formed).  ``per_n`` divides the difference by n, the biased sag
     direction; ``mu`` is an L2 term kept out of the table (the explicit
     form), and its scaling is skipped when mu = 0."""
-    entry, step = _step_direction(obj, state.table, j, state.x, gamma, per_n)
-    w = ((1.0 - gamma * mu) * state.x if mu else state.x) - step
-    state.x = obj.reg.prox(gamma, w) if obj.reg.kind != "none" else w
-    state.table.update(j, entry)
+    table, x = state.table, state.x
+    if table.support:
+        idx, a = obj.dataset.point(j)
+        entry = obj.loss.deriv_scalar(float(np.vdot(obj.points[j], x)),
+                                      obj.labels[j])
+        diff = entry * a - table.coeffs[j] * a
+        if per_n:
+            diff /= obj.n
+        step = table.avg.copy()
+        step[idx] = diff + step[idx]
+        step *= gamma
+    else:
+        entry, g_new = _new_gradient(obj, table, j, x)
+        diff = g_new - (table.vecs[j] if table.mode == "dense"
+                        else table.gradient(j))
+        if per_n:
+            diff /= obj.n
+        step = gamma * (diff + table.avg)
+    w = ((1.0 - gamma * mu) * x if mu else x) - step
+    state.x = obj.reg.prox(gamma, w) if obj.reg.l1 or obj.reg.l2 else w
+    table.update(j, entry)
 
 
 def warm_step(state: SagaState, obj, j, gamma):
@@ -273,7 +257,7 @@ def warm_step(state: SagaState, obj, j, gamma):
     table.avg += g_new
     (table.coeffs if table.mode == "scalar" else table.vecs)[j] = entry
     w = state.x - gamma * (table.avg / (j + 1))
-    state.x = obj.reg.prox(gamma, w) if obj.reg.kind != "none" else w
+    state.x = obj.reg.prox(gamma, w) if obj.reg.l1 or obj.reg.l2 else w
 
 
 def saga_u_reconstruct(state: SagaState, gamma) -> np.ndarray:
@@ -444,8 +428,10 @@ def check_method(name, *, loss, l1, mu, policy=None, n=None, init="full",
     if inner_steps is not None and name != "svrg":
         raise ConfigError(f"{name} takes no inner_steps; only svrg has "
                           "inner steps")
-    if inner_steps is not None and int(inner_steps) < 1:
-        raise ConfigError("svrg needs at least one inner step per pass")
+    if inner_steps is not None and not (
+            isinstance(inner_steps, numbers.Integral) and inner_steps >= 1):
+        raise ConfigError("svrg needs a whole number of inner steps per "
+                          f"pass, at least one, got {inner_steps!r}")
     return info
 
 
@@ -454,7 +440,9 @@ def _setup(method, obj, consts=None, explicit_l2=0.0, policy=None,
     """Check a run of ``method`` on ``obj``, which must be in the
     method's form, before any work.  Returns the record, the constants
     (estimated, with mu the form's L2 strength, unless given) and the
-    step (None when the method is parameter free)."""
+    step of ``policy``: None when the method is parameter free, and
+    without a policy 1/(2 mu n) for finito, otherwise 1/(2(mu n + L))
+    when mu > 0 and 1/(3L) when not."""
     info = method_info(method)
     split, h_l2 = obj.split_l2 != 0.0, obj.reg.l2 != 0.0
     if not {"split": not h_l2, "separate": h_l2 and not split,
@@ -474,7 +462,13 @@ def _setup(method, obj, consts=None, explicit_l2=0.0, policy=None,
                  mu=explicit_l2 if info.form == "explicit" else consts.mu,
                  policy=policy, n=obj.n, init=init, sampling=sampling,
                  inner_steps=inner_steps)
-    gamma = _policy_gamma(method, policy, consts)
+    if info.param_free:
+        gamma = None
+    elif policy is None and method == "finito":
+        gamma = 1.0 / (2.0 * consts.mu * consts.n)
+    else:
+        gamma = step_size(policy or StepSizePolicy(
+            "strongly_convex" if consts.mu > 0 else "adaptive"), consts)
     if info.form == "explicit":
         _check_scaling(gamma, explicit_l2)
     return info, consts, gamma
@@ -512,7 +506,7 @@ def _record(obj, k, evals, x, xbar, reference, extra_l2=0.0):
         x_star, f_star = reference
 
         def full_value(v):
-            out = obj.value(v, composite=True)
+            out = obj.value(v)
             if extra_l2:
                 out += 0.5 * extra_l2 * float(v @ v)
             return out
@@ -550,10 +544,11 @@ def run(method, obj, x0, *, epochs, policy=None, seed=0, rng=None,
     ``run`` checks against the divergence guard.  The result is built
     from the last tuple, so it is the last pass's x and xsum.
     """
-    if epochs < 0:
-        raise ConfigError("epochs must be nonnegative")
-    if trace_every < 1:
-        raise ConfigError("trace_every must be >= 1")
+    for name, count, least in (("epochs", epochs, 0),
+                               ("trace_every", trace_every, 1)):
+        if not (isinstance(count, numbers.Integral) and count >= least):
+            raise ConfigError(f"{name} must be an integer >= {least}, "
+                              f"got {count!r}")
     if rng is None:
         rng = np.random.default_rng(seed)
     x0 = np.asarray(x0, dtype=float)
@@ -655,7 +650,7 @@ def _svrg_passes(obj, x0, gamma, m, epochs, rng):
     xsum = np.zeros_like(x)
     k = 0
     evals = 0.0
-    has_prox = obj.reg.kind != "none"
+    has_prox = obj.reg.l1 or obj.reg.l2
     yield 0, evals, x, xsum
     from . import _kernel  # built or loaded by the first compiled run only
     kernel_pass = _kernel.svrg_pass(obj, gamma)
@@ -736,7 +731,7 @@ def prox_gradient_optimum(obj, tol=1e-12, max_iter=1_000_000, x0=None):
     """
     l_max = estimate_constants(obj).L
     lip = _smooth_lipschitz(obj, l_max)
-    prox = obj.reg.prox if obj.reg.kind != "none" else (lambda gamma, w: w)
+    prox = obj.reg.prox if obj.reg.l1 or obj.reg.l2 else (lambda gamma, w: w)
     x = np.zeros(obj.d) if x0 is None else np.array(x0, dtype=float)
     mx = obj.margins(x)
     # exact: margins(y) as full_gradient forms it, else None; fy: f(y)
@@ -749,7 +744,7 @@ def prox_gradient_optimum(obj, tol=1e-12, max_iter=1_000_000, x0=None):
         r = ty - y
         residual = math.sqrt(float(r @ r))  # np.linalg.norm's formula
         if residual <= tol:
-            return ty, obj.value(ty, composite=True)
+            return ty, obj.value(ty)
         if fy is None and lip < l_max:
             fy = obj.smooth_value(y, margins=my)
         while True:

@@ -176,6 +176,29 @@ def test_certify_at_the_newton_step_cap_exits_two(monkeypatch, capsys):
         "numerical failure: Newton's method did not converge within 0 ")
 
 
+def test_certify_property_past_its_bound_fails_and_exits_two(monkeypatch,
+                                                            capsys):
+    # the strongly convex contraction worst is above 1e-10, the
+    # strong_lb gap below -1e-12; a gap of +1.0 is far inside its bound
+    monkeypatch.setattr(analysis, "_check_contraction",
+                        lambda rng, instances, preset:
+                        2e-10 if preset == "sc" else -1.0)
+    monkeypatch.setattr(analysis, "_check_lemmas", lambda rng, instances: {
+        "strong_lb": -2e-12, "ip_bound": 1.0, "grad_diff": 0.0,
+        "wchange": -1e-12})
+    assert main(["certify", "--instances", "5", "--lemma-instances", "5",
+                 "--skip-trajectory"]) == 2
+    status = {line.split()[1]: line.split()[0]
+              for line in capsys.readouterr().out.splitlines()}
+    assert status == {
+        "lyapunov_contraction_strongly_convex": "FAIL",
+        "lyapunov_contraction_adaptive": "PASS",
+        "lemma_strong_lb": "FAIL", "lemma_ip_bound": "PASS",
+        "lemma_grad_diff": "PASS", "lemma_wchange": "PASS",
+        "estimator_algebra": "PASS", "moreau_decomposition": "PASS",
+        "direction_unbiasedness": "PASS", "sag_bias_structure": "PASS"}
+
+
 def _cli(argv, stdout, unbuffered=True):
     """``python -m incgrad.cli argv`` from this checkout, as a Popen."""
     env = dict(os.environ,

@@ -6,6 +6,7 @@ numpy loops by replacing the loader (the ``kernel_paths`` fixture).
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -445,35 +446,61 @@ def test_margin_solve_ends_where_the_bracket_closes(kernel_paths):
     assert rows == [rows[0]] * len(rows)
 
 
-def test_midpoint_failed_margin_solve_raises_alike_at_the_same_step(
-        kernel_paths, monkeypatch):
-    # with mu = 1e-13 a margin solve in the third pass starts from a
-    # bracket about 3e12 wide, and its 100 iterations end before the
-    # bracket closes
+def _unit_points_objective(split_l2):
+    """6 unit-norm 2-d points, one labelled -1, under logistic loss."""
     pts = np.random.default_rng(48).standard_normal((6, 2))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    obj = FiniteSumObjective(Dataset.from_dense(pts, [1.0] * 5 + [-1.0]),
-                             make_loss("logistic"), split_l2=1e-13)
+    return FiniteSumObjective(Dataset.from_dense(pts, [1.0] * 5 + [-1.0]),
+                              make_loss("logistic"), split_l2=split_l2)
+
+
+def test_midpoint_margin_solve_past_a_hundred_iterations_keeps_every_byte(
+        kernel_paths):
+    # with mu = 1e-13 a margin solve in the third pass starts from a
+    # bracket about 3e12 wide (gq = 2e12): it needs more than 100
+    # iterations, which a fixed cap of 100 cut short with ProxSolveError,
+    # and fewer than the 203 its bound allows
+    obj = _unit_points_objective(1e-13)
+    rows = []
+    for _ in kernel_paths():
+        res = run("midpoint", obj, np.zeros(2), epochs=3, seed=4)
+        rows.append([r.x.tobytes() for r in res.records]
+                    + [res.xbar.tobytes()])
+    assert rows == [rows[0]] * len(rows)
+    assert np.isfinite(res.x).all()
+
+
+def test_midpoint_failed_margin_solve_raises_alike_at_the_same_step(
+        kernel_paths, monkeypatch):
+    # from a nan start the first margin solve sees a nan a_j'z, which no
+    # bound covers: both paths run the cap that the bound gives for
+    # gq = gamma |a_j|^2 and raise with residual nan
+    obj = _unit_points_objective(0.01)
+    x0 = np.full(2, np.nan)
     states = _recorded_states(monkeypatch)
     outs = []
     for _ in kernel_paths():
         states.clear()
         rng = np.random.default_rng(4)
-        passes = _table_passes("midpoint", obj, np.zeros(2), None, 1e-13, 1.0,
-                               0.0, 3, rng, "full", "iid")
+        passes = _table_passes("midpoint", obj, x0, None, 0.01, 1.0, 0.0, 3,
+                               rng, "full", "iid")
         ks = []
         with pytest.raises(ProxSolveError) as failed:
             for k, _, _, xsum in passes:
                 ks.append(k)
         err = failed.value
         with pytest.raises(ProxSolveError) as through_run:
-            run("midpoint", obj, np.zeros(2), epochs=3, seed=4)
-        outs.append((ks, str(err), err.residual, err.iterations,
-                     xsum.tobytes(), _state_bytes(states[0]),
-                     rng.bit_generator.state, str(through_run.value)))
-    assert outs[0][0] == [0, 6, 12] and outs[0][3] == 100
+            run("midpoint", obj, x0, epochs=3, seed=4)
+        outs.append((ks, str(err), err.iterations, xsum.tobytes(),
+                     _state_bytes(states[0]), rng.bit_generator.state,
+                     str(through_run.value)))
+    j = int(np.random.default_rng(4).integers(0, 6, size=6)[0])
+    gq, shrink = 20.0 * obj.dataset.sqnorms()[j], 1.0 + 20.0 * 0.01
+    bound = (2 + math.log2(gq / 1e-12) + math.ceil(math.log2(
+        2 * gq * (1 + gq / (4 * shrink)) / 1e-12)))
+    assert outs[0][0] == [0] and outs[0][2] == math.floor(bound)
+    assert outs[0][1].endswith("with residual nan")
     assert outs[0][-1] == outs[0][1]
-    assert outs[0][2] > 1e-12
     assert outs == [outs[0]] * len(outs)
 
 

@@ -143,14 +143,14 @@ def test_objective_values(two_quadratics):
     obj, _ = two_quadratics
     assert obj.value(np.array([0.0])) == pytest.approx(0.5)
     l1_obj = FiniteSumObjective(obj.dataset, obj.loss, reg=Regularizer(l1=1.0))
-    assert l1_obj.value(np.array([1.0]), composite=True) == pytest.approx(2.0)
+    assert l1_obj.value(np.array([1.0])) == pytest.approx(2.0)
 
 
 def test_composite_equals_smooth_without_regularizer():
     rng = np.random.default_rng(3)
     obj = make_random_objective(rng)
     x = rng.standard_normal(obj.d)
-    assert obj.value(x, composite=True) == obj.value(x, composite=False)
+    assert obj.value(x) == obj.smooth_value(x)
 
 
 # ---------------------------------------------------------------------------

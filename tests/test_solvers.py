@@ -686,7 +686,7 @@ def _reference_optimum(obj):
     for k in range(1, 1_000_001):
         nxt = obj.reg.prox(step, x - step * obj.full_gradient(x))
         if np.linalg.norm(nxt - x) <= 1e-12:
-            return nxt, obj.value(nxt, composite=True), k
+            return nxt, obj.value(nxt), k
         x = nxt
     raise AssertionError("reference optimum did not converge")
 
@@ -766,7 +766,7 @@ def _frozen_fista(obj, tol=1e-12):
 
     l_max = estimate_constants(obj).L
     lip = _smooth_lipschitz(obj, l_max)
-    prox = obj.reg.prox if obj.reg.kind != "none" else (lambda gamma, w: w)
+    prox = obj.reg.prox if obj.reg.l1 or obj.reg.l2 else (lambda gamma, w: w)
     x = np.zeros(obj.d)
     mx = obj.margins(x)
     y, my = x, mx
@@ -1118,6 +1118,28 @@ def test_run_rejects_incompatible_configs(two_quadratics):
     sep = _sdca_problem(rng)
     with pytest.raises(ConfigError):
         run("sdca", sep, np.zeros(3), epochs=1,
+            policy=StepSizePolicy("manual", gamma=0.1))
+
+
+def test_run_rejects_fractional_epochs(two_quadratics):
+    obj, consts = two_quadratics
+    with pytest.raises(ConfigError, match="epochs must be an integer"):
+        run("saga", obj, np.zeros(1), epochs=2.5, consts=consts)
+
+
+def test_run_rejects_fractional_trace_every():
+    # with n = 3 and 3 epochs, a trace_every of 1.5 traced k = 0 and 9 only
+    ds = Dataset.from_dense([[1.0], [2.0], [-1.0]], [1.0, 0.0, 2.0])
+    obj = FiniteSumObjective(ds, make_loss("squared"), split_l2=0.1)
+    with pytest.raises(ConfigError, match="trace_every must be an integer"):
+        run("saga", obj, np.zeros(1), epochs=3, trace_every=1.5)
+
+
+def test_run_rejects_fractional_inner_steps(two_quadratics):
+    # an inner_steps of 2.5 ran 2 svrg steps per pass
+    obj, _ = two_quadratics
+    with pytest.raises(ConfigError, match="whole number of inner steps"):
+        run("svrg", obj, np.array([1.0]), epochs=1, inner_steps=2.5,
             policy=StepSizePolicy("manual", gamma=0.1))
 
 
