@@ -110,8 +110,8 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # the reader left: not a config error
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ConfigError, OSError, UnicodeDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except (ConfigError, OSError, UnicodeDecodeError, MemoryError) as exc:
+        print(f"config error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except (DivergenceError, InconsistentReferenceError, OptimumError,
             ProxSolveError) as exc:

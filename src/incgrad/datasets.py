@@ -12,14 +12,19 @@ from .errors import ConfigError
 from .objectives import Dataset, sigmoid
 
 
+# the largest d whose d-vector of doubles numpy can size (2^60 - 1)
+_MAX_D = np.iinfo(np.intp).max // 8
+
+
 def load_libsvm(path, n_features=None, normalize=False) -> Dataset:
     """Parse the plain-text sparse format "label idx:val idx:val ...".
 
     Indices are 1-based in the file and converted to 0-based; they must
-    be strictly increasing within a line, and every label and value must
-    be finite.  The dimension is inferred from the largest index unless
-    ``n_features`` pins it.  With ``normalize`` every point is scaled to
-    unit euclidean norm.
+    be strictly increasing within a line and at most ``_MAX_D``, and
+    every label and value must be finite.  The dimension is inferred
+    from the largest index unless ``n_features`` pins it, also at most
+    ``_MAX_D``.  With ``normalize`` every point is scaled to unit
+    euclidean norm.
     """
     labels, indptr = [], [0]
     indices, data = array("q"), array("d")  # every point's, in file order
@@ -60,6 +65,9 @@ def load_libsvm(path, n_features=None, normalize=False) -> Dataset:
                     raise ConfigError(
                         f"{path}:{lineno}: feature indices must be "
                         "strictly increasing")
+                if idx >= _MAX_D:  # d = idx + 1 must not pass _MAX_D
+                    raise ConfigError(
+                        f"{path}:{lineno}: feature index too large {tok!r}")
                 prev = idx
                 indices.append(idx)
                 data.append(val)
@@ -73,6 +81,9 @@ def load_libsvm(path, n_features=None, normalize=False) -> Dataset:
         if n_features < d:
             raise ConfigError(
                 f"n_features={n_features} below largest index {d}")
+        if n_features > _MAX_D:
+            raise ConfigError(
+                f"n_features={n_features} above the largest {_MAX_D}")
         d = n_features
     mat = CscMatrix(data, indices, indptr, (d, len(labels)))
     if normalize:

@@ -322,7 +322,7 @@ class FiniteSumObjective:
         x = np.asarray(x, float)
         g = self.loss_coeffs(x)[:, None] * self.points
         if self.split_l2:
-            g = g + self.split_l2 * x
+            g += self.split_l2 * x
         return g
 
     def values_at_points(self, phi) -> np.ndarray:
@@ -340,7 +340,7 @@ class FiniteSumObjective:
         t = np.einsum("ij,ij->i", self.points, phi)
         g = self.loss.deriv(t, self.labels)[:, None] * self.points
         if self.split_l2:
-            g = g + self.split_l2 * phi
+            g += self.split_l2 * phi
         return g
 
 

@@ -483,3 +483,53 @@ def test_file_dataset_with_a_non_finite_number_exits_one(tmp_path, capsys,
     for command in ("run", "optimum"):
         _assert_config_error([command, "--config", str(p)], capsys,
                              mentions=f"{data}:2: non-finite")
+
+
+def test_file_dataset_with_a_feature_index_too_large_exits_one(tmp_path,
+                                                               capsys):
+    # past int64, and past the largest d numpy can size (2^60 - 1)
+    for index in ("99999999999999999999", str(2 ** 63 - 1), str(2 ** 60)):
+        data = tmp_path / "data.svm"
+        data.write_text(f"1 1:0.5\n1 {index}:1\n")
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"dataset": {"path": str(data)},
+                                 "loss": "squared", "methods": ["saga"]}))
+        for command in ("run", "optimum"):
+            _assert_config_error(
+                [command, "--config", str(p)], capsys,
+                mentions=f"{data}:2: feature index too large '{index}:1'")
+
+
+def test_file_dataset_with_n_features_too_large_exits_one(tmp_path, capsys):
+    data = tmp_path / "data.svm"
+    data.write_text("1 1:0.5\n")
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"dataset": {"path": str(data),
+                                         "n_features": 2 ** 62},
+                             "loss": "squared", "methods": ["saga"]}))
+    for command in ("run", "optimum"):
+        _assert_config_error([command, "--config", str(p)], capsys,
+                             mentions=f"n_features={2 ** 62} above")
+
+
+def test_allocation_that_cannot_be_made_exits_one(tmp_path, capsys):
+    # d = 2^50: one d-vector of doubles (8 PiB) exceeds the address
+    # space, so the request fails at once and touches no memory
+    data = tmp_path / "data.svm"
+    data.write_text(f"1 {2 ** 50}:1\n")
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"dataset": {"path": str(data)},
+                             "loss": "squared", "methods": ["saga"]}))
+    for command in ("run", "optimum"):
+        _assert_config_error([command, "--config", str(p)], capsys,
+                             mentions="Unable to allocate")
+
+
+def test_memory_error_without_a_message_still_names_it(config_path, capsys,
+                                                       monkeypatch):
+    def failed(obj):
+        raise MemoryError()
+
+    monkeypatch.setattr(harness, "compute_reference_optimum", failed)
+    _assert_config_error(["optimum", "--config", str(config_path)], capsys,
+                         mentions="config error: out of memory")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -488,6 +489,33 @@ def test_sparse_full_gradient_rejects_non_finite_x():
         x[0] = bad  # a coordinate no point touches
         with pytest.raises(ValueError, match="finite"):
             obj.full_gradient(x)
+
+
+def test_split_gradient_arrays_are_built_in_the_array_they_return():
+    from incgrad.solvers import GradientTable
+
+    n, d = 400, 250
+    ds = generate_synthetic("logistic", n, d, seed=0)
+    obj = FiniteSumObjective(ds, make_loss("logistic"), split_l2=0.3)
+    pts = obj.points  # the cached dense copy, made before tracing
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(d)
+    phi = rng.standard_normal((n, d))
+    tracemalloc.start()
+    try:
+        table = GradientTable.at_point(obj, x)
+        table_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the table's one (n, d) array, plus vectors: no second n*d temporary
+    assert table_peak < 1.3 * n * d * 8
+    g_phi = obj.gradients_at_points(phi)
+    want = obj.loss_coeffs(x)[:, None] * pts + 0.3 * x
+    assert table.vecs.tobytes() == want.tobytes()
+    assert table.avg.tobytes() == want.mean(axis=0).tobytes()
+    t = np.einsum("ij,ij->i", pts, phi)
+    want = obj.loss.deriv(t, obj.labels)[:, None] * pts + 0.3 * phi
+    assert g_phi.tobytes() == want.tobytes()
 
 
 def test_logistic_labels_validated():
