@@ -520,10 +520,12 @@ def certify(seed=0, instances=1000, lemma_instances=1000, traj_seeds=200,
             include_trajectory=True):
     """Run the full property battery; returns a list of PropertyResult.
 
-    Raises :class:`ConfigError` when a battery would be empty: fewer
-    than one instance, lemma instance, or (with the trajectory check)
-    trajectory seed.
+    Raises :class:`ConfigError` for a negative seed, or when a battery
+    would be empty: fewer than one instance, lemma instance, or (with
+    the trajectory check) trajectory seed.
     """
+    if seed < 0:
+        raise ConfigError(f"'seed' must be nonnegative, got {seed}")
     sizes = {"instances": instances, "lemma_instances": lemma_instances}
     if include_trajectory:
         sizes["traj_seeds"] = traj_seeds

@@ -23,8 +23,16 @@ from .errors import (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a configuration error (exit 1, one line), not
+    argparse's usage text with exit 2, the numerical-failure code."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser():
-    p = argparse.ArgumentParser(prog="incgrad")
+    p = _Parser(prog="incgrad")
     sub = p.add_subparsers(dest="command", required=True)
 
     pr = sub.add_parser("run", help="run a configured method comparison")
@@ -102,8 +110,8 @@ def _cmd_optimum(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         code = {"run": _cmd_run, "certify": _cmd_certify,
                 "optimum": _cmd_optimum}[args.command](args)
         sys.stdout.flush()  # a closed stdout fails here, not at exit

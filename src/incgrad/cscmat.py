@@ -6,7 +6,7 @@ import numpy as np
 
 from .errors import ConfigError
 
-_MASK_BYTES = 1 << 20  # from_dense builds its mask in column chunks this size
+_MASK_BYTES = 1 << 18  # from_dense builds its mask in column chunks this size
 
 
 class CscMatrix:
@@ -61,7 +61,7 @@ class CscMatrix:
         if d < 1 or n < 1:
             raise ConfigError(f"matrix shape {dense.shape} must be at least 1x1")
         # a boolean mask selects in row-major order of dense.T: column by
-        # column, rows ascending within each column; masks of about 1 MB
+        # column, rows ascending within each column; masks of about 256 kB
         # at a time
         step = max(1, _MASK_BYTES // d)
         indptr = np.zeros(n + 1, dtype=np.int64)

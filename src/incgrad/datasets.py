@@ -95,8 +95,8 @@ def load_libsvm(path, n_features=None, normalize=False) -> Dataset:
 
 _SYNTH_KINDS = ("ridge", "lasso_ls", "logistic")
 
-# entries per row chunk of the generator's temporaries (1 MB of doubles)
-_CHUNK = 1 << 17
+# entries per row chunk of the generator's temporaries (256 kB of doubles)
+_CHUNK = 1 << 15
 
 
 def generate_synthetic(kind, n, d, density=1.0, noise=0.1, seed=0,

@@ -243,18 +243,32 @@ def _sweep_gamma(name, obj, x0, cfg, kwargs, reference):
     for mult in SWEEP_GRID:
         gamma = base * mult
         try:
-            res = run(name, obj, x0, epochs=cfg.epochs,
-                      policy=StepSizePolicy("manual", gamma=gamma),
-                      seed=cfg.seeds[0], trace_every=cfg.epochs,
-                      reference=reference, **kwargs)
+            final = run(name, obj, x0, epochs=cfg.epochs,
+                        policy=StepSizePolicy("manual", gamma=gamma),
+                        seed=cfg.seeds[0], trace_every=cfg.epochs,
+                        reference=reference, **kwargs).records[-1].subopt
         except (DivergenceError, ConfigError):
             continue
-        final = res.records[-1].subopt
         if np.isfinite(final) and final < best_val:
             best_val, best_gamma = final, gamma
     if best_gamma is None:
         raise DivergenceError(0, detail=f"every swept step diverged for {name}")
     return StepSizePolicy("manual", gamma=best_gamma)
+
+
+def _result_rows(res, method, seed, n):
+    """The trace rows of one run's result, with clamped suboptimality."""
+    rows = []
+    for rec in res.records:
+        sub = rec.subopt
+        if sub < SUBOPT_NEG_TOL:
+            raise InconsistentReferenceError(sub)
+        sub = max(sub, 0.0)
+        rows.append(ResultRow(method=method, seed=seed,
+                              grad_evals_per_n=rec.grad_evals / n,
+                              suboptimality=max(sub, SUBOPT_FLOOR),
+                              dist_sq=rec.dist_sq))
+    return rows
 
 
 def run_experiment(cfg: ExperimentConfig, sweep_steps=False):
@@ -280,19 +294,13 @@ def run_experiment(cfg: ExperimentConfig, sweep_steps=False):
                 and not method_info(spec.name).param_free):
             policy = _sweep_gamma(spec.name, obj, x0, cfg, kwargs, reference)
         for seed in cfg.seeds:
-            res = run(spec.name, obj, x0, epochs=cfg.epochs, policy=policy,
-                      seed=seed, trace_every=cfg.trace_every,
-                      reference=reference, **kwargs)
-            for rec in res.records:
-                sub = rec.subopt
-                if sub < SUBOPT_NEG_TOL:
-                    raise InconsistentReferenceError(sub)
-                sub = max(sub, 0.0)
-                rows.append(ResultRow(
-                    method=spec.name, seed=seed,
-                    grad_evals_per_n=rec.grad_evals / ds.n,
-                    suboptimality=max(sub, SUBOPT_FLOOR),
-                    dist_sq=rec.dist_sq))
+            # the result goes out of scope here, so the next run starts
+            # without this one's iterate copies
+            rows += _result_rows(
+                run(spec.name, obj, x0, epochs=cfg.epochs, policy=policy,
+                    seed=seed, trace_every=cfg.trace_every,
+                    reference=reference, **kwargs),
+                spec.name, seed, ds.n)
     rows.sort(key=lambda r: (r.method, r.seed, r.grad_evals_per_n))
     return rows
 

@@ -248,6 +248,29 @@ def test_certify_empty_battery_exits_one(capsys, argv, mentions):
     _assert_config_error(["certify", *argv], capsys, mentions=mentions)
 
 
+@pytest.mark.parametrize("extra", [[], ["--skip-trajectory"]])
+def test_certify_negative_seed_exits_one(capsys, extra):
+    _assert_config_error(["certify", "--seed", "-1", *extra], capsys,
+                         mentions="'seed' must be nonnegative, got -1")
+
+
+@pytest.mark.parametrize("argv,mentions", [
+    (["run"], "--config"),
+    (["certify", "--seed", "abc"], "--seed"),
+    ([], "command"),
+])
+def test_usage_error_is_a_config_error(capsys, argv, mentions):
+    # exit 2 is kept for numerical failure
+    _assert_config_error(argv, capsys, mentions=mentions)
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["run", "--help"])
+    assert info.value.code == 0
+    assert "--config" in capsys.readouterr().out
+
+
 def test_certify_skipped_trajectory_needs_no_seeds(capsys):
     code = main(["certify", "--instances", "5", "--lemma-instances", "5",
                  "--traj-seeds", "0", "--skip-trajectory"])

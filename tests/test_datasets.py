@@ -12,7 +12,7 @@ from incgrad import (
     make_loss,
     prox_gradient_optimum,
 )
-from incgrad import cscmat
+from incgrad import cscmat, datasets
 from incgrad.datasets import generate_synthetic, load_libsvm
 from incgrad.objectives import Dataset, sigmoid
 from helpers import save_libsvm
@@ -181,6 +181,35 @@ def test_synthetic_and_densify_keep_one_dense_copy(monkeypatch):
     assert len(filled) == 1 and np.shares_memory(points, filled[0])
 
 
+@pytest.mark.parametrize("normalize", [False, True])
+def test_synthetic_bytes_do_not_depend_on_the_chunk(normalize, monkeypatch):
+    # one row per chunk, 7 rows, and the whole array in one chunk
+    n, d = 50, 2000
+    outs = []
+    for chunk in (d, 7 * d, n * d):
+        monkeypatch.setattr(datasets, "_CHUNK", chunk)
+        outs.append(generate_synthetic("ridge", n, d, density=5e-3,
+                                       normalize=normalize))
+    for got in outs[1:]:
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got.features, name),
+                                  getattr(outs[0].features, name))
+        assert np.array_equal(got.labels, outs[0].labels)
+
+
+def test_synthetic_temporaries_stay_small():
+    # beside the (n, d) feature array, the chunked uniforms, row norms
+    # and mask chunks add well under 2 MiB
+    n, d = 600, 10_000
+    tracemalloc.start()
+    try:
+        generate_synthetic("ridge", n, d, density=1e-3, normalize=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * d * 8 + 2 * 2 ** 20
+
+
 def test_planted_model_recovery():
     # noiseless overdetermined least squares with a vanishing ridge:
     # the minimiser is the planted weight vector itself
@@ -225,7 +254,7 @@ def _check_from_dense(shape, density):
     ((1, 1), 1.0), ((30, 40), 0.05), ((3000, 1000), 0.01),
 ])
 def test_from_dense_matches_column_loop(shape, density):
-    # (600, 10000) and (3000, 1000) span several 1 MB mask chunks, the
+    # (600, 10000) and (3000, 1000) span several 256 kB mask chunks, the
     # last one short
     _check_from_dense(shape, density)
 

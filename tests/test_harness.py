@@ -1,4 +1,5 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -253,6 +254,32 @@ def test_lazy_method_through_harness():
     assert final["saga_lazy"].suboptimality <= 1e-10
     assert final["saga_explicit_l2"].suboptimality <= 1e-10
     assert final["saga_lazy"].dist_sq <= 1e-10
+
+
+def test_experiment_holds_one_run_result_at_a_time(monkeypatch):
+    # each result's iterate copies must be released before the next
+    # (method, seed) run starts
+    results, live_at_start = [], []
+
+    def tracked_run(*args, **kwargs):
+        live_at_start.append([r() is not None for r in results])
+        res = run(*args, **kwargs)
+        results.append(weakref.ref(res))
+        return res
+
+    monkeypatch.setattr(harness, "run", tracked_run)
+    cfg = ExperimentConfig.from_dict({
+        "dataset": {"synthetic": {"kind": "ridge", "n": 30, "d": 2000,
+                                  "density": 5e-3, "seed": 3,
+                                  "normalize": True}},
+        "loss": "squared", "l2": 0.1,
+        "methods": ["saga_lazy", "saga_explicit_l2"], "epochs": 3,
+        "seeds": [0, 1]})
+    assert harness.canonical_objective(build_dataset(cfg), cfg).sparse
+    rows = run_experiment(cfg)
+    assert len(rows) == 2 * 2 * 4
+    assert live_at_start == [[], [False], [False, False],
+                             [False, False, False]]
 
 
 # ---------------------------------------------------------------------------
