@@ -26,7 +26,7 @@ from .objectives import (
     make_loss,
     sigmoid,
 )
-from .solvers import StepSizePolicy, prox_gradient_optimum, step_size
+from .solvers import StepSizePolicy, is_int, prox_gradient_optimum, step_size
 
 MAX_ENUMERABLE_N = 10_000
 NEWTON_MAX_STEPS = 20
@@ -520,15 +520,18 @@ def certify(seed=0, instances=1000, lemma_instances=1000, traj_seeds=200,
             include_trajectory=True):
     """Run the full property battery; returns a list of PropertyResult.
 
-    Raises :class:`ConfigError` for a negative seed, or when a battery
-    would be empty: fewer than one instance, lemma instance, or (with
-    the trajectory check) trajectory seed.
+    Raises :class:`ConfigError` for a seed or size that is not an int,
+    a negative seed, or an empty battery: fewer than one instance, lemma
+    instance, or (with the trajectory check) trajectory seed.
     """
-    if seed < 0:
-        raise ConfigError(f"'seed' must be nonnegative, got {seed}")
     sizes = {"instances": instances, "lemma_instances": lemma_instances}
     if include_trajectory:
         sizes["traj_seeds"] = traj_seeds
+    for name, value in {"seed": seed, **sizes}.items():
+        if not is_int(value):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if seed < 0:
+        raise ConfigError(f"'seed' must be nonnegative, got {seed}")
     for name, size in sizes.items():
         if size < 1:
             raise ConfigError(f"{name} must be at least 1, got {size}")

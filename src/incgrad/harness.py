@@ -263,7 +263,6 @@ def _result_rows(res, method, seed, n):
         sub = rec.subopt
         if sub < SUBOPT_NEG_TOL:
             raise InconsistentReferenceError(sub)
-        sub = max(sub, 0.0)
         rows.append(ResultRow(method=method, seed=seed,
                               grad_evals_per_n=rec.grad_evals / n,
                               suboptimality=max(sub, SUBOPT_FLOOR),
@@ -276,9 +275,8 @@ def run_experiment(cfg: ExperimentConfig, sweep_steps=False):
 
     The reference optimum is computed once on the canonical objective;
     suboptimality below -1e-12 raises :class:`InconsistentReferenceError`
-    (the reference would be wrong), values in [-1e-12, 0] clamp to zero,
-    and anything below the floor 1e-16 reports as the floor so log-scale
-    plots stay finite.
+    (the reference would be wrong), and anything from -1e-12 up to the
+    floor 1e-16 reports as the floor so log-scale plots stay finite.
     """
     validate_config(cfg)
     ds = build_dataset(cfg)

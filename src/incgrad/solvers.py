@@ -30,6 +30,11 @@ DIVERGENCE_SQNORM = 1e24  # |x|^2 guard, i.e. |x| > 1e12
 _DIVERGED = "non-finite or oversized iterate"
 
 
+def is_int(value):
+    """True for an integer other than a bool: True counts nothing."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _check_iterate(x, k):
     s = float(x @ x)
     if not (s < DIVERGENCE_SQNORM):
@@ -180,8 +185,8 @@ class StepSizePolicy:
     def __post_init__(self):
         if self.mode not in ("strongly_convex", "average_sc", "adaptive", "manual"):
             raise ConfigError(f"unknown step size mode {self.mode!r}")
-        if self.mode == "manual" and not (
-                self.gamma is not None and 0 < self.gamma < math.inf):
+        if self.mode == "manual" and (self.gamma is None or isinstance(
+                self.gamma, (bool, np.bool_)) or not 0 < self.gamma < math.inf):
             raise ConfigError("manual step size requires a finite gamma > 0")
 
     def check_mu(self, mu):
@@ -429,7 +434,7 @@ def check_method(name, *, loss, l1, mu, policy=None, n=None, init="full",
         raise ConfigError(f"{name} takes no inner_steps; only svrg has "
                           "inner steps")
     if inner_steps is not None and not (
-            isinstance(inner_steps, numbers.Integral) and inner_steps >= 1):
+            is_int(inner_steps) and inner_steps >= 1):
         raise ConfigError("svrg needs a whole number of inner steps per "
                           f"pass, at least one, got {inner_steps!r}")
     return info
@@ -486,7 +491,6 @@ class TraceRecord:
     x: np.ndarray
     xbar: np.ndarray | None
     subopt: float | None = None
-    subopt_avg: float | None = None
     dist_sq: float | None = None
 
 
@@ -501,23 +505,16 @@ class RunResult:
 
 def _record(obj, k, evals, x, xbar, reference, extra_l2=0.0):
     # extra_l2 covers methods whose L2 term lives outside the objective
-    sub = sub_avg = dist = None
+    rec = TraceRecord(k=k, grad_evals=evals, x=np.array(x),
+                      xbar=None if xbar is None else np.array(xbar))
     if reference is not None:
         x_star, f_star = reference
-
-        def full_value(v):
-            out = obj.value(v)
-            if extra_l2:
-                out += 0.5 * extra_l2 * float(v @ v)
-            return out
-
-        sub = full_value(x) - f_star
-        dist = float(np.sum((x - x_star) ** 2))
-        if xbar is not None:
-            sub_avg = full_value(xbar) - f_star
-    return TraceRecord(k=k, grad_evals=evals, x=np.array(x),
-                       xbar=None if xbar is None else np.array(xbar),
-                       subopt=sub, subopt_avg=sub_avg, dist_sq=dist)
+        rec.subopt = obj.value(x)
+        if extra_l2:
+            rec.subopt += 0.5 * extra_l2 * float(x @ x)
+        rec.subopt -= f_star
+        rec.dist_sq = float(np.sum((x - x_star) ** 2))
+    return rec
 
 
 def run(method, obj, x0, *, epochs, policy=None, seed=0, rng=None,
@@ -535,9 +532,10 @@ def run(method, obj, x0, *, epochs, policy=None, seed=0, rng=None,
     full gradient at its snapshot, and ``saga_lazy`` runs the lagged
     sparse engine of :mod:`incgrad.lazy` from the origin.
     A trace row is taken before any work and after every ``trace_every``
-    epochs; when ``reference=(x_star, F_star)`` is given the rows carry
-    suboptimality and squared distance, both for the iterate and for the
-    running average iterate (``saga_lazy`` keeps no average).
+    epochs.  Rows carry x and the running average xbar (None for
+    ``saga_lazy``); with ``reference=(x_star, F_star)`` they also carry
+    x's suboptimality and squared distance.  F(xbar) - F* is
+    ``obj.value(rec.xbar) - F_star``, plus the explicit L2 term if any.
 
     Each engine is a plain iterator of (k, evals, x, xsum): once after
     its set-up and once after every pass, with x the true iterate, which
@@ -546,7 +544,7 @@ def run(method, obj, x0, *, epochs, policy=None, seed=0, rng=None,
     """
     for name, count, least in (("epochs", epochs, 0),
                                ("trace_every", trace_every, 1)):
-        if not (isinstance(count, numbers.Integral) and count >= least):
+        if not (is_int(count) and count >= least):
             raise ConfigError(f"{name} must be an integer >= {least}, "
                               f"got {count!r}")
     if rng is None:

@@ -78,11 +78,13 @@ def _ridge_unit_condition(seed=42):
 def _mean_trajectory(obj, policy, seeds, epochs, field):
     """Trace steps, the mean of ``field`` over ``seeds`` seeded runs of
     ``saga_u`` (saga's iterates, through the compiled table pass), and
-    x*."""
+    x*.  ``field`` names a trace record attribute, or is a function of
+    the record and F*."""
     reference = prox_gradient_optimum(obj)
     runs = [run("saga_u", obj, np.zeros(obj.d), epochs=epochs, seed=s,
                 policy=policy, reference=reference) for s in range(seeds)]
-    acc = sum(np.array([getattr(r, field) for r in res.records])
+    acc = sum(np.array([field(r, reference[1]) if callable(field)
+                        else getattr(r, field) for r in res.records])
               for res in runs)
     return np.array([r.k for r in runs[0].records]), acc / seeds, reference[0]
 
@@ -160,7 +162,7 @@ def test_criterion_4_non_strongly_convex_rate():
     x0 = np.zeros(d)
     ks, mean_gap, x_star = _mean_trajectory(
         obj, StepSizePolicy("adaptive"), seeds=200, epochs=30,
-        field="subopt_avg")
+        field=lambda rec, f_star: obj.value(rec.xbar) - f_star)
     worst_ratio = 0.0
     for k, m in zip(ks, mean_gap):
         if k < n:

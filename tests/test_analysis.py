@@ -189,6 +189,19 @@ def test_estimator_matches_brute_force():
         assert abs(var - float(p @ (theta - p @ theta) ** 2)) <= 1e-14
 
 
+@pytest.mark.parametrize("name,value", [
+    ("seed", True), ("seed", 1.5), ("instances", 2.5), ("instances", True),
+    ("lemma_instances", True), ("traj_seeds", True), ("traj_seeds", 2.0),
+])
+def test_certify_seed_and_sizes_are_integers(name, value):
+    # a seed of True ran as seed 1 and traj_seeds=True as one seed; 1.5
+    # and 2.5 ended in raw TypeErrors
+    sizes = {"instances": 1, "lemma_instances": 1, "traj_seeds": 1}
+    with pytest.raises(ConfigError,
+                       match=f"^{name} must be an integer, got {value!r}$"):
+        analysis.certify(**{**sizes, name: value})
+
+
 def test_estimator_validates_inputs():
     with pytest.raises(ConfigError):
         EstimatorSpec(xs=np.ones(2), ys=np.ones(2),

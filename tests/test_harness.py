@@ -8,8 +8,11 @@ from incgrad import (
     ConfigError,
     Dataset,
     FiniteSumObjective,
+    InconsistentReferenceError,
     METHODS,
     Regularizer,
+    RunResult,
+    TraceRecord,
     make_loss,
     harness,
     run,
@@ -212,6 +215,30 @@ def test_suboptimality_floor_and_nonnegativity():
     rows = run_experiment(cfg)
     assert all(r.suboptimality >= 1e-16 for r in rows)
     assert rows[-1].suboptimality <= 1e-10  # converged to the floor region
+
+
+def _one_row(subopt):
+    rec = TraceRecord(k=8, grad_evals=8.0, x=np.zeros(1), xbar=None,
+                      subopt=subopt, dist_sq=0.5)
+    [row] = harness._result_rows(RunResult("saga", [rec], rec.x, None, 8.0),
+                                 "saga", 3, 4)
+    return row
+
+
+@pytest.mark.parametrize("subopt,reported", [
+    (-5e-13, 1e-16), (-0.0, 1e-16), (0.0, 1e-16), (3e-17, 1e-16),
+    (2e-3, 2e-3),
+])
+def test_result_rows_report_at_least_the_floor(subopt, reported):
+    # from the negative tolerance -1e-12 up, rows read max(subopt, 1e-16)
+    assert _one_row(subopt) == ResultRow(
+        method="saga", seed=3, grad_evals_per_n=2.0, suboptimality=reported,
+        dist_sq=0.5)
+
+
+def test_result_rows_raise_below_the_negative_tolerance():
+    with pytest.raises(InconsistentReferenceError):
+        _one_row(-2e-12)
 
 
 def test_sweep_steps_runs():

@@ -58,6 +58,13 @@ def test_manual_step_size_must_be_finite_and_positive(gamma):
         StepSizePolicy("manual", gamma=gamma)
 
 
+@pytest.mark.parametrize("gamma", [True, np.True_])
+def test_manual_step_size_is_not_a_bool(gamma):
+    # True stepped at 1.0
+    with pytest.raises(ConfigError, match="finite gamma > 0"):
+        StepSizePolicy("manual", gamma=gamma)
+
+
 def test_step_size_requires_mu():
     consts = ProblemConstants(n=10, d=1, L=10.0, mu=0.0)
     with pytest.raises(ConfigError, match="adaptive"):
@@ -1143,8 +1150,49 @@ def test_run_rejects_fractional_inner_steps(two_quadratics):
             policy=StepSizePolicy("manual", gamma=0.1))
 
 
+@pytest.mark.parametrize("name,message", [
+    ("epochs", "epochs must be an integer >= 0, got True"),
+    ("trace_every", "trace_every must be an integer >= 1, got True"),
+    ("inner_steps", "whole number of inner steps per pass, at least one, "
+                    "got True"),
+])
+def test_run_rejects_a_bool_count(two_quadratics, name, message):
+    # True ran one epoch, traced every pass, or took one svrg step a pass;
+    # inner_steps is checked by check_method, which run calls first
+    obj, _ = two_quadratics
+    kwargs = {"epochs": 2, name: True}
+    with pytest.raises(ConfigError, match=message):
+        run("svrg", obj, np.array([1.0]),
+            policy=StepSizePolicy("manual", gamma=0.1), **kwargs)
+
+
 ALL_METHODS = ("saga", "saga_u", "sag", "svrg", "finito", "sdca",
                "sdca_variant5", "midpoint", "saga_explicit_l2", "saga_lazy")
+
+
+@pytest.mark.parametrize("method", ALL_METHODS)
+def test_each_trace_row_evaluates_the_objective_once(method, monkeypatch):
+    # F at the iterate; F at the running average is the caller's to take
+    mu = 0.2
+    ds = generate_synthetic("ridge", n=9, d=4, density=1.0, noise=0.3, seed=8)
+    form = method_info(method).form
+    obj = FiniteSumObjective(
+        ds, make_loss("squared"), split_l2=mu if form == "split" else 0.0,
+        reg=Regularizer(l2=mu if form == "separate" else 0.0))
+    kwargs = {"explicit_l2": mu} if form == "explicit" else {}
+    reference = prox_gradient_optimum(obj)
+    calls = []
+    value = FiniteSumObjective.value
+
+    def counted(self, x):
+        calls.append(1)
+        return value(self, x)
+
+    monkeypatch.setattr(FiniteSumObjective, "value", counted)
+    res = run(method, obj, np.zeros(4), epochs=3, trace_every=1, seed=1,
+              reference=reference, **kwargs)
+    assert len(res.records) == 4
+    assert len(calls) == len(res.records)
 
 
 @pytest.mark.parametrize("method,start", [
@@ -1256,7 +1304,6 @@ def test_saga_u_run_equals_saga_run(case, kernel_paths):
             pairs = [(got.x, want.x), (got.xbar, want.xbar)]
             for g, w in zip(got.records, want.records):
                 pairs += [(g.x, w.x), (g.xbar, w.xbar), (g.subopt, w.subopt),
-                          (g.subopt_avg, w.subopt_avg),
                           (g.dist_sq, w.dist_sq)]
             for g, w in pairs:
                 w = np.asarray(w, float)
