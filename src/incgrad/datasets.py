@@ -10,6 +10,7 @@ import numpy as np
 from .cscmat import CscMatrix
 from .errors import ConfigError
 from .objectives import Dataset, sigmoid
+from .solvers import is_int
 
 
 # the largest d whose d-vector of doubles numpy can size (2^60 - 1)
@@ -115,6 +116,9 @@ def generate_synthetic(kind, n, d, density=1.0, noise=0.1, seed=0,
     """
     if kind not in _SYNTH_KINDS:
         raise ConfigError(f"unknown synthetic kind {kind!r}")
+    for name, value in (("n", n), ("d", d), ("seed", seed)):
+        if not is_int(value):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
     if n < 1 or d < 1:
         raise ConfigError("need n >= 1 and d >= 1")
     if not 0.0 < density <= 1.0:

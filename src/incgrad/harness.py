@@ -1,11 +1,9 @@
 """Benchmark harness: experiment configs, reference optima, trace CSV.
 
 A config names a dataset (file or synthetic), a loss, L2/L1 strengths
-and a list of methods; the harness builds the per-method objective form
-(split-in L2 for the table methods, a separate regulariser for the
-dual-coordinate ones, an explicit term for the scaled-iterate
-variants), computes the reference optimum once, runs every
-(method, seed) pair and emits suboptimality traces as CSV.
+and a list of methods; the harness builds the problem's objective,
+computes the reference optimum once, runs every (method, seed) pair on
+it and emits suboptimality traces as CSV.
 """
 
 from __future__ import annotations
@@ -174,7 +172,6 @@ def validate_config(cfg: ExperimentConfig):
         raise ConfigError("regulariser strengths must be nonnegative")
     loss = make_loss(cfg.loss).kind
     for spec in cfg.methods:
-        # the L2 strength is mu in every method's form
         check_method(spec.name, loss=loss, l1=cfg.l1, mu=cfg.l2,
                      policy=spec.policy)
 
@@ -214,19 +211,9 @@ def build_dataset(cfg: ExperimentConfig):
 
 
 def canonical_objective(ds, cfg) -> FiniteSumObjective:
-    """Split-in L2 plus prox L1: the form used to evaluate F and F*."""
+    """The problem, with split-in L2 and prox L1: F, F* and every run."""
     return FiniteSumObjective(ds, make_loss(cfg.loss), split_l2=cfg.l2,
                               reg=Regularizer(l1=cfg.l1))
-
-
-def method_objective(ds, cfg, name):
-    """Objective in the form of the method's record (``solvers.Method``),
-    plus extra keyword arguments for the run driver."""
-    form = method_info(name).form
-    obj = FiniteSumObjective(
-        ds, make_loss(cfg.loss), split_l2=cfg.l2 if form == "split" else 0.0,
-        reg=Regularizer(l2=cfg.l2 if form == "separate" else 0.0, l1=cfg.l1))
-    return obj, {"explicit_l2": cfg.l2} if form == "explicit" else {}
 
 
 def compute_reference_optimum(obj):
@@ -235,10 +222,10 @@ def compute_reference_optimum(obj):
     return prox_gradient_optimum(obj)
 
 
-def _sweep_gamma(name, obj, x0, cfg, kwargs, reference):
+def _sweep_gamma(name, obj, x0, cfg, reference):
     """Geometric grid around the theory default; picks the step with the
     lowest final suboptimality on the first seed."""
-    base = _setup(name, obj, explicit_l2=kwargs.get("explicit_l2", 0.0))[2]
+    *_, base = _setup(name, obj)
     best_gamma, best_val = None, np.inf
     for mult in SWEEP_GRID:
         gamma = base * mult
@@ -246,7 +233,7 @@ def _sweep_gamma(name, obj, x0, cfg, kwargs, reference):
             final = run(name, obj, x0, epochs=cfg.epochs,
                         policy=StepSizePolicy("manual", gamma=gamma),
                         seed=cfg.seeds[0], trace_every=cfg.epochs,
-                        reference=reference, **kwargs).records[-1].subopt
+                        reference=reference).records[-1].subopt
         except (DivergenceError, ConfigError):
             continue
         if np.isfinite(final) and final < best_val:
@@ -286,18 +273,17 @@ def run_experiment(cfg: ExperimentConfig, sweep_steps=False):
     reference = (x_star, f_star)
     rows = []
     for spec in cfg.methods:
-        obj, kwargs = method_objective(ds, cfg, spec.name)
         policy = spec.policy
         if (sweep_steps and policy is None
                 and not method_info(spec.name).param_free):
-            policy = _sweep_gamma(spec.name, obj, x0, cfg, kwargs, reference)
+            policy = _sweep_gamma(spec.name, canon, x0, cfg, reference)
         for seed in cfg.seeds:
             # the result goes out of scope here, so the next run starts
             # without this one's iterate copies
             rows += _result_rows(
-                run(spec.name, obj, x0, epochs=cfg.epochs, policy=policy,
+                run(spec.name, canon, x0, epochs=cfg.epochs, policy=policy,
                     seed=seed, trace_every=cfg.trace_every,
-                    reference=reference, **kwargs),
+                    reference=reference),
                 spec.name, seed, ds.n)
     rows.sort(key=lambda r: (r.method, r.seed, r.grad_evals_per_n))
     return rows

@@ -22,6 +22,7 @@ from .errors import ConfigError, DivergenceError, OptimumError
 from .objectives import (
     FiniteSumObjective,
     ProblemConstants,
+    Regularizer,
     estimate_constants,
     scalar_loss_prox,
 )
@@ -176,7 +177,7 @@ class StepSizePolicy:
 
     ``strongly_convex`` -> 1/(2(mu n + L)); ``average_sc`` ->
     1/(3(mu n + L)); ``adaptive`` -> 1/(3L), needing no mu; ``manual``
-    passes gamma through.
+    passes gamma through, and is the only mode that takes one.
     """
 
     mode: str
@@ -188,6 +189,8 @@ class StepSizePolicy:
         if self.mode == "manual" and (self.gamma is None or isinstance(
                 self.gamma, (bool, np.bool_)) or not 0 < self.gamma < math.inf):
             raise ConfigError("manual step size requires a finite gamma > 0")
+        if self.mode != "manual" and self.gamma is not None:
+            raise ConfigError(f"step size mode {self.mode!r} takes no gamma")
 
     def check_mu(self, mu):
         """ConfigError if this mode needs mu > 0 and ``mu`` is not."""
@@ -357,12 +360,12 @@ COMPILED_STEPS = {"saga_u": 0, "finito": 1, "sdca_variant5": 2, "sag": 3,
 
 @dataclass(frozen=True)
 class Method:
-    """What a method asks of its problem.  ``form`` is where the L2 term
-    goes in the objective ``harness.method_objective`` builds: "split"
-    into every component, "separate" into the regulariser of loss-only
-    components, or "explicit" out of it, as ``run``'s ``explicit_l2``.
-    ``prox``: it applies the prox of the regulariser, so it takes an L1
-    term; ``needs_mu``: it needs mu > 0; ``param_free``: no step size."""
+    """What a method asks of its problem.  ``form`` is where ``run``
+    puts the problem's L2 term: "split" into every component, "separate"
+    into the regulariser of loss-only components, or "explicit" out of
+    the objective, as an iterate scaling.  ``prox``: it applies the prox
+    of the regulariser, so it takes an L1 term; ``needs_mu``: it needs
+    mu > 0; ``param_free``: no step size."""
 
     form: str
     prox: bool = False
@@ -395,17 +398,16 @@ def method_info(name) -> Method:
 def _check_scaling(gamma, l2):
     """The explicit form scales the iterate by 1 - gamma * l2 each step."""
     if not (l2 >= 0 and (gamma is None or gamma * l2 < 1.0)):
-        raise ConfigError("the explicit form needs explicit_l2 >= 0 and "
-                          "gamma * explicit_l2 < 1")
+        raise ConfigError("the explicit form needs l2 >= 0 and gamma * l2 < 1")
 
 
 def check_method(name, *, loss, l1, mu, policy=None, n=None, init="full",
                  sampling="iid", inner_steps=None) -> Method:
     """Every rule that ties a method to its problem and run options:
     ``loss`` is the loss kind, ``l1`` the L1 strength, ``mu`` the L2
-    strength wherever the method's form puts it, ``n`` the number of
-    points, if known, and ``inner_steps`` svrg's steps per pass, if
-    given.  Returns the method's record."""
+    strength of the problem, ``n`` the number of points, if known, and
+    ``inner_steps`` svrg's steps per pass, if given.  Returns the
+    method's record."""
     info = method_info(name)
     if l1 > 0 and not info.prox:
         raise ConfigError(f"{name} has no proximal support and cannot take "
@@ -440,31 +442,30 @@ def check_method(name, *, loss, l1, mu, policy=None, n=None, init="full",
     return info
 
 
-def _setup(method, obj, consts=None, explicit_l2=0.0, policy=None,
-           init="full", sampling="iid", inner_steps=None):
-    """Check a run of ``method`` on ``obj``, which must be in the
-    method's form, before any work.  Returns the record, the constants
-    (estimated, with mu the form's L2 strength, unless given) and the
-    step of ``policy``: None when the method is parameter free, and
+def _setup(method, obj, consts=None, policy=None, init="full",
+           sampling="iid", inner_steps=None):
+    """Check a run of ``method`` on the problem ``obj`` before any work.
+    Returns ``obj`` in the method's form (``obj`` itself if it is in
+    it), the L2 strength that form keeps out of the objective, the
+    constants (estimated, with mu the L2 strength, unless given) and
+    the step of ``policy``: None when the method is parameter free, and
     without a policy 1/(2 mu n) for finito, otherwise 1/(2(mu n + L))
     when mu > 0 and 1/(3L) when not."""
     info = method_info(method)
-    split, h_l2 = obj.split_l2 != 0.0, obj.reg.l2 != 0.0
-    if not {"split": not h_l2, "separate": h_l2 and not split,
-            "explicit": not (h_l2 or split)}[info.form]:
-        raise ConfigError(f"{method} needs its objective in the {info.form} "
-                          "form of harness.method_objective")
-    if explicit_l2 != 0.0 and info.form != "explicit":
-        raise ConfigError(f"{method} takes no explicit_l2: its L2 term is "
-                          f"in its objective ({info.form} form)")
+    l2 = obj.split_l2 + obj.reg.l2
+    split, h_l2, explicit_l2 = (l2 if info.form == form else 0.0
+                                for form in ("split", "separate", "explicit"))
+    if (obj.split_l2, obj.reg.l2) != (split, h_l2):
+        obj = FiniteSumObjective(obj.dataset, obj.loss, split_l2=split,
+                                 reg=Regularizer(l2=h_l2, l1=obj.reg.l1))
     if consts is None:
         consts = estimate_constants(obj)
-        if info.form == "explicit":  # split-form constants of the scaling
-            consts = replace(consts, L=consts.L + explicit_l2, mu=explicit_l2)
-        elif info.form == "separate":
-            consts = replace(consts, mu=obj.reg.l2)
+        if info.form != "split":  # mu is the L2 term; L counts the scaling
+            consts = replace(consts, L=consts.L + explicit_l2, mu=l2)
+    # mu: the scaling's, else the step's; a method needing mu needs both
+    mu = l2 if info.form == "explicit" else consts.mu
     check_method(method, loss=obj.loss.kind, l1=obj.reg.l1,
-                 mu=explicit_l2 if info.form == "explicit" else consts.mu,
+                 mu=min(mu, l2) if info.needs_mu else mu,
                  policy=policy, n=obj.n, init=init, sampling=sampling,
                  inner_steps=inner_steps)
     if info.param_free:
@@ -476,7 +477,7 @@ def _setup(method, obj, consts=None, explicit_l2=0.0, policy=None,
             "strongly_convex" if consts.mu > 0 else "adaptive"), consts)
     if info.form == "explicit":
         _check_scaling(gamma, explicit_l2)
-    return info, consts, gamma
+    return obj, explicit_l2, consts, gamma
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +520,10 @@ def _record(obj, k, evals, x, xbar, reference, extra_l2=0.0):
 
 def run(method, obj, x0, *, epochs, policy=None, seed=0, rng=None,
         trace_every=1, reference=None, consts=None, init="full",
-        sampling="iid", explicit_l2=0.0, inner_steps=None) -> RunResult:
-    """Run a method for a number of epochs of n steps each.
+        sampling="iid", inner_steps=None) -> RunResult:
+    """Run a method for a number of epochs of n steps each on the
+    problem ``obj``, whose L2 strength ``obj.split_l2 + obj.reg.l2`` goes
+    where the method's form (:class:`Method`) keeps it.
 
     The gradient table (or stored points) is initialised with a full
     pass at x0, charged n gradient evaluations, unless
@@ -535,7 +538,7 @@ def run(method, obj, x0, *, epochs, policy=None, seed=0, rng=None,
     epochs.  Rows carry x and the running average xbar (None for
     ``saga_lazy``); with ``reference=(x_star, F_star)`` they also carry
     x's suboptimality and squared distance.  F(xbar) - F* is
-    ``obj.value(rec.xbar) - F_star``, plus the explicit L2 term if any.
+    ``obj.value(rec.xbar) - F_star``.
 
     Each engine is a plain iterator of (k, evals, x, xsum): once after
     its set-up and once after every pass, with x the true iterate, which
@@ -543,15 +546,18 @@ def run(method, obj, x0, *, epochs, policy=None, seed=0, rng=None,
     from the last tuple, so it is the last pass's x and xsum.
     """
     for name, count, least in (("epochs", epochs, 0),
-                               ("trace_every", trace_every, 1)):
+                               ("trace_every", trace_every, 1),
+                               ("seed", seed, 0)):
         if not (is_int(count) and count >= least):
             raise ConfigError(f"{name} must be an integer >= {least}, "
                               f"got {count!r}")
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (obj.d,) or not np.isfinite(x0).all():
+        raise ConfigError(f"x0 must be a finite vector of length {obj.d}")
     if rng is None:
         rng = np.random.default_rng(seed)
-    x0 = np.asarray(x0, dtype=float)
-    _, consts, gamma = _setup(method, obj, consts, explicit_l2, policy,
-                              init, sampling, inner_steps)
+    obj, explicit_l2, consts, gamma = _setup(method, obj, consts, policy,
+                                             init, sampling, inner_steps)
     if method == "svrg":
         m = obj.n if inner_steps is None else int(inner_steps)
         passes = _svrg_passes(obj, x0, gamma, m, epochs, rng)

@@ -1,9 +1,9 @@
-"""Helpers that only the tests call: a fixed-point residual oracle and
-a libsvm writer."""
+"""Helpers that only the tests call: a fixed-point residual oracle, an
+added L2 term and a libsvm writer."""
 
 import numpy as np
 
-from incgrad import Dataset, estimate_constants
+from incgrad import Dataset, FiniteSumObjective, estimate_constants
 
 
 def fixed_point_residual(obj, x, consts=None) -> float:
@@ -13,6 +13,13 @@ def fixed_point_residual(obj, x, consts=None) -> float:
     step = 1.0 / consts.L
     w = x - step * obj.full_gradient(x)
     return float(np.linalg.norm(x - obj.reg.prox(step, w)))
+
+
+def with_l2(obj, l2) -> FiniteSumObjective:
+    """The problem ``obj`` with ``l2`` more L2 strength, split into the
+    components; ``run`` moves it to where the method keeps it."""
+    return FiniteSumObjective(obj.dataset, obj.loss,
+                              split_l2=obj.split_l2 + l2, reg=obj.reg)
 
 
 def save_libsvm(path, dataset: Dataset):

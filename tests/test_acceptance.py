@@ -33,6 +33,7 @@ from incgrad.datasets import generate_synthetic
 from incgrad.solvers import saga_init, saga_step, saga_u_init, \
     saga_u_reconstruct, saga_u_step, finito_init, midpoint_step
 from conftest import midpoint_identity_residual
+from helpers import with_l2
 
 
 def _report(num, ok, detail):
@@ -227,9 +228,9 @@ def test_criterion_7_lazy_equals_dense():
         reg = reg_gamma / gamma
         epochs = 3
         seed = trial + 1
-        res = run("saga_lazy", obj, np.zeros(d), epochs=epochs,
+        res = run("saga_lazy", with_l2(obj, reg), np.zeros(d), epochs=epochs,
                   policy=StepSizePolicy("manual", gamma=gamma),
-                  explicit_l2=reg, rng=np.random.default_rng(seed))
+                  rng=np.random.default_rng(seed))
         replay = np.random.default_rng(seed)
         st = saga_init(obj, np.zeros(d))
         dense = []

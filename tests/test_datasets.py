@@ -115,6 +115,17 @@ def test_synthetic_validation():
         generate_synthetic("ridge", 0, 5)
 
 
+@pytest.mark.parametrize("name,value", [
+    ("n", 2.5), ("n", True), ("d", 3.0), ("d", True), ("seed", 1.5),
+    ("seed", True)])
+def test_synthetic_sizes_and_seed_are_integers(name, value):
+    # 2.5 and 1.5 ended in raw TypeErrors, and True ran as 1
+    sizes = {"n": 10, "d": 5, "seed": 0, name: value}
+    with pytest.raises(ConfigError,
+                       match=f"{name} must be an integer, got {value!r}"):
+        generate_synthetic("ridge", **sizes)
+
+
 def _generate_synthetic_dense(kind, n, d, density=1.0, noise=0.1, seed=0,
                               normalize=False):
     """Whole-array reference for generate_synthetic: the same draws, with

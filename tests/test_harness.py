@@ -22,9 +22,9 @@ from incgrad.harness import (
     MethodSpec,
     ResultRow,
     build_dataset,
+    canonical_objective,
     compute_reference_optimum,
     emit_csv,
-    method_objective,
     run_experiment,
     validate_config,
 )
@@ -149,7 +149,7 @@ def _raises_config_error(fn):
 @pytest.mark.parametrize("name", sorted(METHODS))
 def test_validate_config_agrees_with_run(name, change):
     # validate_config on the config raises exactly when run raises on the
-    # objective method_objective builds from it
+    # problem canonical_objective builds from it
     entry = ({"name": name, "step_size": STEP_OF[change]}
              if change in STEP_OF else name)
     raw = {"methods": [entry], "l1": 0.01 if change == "l1" else 0.0,
@@ -158,11 +158,10 @@ def test_validate_config_agrees_with_run(name, change):
         raw.update(loss="logistic", dataset={"synthetic": {
             "kind": "logistic", "n": 20, "d": 5, "seed": 4}})
     cfg = _base_config(**raw)
-    obj, kwargs = method_objective(build_dataset(cfg), cfg, name)
+    obj = canonical_objective(build_dataset(cfg), cfg)
     at_config = _raises_config_error(lambda: validate_config(cfg))
     at_run = _raises_config_error(lambda: run(
-        name, obj, np.zeros(obj.d), epochs=0, policy=cfg.methods[0].policy,
-        **kwargs))
+        name, obj, np.zeros(obj.d), epochs=0, policy=cfg.methods[0].policy))
     assert at_config == at_run == (name in REJECTED_BY[change])
 
 

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from incgrad import (
+    ConfigError,
     Dataset,
     DivergenceError,
     FiniteSumObjective,
@@ -190,11 +191,10 @@ def test_only_an_svrg_run_imports_the_kernel():
 # saga_explicit_l2
 
 def _table_objective(method, kind, split, sparse, n, seed=3):
-    """Logistic or squared-loss data in the form ``method`` takes: split
-    L2 for saga_u, finito, sag and midpoint, separate for sdca_variant5,
-    none for saga_explicit_l2 (its L2 term is the run's ``explicit_l2``).
-    ``sparse`` data falls below ``SUPPORT_DENSITY`` with d >=
-    ``SUPPORT_MIN_D``."""
+    """Logistic or squared-loss data with the L2 term ``split``, split
+    into the components, except for sdca_variant5, whose L2 term is 0.1
+    in the regulariser.  ``sparse`` data falls below ``SUPPORT_DENSITY``
+    with d >= ``SUPPORT_MIN_D``."""
     ds = generate_synthetic("ridge" if kind == "squared" else "logistic",
                             n=n, d=1200 if sparse else 6,
                             density=0.004 if sparse else 1.0, seed=seed,
@@ -202,15 +202,13 @@ def _table_objective(method, kind, split, sparse, n, seed=3):
     loss = make_loss(kind)
     if method == "sdca_variant5":
         return FiniteSumObjective(ds, loss, reg=Regularizer(l2=0.1))
-    if method == "saga_explicit_l2":
-        return FiniteSumObjective(ds, loss)
     return FiniteSumObjective(ds, loss, split_l2=split)
 
 
 def _table_cases():
     """(method, kind, split, sparse, sampling, n, trace_every) of the byte
-    test; ``split`` is saga_explicit_l2's ``explicit_l2``, whose cases
-    are on dense data only (its support step stays numpy's)."""
+    test; saga_explicit_l2's cases are on dense data only (its support
+    step stays numpy's)."""
     cases = []
     for kind in ("squared", "logistic"):
         for l2 in (0.0, 0.1):
@@ -284,7 +282,6 @@ def test_table_pass_keeps_every_byte(method, kind, split, sparse, sampling, n,
         assert GradientTable.at_point(obj, np.zeros(obj.d)).support == (
             sparse and split == 0.0)
     x0 = np.random.default_rng(1).standard_normal(obj.d) / 4
-    explicit_l2 = split if method == "saga_explicit_l2" else 0.0
     states = _recorded_states(monkeypatch)
     updates = _counted_updates(monkeypatch)
     outs = {}
@@ -293,7 +290,7 @@ def test_table_pass_keeps_every_byte(method, kind, split, sparse, sampling, n,
         states.clear()
         rng = np.random.default_rng(5)
         res = run(method, obj, x0, epochs=5, rng=rng, sampling=sampling,
-                  trace_every=every, explicit_l2=explicit_l2)
+                  trace_every=every)
         outs[path] = ([(r.k, r.grad_evals, r.x.tobytes(), r.xbar.tobytes())
                        for r in res.records], res.x.tobytes(),
                       res.xbar.tobytes(), rng.bit_generator.state,
@@ -350,13 +347,13 @@ def _outcomes(kernel_paths, method, obj, x0, **kw):
     ("saga_explicit_l2", "logistic", 0.0, 1e12)])
 def test_table_divergence_stops_both_paths_at_the_same_step(
         method, kind, split, gamma, kernel_paths):
+    # saga_explicit_l2 at gamma * l2 = 0.5: each step halves x before it
+    # moves
+    if method == "saga_explicit_l2":
+        split = 0.5 / gamma
     obj = make_random_objective(np.random.default_rng(2), kind=kind, n=10,
                                 d=5, split=split)
-    # saga_explicit_l2 at gamma * explicit_l2 = 0.5: each step halves x
-    # before it moves
-    explicit_l2 = 0.5 / gamma if method == "saga_explicit_l2" else 0.0
     got = _outcomes(kernel_paths, method, obj, np.ones(5),
-                    explicit_l2=explicit_l2,
                     policy=StepSizePolicy("manual", gamma=gamma))
     assert got[0] is DivergenceError and got[2] > 1
 
@@ -374,15 +371,17 @@ def test_sdca_variant5_divergence_stops_both_paths_at_the_same_step(
 def test_saga_explicit_l2_scales_by_explicit_l2_not_consts_mu(
         explicit_l2, kernel_paths, monkeypatch):
     # given consts, the step and the scaling come from different L2
-    # terms: the step from consts.mu = 0.5, the scaling from explicit_l2
-    obj = _table_objective("saga_explicit_l2", "logistic", 0.0, False, 20)
+    # terms: the step from consts.mu = 0.5, the scaling from the
+    # problem's L2 term
+    obj = _table_objective("saga_explicit_l2", "logistic", explicit_l2, False,
+                           20)
     consts = ProblemConstants(n=obj.n, d=obj.d, L=1.0, mu=0.5)
     states = _recorded_states(monkeypatch)
     outs = []
     for _ in kernel_paths():
         states.clear()
         res = run("saga_explicit_l2", obj, np.ones(obj.d), epochs=3, seed=2,
-                  consts=consts, explicit_l2=explicit_l2)
+                  consts=consts)
         outs.append(([r.x.tobytes() for r in res.records], res.xbar.tobytes(),
                      _state_bytes(states[0])))
     assert outs == [outs[0]] * len(outs)
@@ -396,11 +395,10 @@ def test_saga_explicit_l2_steps_in_numpy_on_sparse_data(monkeypatch):
     # the nonzeros (ROADMAP item 4)
     if _kernel.load() is None:
         pytest.skip("the compiled passes do not build here")
-    obj = _table_objective("saga_explicit_l2", "squared", 0.0, True, 20)
+    obj = _table_objective("saga_explicit_l2", "squared", 0.1, True, 20)
     assert obj.sparse
     updates = _counted_updates(monkeypatch)
-    run("saga_explicit_l2", obj, np.zeros(obj.d), epochs=3, seed=0,
-        explicit_l2=0.1)
+    run("saga_explicit_l2", obj, np.zeros(obj.d), epochs=3, seed=0)
     assert len(updates) == obj.n * 3
 
 
@@ -474,7 +472,8 @@ def test_midpoint_failed_margin_solve_raises_alike_at_the_same_step(
         kernel_paths, monkeypatch):
     # from a nan start the first margin solve sees a nan a_j'z, which no
     # bound covers: both paths run the cap that the bound gives for
-    # gq = gamma |a_j|^2 and raise with residual nan
+    # gq = gamma |a_j|^2 and raise with residual nan; run refuses that
+    # start before it builds a table
     obj = _unit_points_objective(0.01)
     x0 = np.full(2, np.nan)
     states = _recorded_states(monkeypatch)
@@ -489,7 +488,7 @@ def test_midpoint_failed_margin_solve_raises_alike_at_the_same_step(
             for k, _, _, xsum in passes:
                 ks.append(k)
         err = failed.value
-        with pytest.raises(ProxSolveError) as through_run:
+        with pytest.raises(ConfigError) as through_run:
             run("midpoint", obj, x0, epochs=3, seed=4)
         outs.append((ks, str(err), err.iterations, xsum.tobytes(),
                      _state_bytes(states[0]), rng.bit_generator.state,
@@ -500,7 +499,7 @@ def test_midpoint_failed_margin_solve_raises_alike_at_the_same_step(
         2 * gq * (1 + gq / (4 * shrink)) / 1e-12)))
     assert outs[0][0] == [0] and outs[0][2] == math.floor(bound)
     assert outs[0][1].endswith("with residual nan")
-    assert outs[0][-1] == outs[0][1]
+    assert outs[0][-1] == "x0 must be a finite vector of length 2"
     assert outs == [outs[0]] * len(outs)
 
 
@@ -533,7 +532,9 @@ def test_scalar_table_steps_through_an_overflowing_margin(kernel_paths):
 
 @pytest.mark.parametrize("method", TABLE_METHODS)
 def test_table_yielded_iterates_never_change_afterwards(method, kernel_paths):
-    obj = _table_objective(method, "logistic", 0.1, False, 9)
+    # the engine takes the method's form: no L2 term in saga_explicit_l2's
+    split = 0.0 if method == "saga_explicit_l2" else 0.1
+    obj = _table_objective(method, "logistic", split, False, 9)
     mu = 0.1
     L = 0.25 * float(obj.dataset.sqnorms().max()) + obj.split_l2
     for _ in kernel_paths():
@@ -696,9 +697,8 @@ def test_lazy_pass_past_its_scaling_table_fails_alike(kernel_paths):
 def test_lazy_overflow_within_a_pass_stops_both_paths_at_step_121(
         kernel_paths):
     ds = generate_synthetic("ridge", n=200, d=2000, density=0.005, seed=1)
-    obj = FiniteSumObjective(ds, make_loss("squared"))
+    obj = FiniteSumObjective(ds, make_loss("squared"), split_l2=1e-10)
     got = _outcomes(kernel_paths, "saga_lazy", obj, np.zeros(ds.d),
-                    explicit_l2=1e-10,
                     policy=StepSizePolicy("manual", gamma=9.9e9))
     assert got == (DivergenceError,
                    "solver diverged at step 121 (non-finite step)", 121)
@@ -717,20 +717,13 @@ def _modules_after(code):
 
 _RUNS = (
     "import json, sys, numpy as np\n"
-    "from incgrad import FiniteSumObjective, Regularizer, make_loss, run\n"
+    "from incgrad import FiniteSumObjective, make_loss, run\n"
     "from incgrad.datasets import generate_synthetic\n"
     "ds = generate_synthetic('ridge', n=12, d=4, density=0.5, seed=1)\n"
-    "loss = make_loss('squared')\n"
-    "objs = {'split': FiniteSumObjective(ds, loss, split_l2=0.1),\n"
-    "        'separate': FiniteSumObjective(ds, loss, reg=Regularizer(l2=0.1)),\n"
-    "        'explicit': FiniteSumObjective(ds, loss)}\n"
-    "forms = {'sdca': 'separate', 'sdca_variant5': 'separate',\n"
-    "         'saga_explicit_l2': 'explicit', 'saga_lazy': 'explicit'}\n"
+    "obj = FiniteSumObjective(ds, make_loss('squared'), split_l2=0.1)\n"
     "seen = []\n"
     "for name in NAMES:\n"
-    "    form = forms.get(name, 'split')\n"
-    "    run(name, objs[form], np.zeros(4), epochs=2,\n"
-    "        explicit_l2=0.1 if form == 'explicit' else 0.0)\n"
+    "    run(name, obj, np.zeros(4), epochs=2)\n"
     "    seen.append('incgrad._kernel' in sys.modules)\n"
     "print(json.dumps(seen))\n")
 
@@ -753,9 +746,9 @@ def test_sparse_saga_explicit_l2_builds_and_loads_no_library(tmp_path):
         "from incgrad import FiniteSumObjective, make_loss, run, _kernel\n"
         "from incgrad.datasets import generate_synthetic\n"
         "ds = generate_synthetic('ridge', n=200, d=2000, density=0.004, seed=1)\n"
-        "obj = FiniteSumObjective(ds, make_loss('squared'))\n"
+        "obj = FiniteSumObjective(ds, make_loss('squared'), split_l2=0.1)\n"
         "assert obj.sparse\n"
-        "run('saga_explicit_l2', obj, np.zeros(ds.d), epochs=2, explicit_l2=0.1)\n"
+        "run('saga_explicit_l2', obj, np.zeros(ds.d), epochs=2)\n"
         "print(json.dumps(_kernel.load.cache_info().misses))\n")
     src = os.path.dirname(os.path.dirname(_kernel.__file__))
     cache = tmp_path / "cache"

@@ -15,6 +15,7 @@ from incgrad.lazy import (
     sparse_saga_lstsq_epoch,
 )
 from incgrad.solvers import StepSizePolicy, run, saga_init, saga_step
+from helpers import with_l2
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +129,8 @@ def _dense_replay(obj, gamma, reg, epochs, seed):
 
 
 def _lazy_run(obj, gamma, reg, epochs, rng):
-    return run("saga_lazy", obj, np.zeros(obj.d), epochs=epochs, rng=rng,
-               policy=StepSizePolicy("manual", gamma=gamma), explicit_l2=reg)
+    return run("saga_lazy", with_l2(obj, reg), np.zeros(obj.d), epochs=epochs,
+               rng=rng, policy=StepSizePolicy("manual", gamma=gamma))
 
 
 def _lazy_snapshots(obj, gamma, reg, epochs, seed):
@@ -272,17 +273,17 @@ def test_beta_renormalization_transparent(monkeypatch):
 
 def test_lazy_run_through_driver_rejects_nonzero_start():
     ds = generate_synthetic("ridge", n=10, d=4, density=0.5, noise=0.1, seed=1)
-    obj = FiniteSumObjective(ds, make_loss("squared"))
+    obj = FiniteSumObjective(ds, make_loss("squared"), split_l2=0.1)
     with pytest.raises(ConfigError):
         run("saga_lazy", obj, np.ones(4), epochs=1,
-            policy=StepSizePolicy("manual", gamma=0.01), explicit_l2=0.1)
+            policy=StepSizePolicy("manual", gamma=0.01))
 
 
 def test_lazy_run_epoch_zero():
     ds = generate_synthetic("ridge", n=10, d=4, density=0.5, noise=0.1, seed=1)
-    obj = FiniteSumObjective(ds, make_loss("squared"))
+    obj = FiniteSumObjective(ds, make_loss("squared"), split_l2=0.1)
     res = run("saga_lazy", obj, np.zeros(4), epochs=0,
-              policy=StepSizePolicy("manual", gamma=0.01), explicit_l2=0.1)
+              policy=StepSizePolicy("manual", gamma=0.01))
     assert len(res.records) == 1
     assert np.allclose(res.x, 0.0)
 
@@ -305,9 +306,10 @@ def test_tracing_leaves_the_lazy_trajectory_unchanged(monkeypatch):
     monkeypatch.setattr(lazy, "build_lag_scaling", spy)
 
     def traced(epochs, trace_every):
-        return run("saga_lazy", obj, np.zeros(ds.d), epochs=epochs, seed=4,
+        return run("saga_lazy", with_l2(obj, 0.2 / gamma), np.zeros(ds.d),
+                   epochs=epochs, seed=4,
                    policy=StepSizePolicy("manual", gamma=gamma),
-                   explicit_l2=0.2 / gamma, trace_every=trace_every,
+                   trace_every=trace_every,
                    reference=(np.ones(ds.d), 0.0))
 
     full, sparse = traced(7, 1), traced(7, 3)
@@ -328,8 +330,8 @@ def test_lazy_divergence_stops_at_the_end_of_a_pass(gamma):
     # the iterate of the first pass overflows the guard; no numpy
     # overflow warning comes first (warnings fail the suite)
     ds = generate_synthetic("ridge", n=200, d=2000, density=0.005, seed=1)
-    obj = FiniteSumObjective(ds, make_loss("squared"))
+    obj = FiniteSumObjective(ds, make_loss("squared"), split_l2=1e-10)
     with pytest.raises(DivergenceError) as err:
-        run("saga_lazy", obj, np.zeros(ds.d), epochs=5, explicit_l2=1e-10,
+        run("saga_lazy", obj, np.zeros(ds.d), epochs=5,
             policy=StepSizePolicy("manual", gamma=gamma))
     assert err.value.step == ds.n

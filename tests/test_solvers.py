@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from incgrad import (
     Regularizer,
     StepSizePolicy,
     estimate_constants,
+    lazy,
     make_loss,
     prox_gradient_optimum,
     run,
@@ -20,7 +23,13 @@ from incgrad import (
 )
 from incgrad.solvers import (
     SagaState,
+    _check_iterate,
+    _check_scaling,
+    _record,
     _smooth_lipschitz,
+    _svrg_passes,
+    _table_passes,
+    check_method,
     finito_init,
     finito_step,
     method_info,
@@ -34,11 +43,11 @@ from incgrad.solvers import (
     sdca_primal_step,
     sdca_variant5_step,
 )
-from incgrad.harness import ExperimentConfig, method_objective
+from incgrad.harness import ExperimentConfig, canonical_objective
 from incgrad.objectives import scalar_loss_prox
 from incgrad.datasets import generate_synthetic
 from conftest import make_random_objective, midpoint_identity_residual
-from helpers import fixed_point_residual
+from helpers import fixed_point_residual, with_l2
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +72,13 @@ def test_manual_step_size_is_not_a_bool(gamma):
     # True stepped at 1.0
     with pytest.raises(ConfigError, match="finite gamma > 0"):
         StepSizePolicy("manual", gamma=gamma)
+
+
+@pytest.mark.parametrize("mode", ["strongly_convex", "average_sc", "adaptive"])
+def test_only_the_manual_step_takes_a_gamma(mode):
+    # the gamma was kept and never read: the run stepped by the mode
+    with pytest.raises(ConfigError, match=f"mode '{mode}' takes no gamma"):
+        StepSizePolicy(mode, gamma=0.5)
 
 
 def test_step_size_requires_mu():
@@ -177,19 +193,19 @@ def test_explicit_l2_origin_fixed_point():
 def test_explicit_l2_rejects_degenerate_scaling(two_quadratics):
     obj, _ = two_quadratics
     with pytest.raises(ConfigError):
-        run("saga_explicit_l2", obj, np.array([1.0]), epochs=1,
-            policy=StepSizePolicy("manual", gamma=0.5), explicit_l2=2.0)
+        run("saga_explicit_l2", with_l2(obj, 2.0), np.array([1.0]), epochs=1,
+            policy=StepSizePolicy("manual", gamma=0.5))
 
 
 def test_explicit_scaling_checked_on_the_computed_step(two_quadratics):
     # no manual step to check up front: the adaptive step 1/(3L) = 10/3
-    # from these constants gives gamma * explicit_l2 >= 1, which run
-    # rejects before the first step
+    # from these constants gives gamma * l2 >= 1, which run rejects
+    # before the first step
     obj, _ = two_quadratics
     consts = ProblemConstants(n=2, d=1, L=0.1, mu=0.0)
     with pytest.raises(ConfigError):
-        run("saga_explicit_l2", obj, np.array([1.0]), epochs=0, consts=consts,
-            policy=StepSizePolicy("adaptive"), explicit_l2=1.0)
+        run("saga_explicit_l2", with_l2(obj, 1.0), np.array([1.0]), epochs=0,
+            consts=consts, policy=StepSizePolicy("adaptive"))
 
 
 # ---------------------------------------------------------------------------
@@ -1011,11 +1027,11 @@ def test_run_equals_hand_loop_of_step_functions(method, form):
         obj = FiniteSumObjective(obj.dataset, obj.loss, reg=Regularizer(l2=mu))
     elif form == "loss_only":
         obj = FiniteSumObjective(obj.dataset, obj.loss)
-        kwargs["explicit_l2"] = mu
     if method not in ("sdca", "sdca_variant5", "midpoint"):
         kwargs["policy"] = StepSizePolicy("manual", gamma=gamma)
     x0 = rng.standard_normal(4)
-    res = run(method, obj, x0, epochs=3, seed=11, consts=consts, **kwargs)
+    problem = with_l2(obj, mu) if form == "loss_only" else obj
+    res = run(method, problem, x0, epochs=3, seed=11, consts=consts, **kwargs)
     xs, xbar = _hand_run(method, obj, x0, gamma, mu, consts.L, 3, 11)
     assert [r.k for r in res.records] == [0, 12, 24, 36]
     for rec, x in zip(res.records[1:], xs):
@@ -1066,10 +1082,10 @@ def test_support_steps_equal_dense_scalar_steps(method, loss, l1, density):
                              reg=Regularizer(l1=l1) if l1 else None)
     assert GradientTable.at_point(obj, np.zeros(obj.d)).support is (density < 1)
     mu, gamma = 0.1, 0.2
-    kwargs = {"explicit_l2": mu} if method == "saga_explicit_l2" else {}
+    problem = with_l2(obj, mu) if method == "saga_explicit_l2" else obj
     x0 = np.random.default_rng(2).standard_normal(obj.d) / 30
-    res = run(method, obj, x0, epochs=3, seed=9,
-              policy=StepSizePolicy("manual", gamma=gamma), **kwargs)
+    res = run(method, problem, x0, epochs=3, seed=9,
+              policy=StepSizePolicy("manual", gamma=gamma))
     xs = _dense_scalar_table_run(method, obj, x0, gamma, mu, 3, 9)
     for rec, x in zip(res.records[1:], xs):
         assert np.array_equal(rec.x, x)
@@ -1086,7 +1102,6 @@ def test_all_methods_reach_common_optimum():
     split_obj = FiniteSumObjective(ds, make_loss("logistic"), split_l2=mu)
     sep_obj = FiniteSumObjective(ds, make_loss("logistic"),
                                  reg=Regularizer(l2=mu))
-    loss_obj = FiniteSumObjective(ds, make_loss("logistic"))
     x_star, _ = prox_gradient_optimum(split_obj)
     finals = {}
     epochs = 120
@@ -1102,8 +1117,8 @@ def test_all_methods_reach_common_optimum():
                                   epochs=epochs, seed=6).x
     finals["midpoint"] = run("midpoint", split_obj, np.zeros(d), epochs=epochs,
                              seed=7).x
-    finals["saga_explicit_l2"] = run("saga_explicit_l2", loss_obj, np.zeros(d),
-                                     epochs=epochs, seed=8, explicit_l2=mu).x
+    finals["saga_explicit_l2"] = run("saga_explicit_l2", split_obj, np.zeros(d),
+                                     epochs=epochs, seed=8).x
     for name, x in finals.items():
         assert np.linalg.norm(x - x_star) <= 5e-7, name
     names = list(finals)
@@ -1175,11 +1190,7 @@ def test_each_trace_row_evaluates_the_objective_once(method, monkeypatch):
     # F at the iterate; F at the running average is the caller's to take
     mu = 0.2
     ds = generate_synthetic("ridge", n=9, d=4, density=1.0, noise=0.3, seed=8)
-    form = method_info(method).form
-    obj = FiniteSumObjective(
-        ds, make_loss("squared"), split_l2=mu if form == "split" else 0.0,
-        reg=Regularizer(l2=mu if form == "separate" else 0.0))
-    kwargs = {"explicit_l2": mu} if form == "explicit" else {}
+    obj = FiniteSumObjective(ds, make_loss("squared"), split_l2=mu)
     reference = prox_gradient_optimum(obj)
     calls = []
     value = FiniteSumObjective.value
@@ -1190,7 +1201,7 @@ def test_each_trace_row_evaluates_the_objective_once(method, monkeypatch):
 
     monkeypatch.setattr(FiniteSumObjective, "value", counted)
     res = run(method, obj, np.zeros(4), epochs=3, trace_every=1, seed=1,
-              reference=reference, **kwargs)
+              reference=reference)
     assert len(res.records) == 4
     assert len(calls) == len(res.records)
 
@@ -1205,17 +1216,13 @@ def test_run_zero_epochs_pins_every_method(method, start):
     mu = 0.2
     ds = generate_synthetic("ridge", n=9, d=4, density=1.0, noise=0.3, seed=8)
     loss = make_loss("squared")
-    kwargs = {}
     if method in ("sdca", "sdca_variant5"):
         obj = FiniteSumObjective(ds, loss, reg=Regularizer(l2=mu))
-    elif method in ("saga_explicit_l2", "saga_lazy"):
-        obj = FiniteSumObjective(ds, loss)
-        kwargs["explicit_l2"] = mu
     else:
         obj = FiniteSumObjective(ds, loss, split_l2=mu)
     x0 = (np.zeros(4) if start == "zero"
           else np.random.default_rng(3).standard_normal(4))
-    res = run(method, obj, x0, epochs=0, seed=1, **kwargs)
+    res = run(method, obj, x0, epochs=0, seed=1)
     assert len(res.records) == 1
     assert res.records[0].grad_evals == 0
     assert res.records[0].k == 0
@@ -1240,7 +1247,7 @@ def test_run_zero_epochs_pins_every_method(method, start):
 
 
 @pytest.mark.parametrize("option,value,owners", [
-    ("explicit_l2", 0.5, {"saga_explicit_l2", "saga_lazy"}),
+    ("explicit_l2", 0.5, set()),  # no method: the L2 term is in the problem
     ("inner_steps", 3, {"svrg"}),
 ])
 @pytest.mark.parametrize("method", ALL_METHODS)
@@ -1248,14 +1255,140 @@ def test_run_rejects_options_of_other_methods(method, option, value, owners):
     # an option only another method reads is an error, not ignored
     ds = generate_synthetic("ridge", n=9, d=4, density=1.0, noise=0.3, seed=8)
     cfg = ExperimentConfig(dataset={}, loss="squared", l2=0.2)
-    obj, kwargs = method_objective(ds, cfg, method)
-    kwargs[option] = value
-    call = lambda: run(method, obj, np.zeros(4), epochs=0, **kwargs)
+    obj = canonical_objective(ds, cfg)
+    call = lambda: run(method, obj, np.zeros(4), epochs=0, **{option: value})
     if method in owners:
         call()
     else:
-        with pytest.raises(ConfigError, match=option):
+        error = TypeError if option == "explicit_l2" else ConfigError
+        with pytest.raises(error, match=option):
             call()
+
+
+def _form_run(method, problem, x0, *, epochs, seed, reference, policy=None):
+    """A run as it was made before ``run`` took the problem, kept frozen:
+    the objective built in the method's form, the explicit L2 term
+    handed to the engine, and the checks, step and trace rows of that
+    driver."""
+    form = method_info(method).form
+    l2 = problem.split_l2 + problem.reg.l2
+    obj = FiniteSumObjective(
+        problem.dataset, problem.loss,
+        split_l2=l2 if form == "split" else 0.0,
+        reg=Regularizer(l2=l2 if form == "separate" else 0.0,
+                        l1=problem.reg.l1))
+    explicit_l2 = l2 if form == "explicit" else 0.0
+    consts = estimate_constants(obj)
+    if form == "explicit":
+        consts = replace(consts, L=consts.L + explicit_l2, mu=explicit_l2)
+    elif form == "separate":
+        consts = replace(consts, mu=obj.reg.l2)
+    info = check_method(method, loss=obj.loss.kind, l1=obj.reg.l1,
+                        mu=explicit_l2 if form == "explicit" else consts.mu,
+                        policy=policy, n=obj.n)
+    if info.param_free:
+        gamma = None
+    elif policy is None and method == "finito":
+        gamma = 1.0 / (2.0 * consts.mu * consts.n)
+    else:
+        gamma = step_size(policy or StepSizePolicy(
+            "strongly_convex" if consts.mu > 0 else "adaptive"), consts)
+    if form == "explicit":
+        _check_scaling(gamma, explicit_l2)
+    rng = np.random.default_rng(seed)
+    if method == "svrg":
+        passes = _svrg_passes(obj, x0, gamma, obj.n, epochs, rng)
+    elif method == "saga_lazy":
+        passes = lazy.lazy_passes(obj, x0, gamma, explicit_l2, epochs, rng)
+    else:
+        passes = _table_passes(method, obj, x0, gamma, consts.mu, consts.L,
+                               explicit_l2, epochs, rng, "full", "iid")
+    k, evals, x, xsum = next(passes)
+    records = [_record(obj, 0, 0.0, x0, None if xsum is None else x0,
+                       reference, explicit_l2)]
+    for k, evals, x, xsum in passes:
+        _check_iterate(x, k)
+        records.append(_record(obj, k, evals, x,
+                               None if xsum is None else xsum / k,
+                               reference, explicit_l2))
+    return records, x
+
+
+def _run_bits(call):
+    """Every bit of a run's trace rows and final iterate, or the type
+    and message of the error it raised."""
+    try:
+        records, x = call()
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+    return [(r.k, r.grad_evals, r.x.tobytes(),
+             None if r.xbar is None else r.xbar.tobytes(), r.subopt,
+             r.dist_sq) for r in records], x.tobytes()
+
+
+# (l2, l1, loss, manual step): rules, ridge and logistic runs, a
+# divergence and the explicit scaling's bound
+PROBLEMS = {"ridge": (0.2, 0.0, "squared", None),
+            "no_l2": (0.0, 0.0, "squared", None),
+            "l1": (0.2, 0.01, "squared", None),
+            "logistic": (0.2, 0.0, "logistic", None),
+            "long_step": (0.2, 0.0, "squared", 50.0)}
+
+
+@pytest.mark.parametrize("case", sorted(PROBLEMS))
+@pytest.mark.parametrize("method", ALL_METHODS)
+def test_run_takes_the_problem_wherever_its_l2_term_is(method, case):
+    # L2 in the components, L2 in the regulariser, and the method's own
+    # form with its explicit term: the same rows, bit for bit, or the
+    # same error
+    l2, l1, loss, gamma = PROBLEMS[case]
+    kind = "ridge" if loss == "squared" else "logistic"
+    ds = generate_synthetic(kind, n=9, d=4, density=1.0, noise=0.3, seed=8)
+    split = FiniteSumObjective(ds, make_loss(loss), split_l2=l2,
+                               reg=Regularizer(l1=l1))
+    separate = FiniteSumObjective(ds, make_loss(loss),
+                                  reg=Regularizer(l2=l2, l1=l1))
+    reference = prox_gradient_optimum(split)
+    opts = dict(epochs=3, seed=1, reference=reference, policy=None
+                if gamma is None else StepSizePolicy("manual", gamma=gamma))
+
+    def through_run(problem):
+        res = run(method, problem, np.zeros(4), **opts)
+        return res.records, res.x
+
+    outcomes = [_run_bits(lambda: through_run(split)),
+                _run_bits(lambda: through_run(separate)),
+                _run_bits(lambda: _form_run(method, split, np.zeros(4),
+                                            **opts))]
+    assert outcomes[1] == outcomes[0]
+    assert outcomes[2] == outcomes[0]
+
+
+@pytest.mark.parametrize("seed", [True, 1.5, -1, np.float64(2.0)])
+def test_run_checks_its_seed(seed, monkeypatch):
+    # True ran as seed 1; 1.5 and -1 ended in raw numpy errors
+    monkeypatch.setattr(GradientTable, "at_point", None)  # no table is built
+    ds = generate_synthetic("ridge", n=9, d=4, density=1.0, noise=0.3, seed=8)
+    obj = FiniteSumObjective(ds, make_loss("squared"), split_l2=0.2)
+    with pytest.raises(ConfigError, match=re.escape(
+            f"seed must be an integer >= 0, got {seed!r}")):
+        run("saga", obj, np.zeros(4), epochs=2, seed=seed)
+
+
+@pytest.mark.parametrize("x0", [np.zeros(3), np.zeros((1, 4)),
+                                np.array([0.0, np.nan, 0.0, 0.0]),
+                                np.array([np.inf, 0.0, 0.0, 0.0])],
+                         ids=["short", "matrix", "nan", "inf"])
+@pytest.mark.parametrize("method", ALL_METHODS)
+def test_run_checks_its_start(method, x0, monkeypatch):
+    # saga_lazy took a short x0; the others ended in a numpy ValueError,
+    # or, for sdca, a divergence at step 1 from a nan start
+    monkeypatch.setattr(GradientTable, "at_point", None)  # no table is built
+    ds = generate_synthetic("ridge", n=9, d=4, density=1.0, noise=0.3, seed=8)
+    obj = FiniteSumObjective(ds, make_loss("squared"), split_l2=0.2)
+    with pytest.raises(ConfigError,
+                       match="x0 must be a finite vector of length 4"):
+        run(method, obj, x0, epochs=2)
 
 
 # ---------------------------------------------------------------------------
@@ -1316,13 +1449,8 @@ def test_run_result_is_the_last_pass(method):
     # the result is built from the last pass's yield, which is traced
     mu = 0.2
     ds = generate_synthetic("ridge", n=9, d=4, density=1.0, noise=0.3, seed=8)
-    form = method_info(method).form
-    obj = FiniteSumObjective(
-        ds, make_loss("squared"), split_l2=mu if form == "split" else 0.0,
-        reg=Regularizer(l2=mu if form == "separate" else 0.0))
-    kwargs = {"explicit_l2": mu} if form == "explicit" else {}
-    res = run(method, obj, np.zeros(4), epochs=5, trace_every=2, seed=1,
-              **kwargs)
+    obj = FiniteSumObjective(ds, make_loss("squared"), split_l2=mu)
+    res = run(method, obj, np.zeros(4), epochs=5, trace_every=2, seed=1)
     last = res.records[-1]
     assert [r.k for r in res.records] == [0, 18, 36, 45]
     assert np.array_equal(res.x, last.x)
