@@ -9,7 +9,7 @@ import numpy as np
 
 from .cscmat import CscMatrix
 from .errors import ConfigError
-from .objectives import Dataset, sigmoid
+from .objectives import Dataset, is_real, sigmoid
 from .solvers import is_int
 
 
@@ -96,7 +96,7 @@ def load_libsvm(path, n_features=None, normalize=False) -> Dataset:
 
 _SYNTH_KINDS = ("ridge", "lasso_ls", "logistic")
 
-# entries per row chunk of the generator's temporaries (256 kB of doubles)
+# entries per row chunk of the generator's row norms (256 kB of doubles)
 _CHUNK = 1 << 15
 
 
@@ -109,10 +109,14 @@ def generate_synthetic(kind, n, d, density=1.0, noise=0.1, seed=0,
     with additive gaussian noise for the least-squares kinds and
     Bernoulli draws through a logistic link otherwise.
 
-    The (n, d) feature array is the only full-size temporary: the
-    sparsity uniforms and the row norms are taken in row chunks, which
-    gives the same values as whole-array draws (each uniform consumes
-    one 64-bit word of the stream).
+    The stream is read in this order.  At density 1, one (n, d) array of
+    normals.  Below it, each point's nonzero count, Binomial(d, density)
+    raised to at least 1, for all n points at once; then, point by
+    point, that many distinct positions and one normal for each.  So no
+    draw below density 1 has n*d entries.  Every feature is scaled by
+    1/sqrt(d).  Then the planted weights (d normals), and last the n
+    label draws.  The (n, d) feature array is the only full-size
+    temporary: the row norms are taken in row chunks.
     """
     if kind not in _SYNTH_KINDS:
         raise ConfigError(f"unknown synthetic kind {kind!r}")
@@ -121,30 +125,28 @@ def generate_synthetic(kind, n, d, density=1.0, noise=0.1, seed=0,
             raise ConfigError(f"{name} must be an integer, got {value!r}")
     if n < 1 or d < 1:
         raise ConfigError("need n >= 1 and d >= 1")
-    if not 0.0 < density <= 1.0:
+    if not (is_real(density) and 0.0 < density <= 1.0):
         raise ConfigError("density must lie in (0, 1]")
+    try:
+        finite = is_real(noise) and math.isfinite(noise)
+    except OverflowError:  # an int past the largest double
+        finite = False
+    if not finite:
+        raise ConfigError(f"noise must be a finite number, got {noise!r}")
     if seed < 0:
         raise ConfigError(f"'seed' must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
-    pts = rng.standard_normal((n, d))
-    pts /= math.sqrt(d)
-    rows = max(1, _CHUNK // d)
     if density < 1.0:
-        empty = []
-        for lo in range(0, n, rows):
-            block = pts[lo:lo + rows]
-            drop = rng.random(block.shape) >= density
-            none_kept = drop.all(axis=1)
-            drop[none_kept] = False
-            block[drop] = 0.0
-            empty.extend((lo + np.flatnonzero(none_kept)).tolist())
-        # a row left empty keeps one entry, drawn after all the uniforms
-        for i in empty:
-            j = int(rng.integers(0, d))
-            keep = pts[i, j]
-            pts[i] = 0.0
-            pts[i, j] = keep
+        counts = np.maximum(rng.binomial(d, density, size=n), 1)
+        pts = np.zeros((n, d))
+        for i, k in enumerate(counts.tolist()):
+            cols = rng.choice(d, k, replace=False)
+            pts[i, cols] = rng.standard_normal(k) / math.sqrt(d)
+    else:
+        pts = rng.standard_normal((n, d))
+        pts /= math.sqrt(d)
     if normalize:
+        rows = max(1, _CHUNK // d)
         for lo in range(0, n, rows):
             block = pts[lo:lo + rows]
             norms = np.linalg.norm(block, axis=1)

@@ -15,6 +15,7 @@ the components merely convex.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -22,6 +23,12 @@ import numpy as np
 
 from .cscmat import CscMatrix
 from .errors import ConfigError, ProxSolveError
+
+
+def is_real(value):
+    """True for a real number other than a bool: a string or True is no
+    strength or step."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def sigmoid(u):
@@ -155,7 +162,7 @@ class Regularizer:
     l1: float = 0.0
 
     def __post_init__(self):
-        if not (0 <= self.l2 < math.inf and 0 <= self.l1 < math.inf):
+        if not all(is_real(s) and 0 <= s < math.inf for s in (self.l2, self.l1)):
             raise ConfigError("regulariser strengths must be finite and nonnegative")
 
     def value(self, x):
@@ -220,7 +227,7 @@ class FiniteSumObjective:
 
     def __init__(self, dataset: Dataset, loss: LossModel, split_l2: float = 0.0,
                  reg: Regularizer | None = None):
-        if not 0 <= split_l2 < math.inf:
+        if not (is_real(split_l2) and 0 <= split_l2 < math.inf):
             raise ConfigError("split_l2 must be finite and nonnegative")
         loss.check_labels(dataset.labels)
         self.dataset = dataset

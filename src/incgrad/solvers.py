@@ -24,6 +24,7 @@ from .objectives import (
     ProblemConstants,
     Regularizer,
     estimate_constants,
+    is_real,
     scalar_loss_prox,
 )
 
@@ -186,8 +187,8 @@ class StepSizePolicy:
     def __post_init__(self):
         if self.mode not in ("strongly_convex", "average_sc", "adaptive", "manual"):
             raise ConfigError(f"unknown step size mode {self.mode!r}")
-        if self.mode == "manual" and (self.gamma is None or isinstance(
-                self.gamma, (bool, np.bool_)) or not 0 < self.gamma < math.inf):
+        if self.mode == "manual" and not (
+                is_real(self.gamma) and 0 < self.gamma < math.inf):
             raise ConfigError("manual step size requires a finite gamma > 0")
         if self.mode != "manual" and self.gamma is not None:
             raise ConfigError(f"step size mode {self.mode!r} takes no gamma")

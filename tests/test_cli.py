@@ -316,7 +316,7 @@ def test_lazy_run_overflowing_within_a_pass_ends_in_one_line(
     assert main(["run", "--config", str(p),
                  "--out", str(tmp_path / "rows.csv")]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert err == ["numerical failure: solver diverged at step 121 "
+    assert err == ["numerical failure: solver diverged at step 123 "
                    "(non-finite step)"]
 
 

@@ -115,6 +115,21 @@ def test_synthetic_validation():
         generate_synthetic("ridge", 0, 5)
 
 
+@pytest.mark.parametrize("kwargs,match", [
+    ({"density": "0.5"}, "density must lie in"),
+    ({"density": True}, "density must lie in"),
+    ({"noise": "0.1"}, "noise must be a finite number, got '0.1'"),
+    ({"noise": np.nan}, "noise must be a finite number, got nan"),
+    ({"noise": -np.inf}, "noise must be a finite number, got -inf"),
+    ({"noise": 10 ** 400}, "noise must be a finite number, got 1000")])
+def test_synthetic_density_and_noise_are_checked(kwargs, match):
+    # a string ended in a raw TypeError, True ran as density 1, a
+    # non-finite noise gave non-finite ridge labels, and an int past the
+    # largest double ended in a raw OverflowError
+    with pytest.raises(ConfigError, match=match):
+        generate_synthetic("ridge", 10, 5, **kwargs)
+
+
 @pytest.mark.parametrize("name,value", [
     ("n", 2.5), ("n", True), ("d", 3.0), ("d", True), ("seed", 1.5),
     ("seed", True)])
@@ -128,17 +143,21 @@ def test_synthetic_sizes_and_seed_are_integers(name, value):
 
 def _generate_synthetic_dense(kind, n, d, density=1.0, noise=0.1, seed=0,
                               normalize=False):
-    """Whole-array reference for generate_synthetic: the same draws, with
-    the uniforms as one (n, d) array and out-of-place masking and
-    scaling."""
+    """Plain reference for generate_synthetic: the same draws, with the
+    normals at density 1 as one (n, d) array, the entries below it set
+    one at a time, point by point, and out-of-place scaling."""
     rng = np.random.default_rng(seed)
-    pts = rng.standard_normal((n, d)) / math.sqrt(d)
     if density < 1.0:
-        mask = rng.random((n, d)) < density
+        counts = rng.binomial(d, density, size=n)
+        pts = np.zeros((n, d))
         for i in range(n):
-            if not mask[i].any():
-                mask[i, int(rng.integers(0, d))] = True
-        pts = np.where(mask, pts, 0.0)
+            k = max(int(counts[i]), 1)
+            cols = rng.choice(d, k, replace=False)
+            vals = rng.standard_normal(k)
+            for j, v in zip(cols.tolist(), vals.tolist()):
+                pts[i, j] = v / math.sqrt(d)
+    else:
+        pts = rng.standard_normal((n, d)) / math.sqrt(d)
     if normalize:
         norms = np.linalg.norm(pts, axis=1)
         pts = pts / np.where(norms > 0, norms, 1.0)[:, None]
@@ -156,7 +175,7 @@ def _generate_synthetic_dense(kind, n, d, density=1.0, noise=0.1, seed=0,
 @pytest.mark.parametrize("kind", ["ridge", "lasso_ls", "logistic"])
 @pytest.mark.parametrize("n,d,density", [
     (30, 20, 1.0), (40, 50, 0.3), (60, 3000, 1e-3),
-    (50, 40, 0.005),  # most rows left empty by the uniforms
+    (50, 40, 0.005),  # most counts raised from 0 to 1
 ])
 def test_synthetic_matches_whole_array_draws(kind, n, d, density, normalize,
                                              seed):
@@ -168,6 +187,50 @@ def test_synthetic_matches_whole_array_draws(kind, n, d, density, normalize,
         assert np.array_equal(getattr(got.features, name),
                               getattr(ref.features, name))
     assert np.array_equal(got.labels, ref.labels)
+
+
+@pytest.mark.parametrize("n,d,density,seed", [
+    (600, 10_000, 1e-3, 7), (200, 2000, 5e-3, 1), (50, 40, 0.3, 3),
+    (30, 1000, 0.5, 0), (80, 40, 0.005, 2), (40, 3, 0.9, 5)])
+def test_sparse_draw_keeps_its_counts_at_distinct_positions(n, d, density,
+                                                            seed):
+    ds = generate_synthetic("ridge", n, d, density=density, seed=seed)
+    per_point = np.diff(ds.features.indptr)
+    # the counts are the stream's first draw, raised to at least 1; a
+    # position drawn twice in a point would leave it fewer entries
+    counts = np.random.default_rng(seed).binomial(d, density, size=n)
+    assert np.array_equal(per_point, np.maximum(counts, 1))
+    # E max(K, 1) = d p + P(K = 0) for K ~ Binomial(d, p)
+    mean = n * (d * density + (1 - density) ** d)
+    sd = math.sqrt(n * d * density * (1 - density))
+    assert abs(ds.features.nnz - mean) <= 4 * sd
+
+
+class _RecordingRng:
+    """A numpy generator that records the size of every draw."""
+
+    def __init__(self, rng, sizes):
+        self._rng, self._sizes = rng, sizes
+
+    def __getattr__(self, name):
+        draw = getattr(self._rng, name)
+
+        def recorded(*args, **kwargs):
+            out = draw(*args, **kwargs)
+            self._sizes.append(np.size(out))
+            return out
+        return recorded
+
+
+@pytest.mark.parametrize("density", [1e-3, 0.5, 1.0])
+def test_only_density_one_draws_n_times_d_entries(density, monkeypatch):
+    n, d = 60, 3000
+    sizes = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: _RecordingRng(default_rng(seed), sizes))
+    generate_synthetic("ridge", n, d, density=density, seed=4)
+    assert (max(sizes) == n * d) is (density == 1.0)
 
 
 def test_synthetic_and_densify_keep_one_dense_copy(monkeypatch):
@@ -209,8 +272,8 @@ def test_synthetic_bytes_do_not_depend_on_the_chunk(normalize, monkeypatch):
 
 
 def test_synthetic_temporaries_stay_small():
-    # beside the (n, d) feature array, the chunked uniforms, row norms
-    # and mask chunks add well under 2 MiB
+    # beside the (n, d) feature array, the counts, positions, values and
+    # chunked row norms add well under 2 MiB
     n, d = 600, 10_000
     tracemalloc.start()
     try:

@@ -694,14 +694,15 @@ def test_lazy_pass_past_its_scaling_table_fails_alike(kernel_paths):
     assert outcomes == [outcomes[0]] * len(outcomes)
 
 
-def test_lazy_overflow_within_a_pass_stops_both_paths_at_step_121(
+def test_lazy_overflow_within_a_pass_stops_both_paths_at_one_step(
         kernel_paths):
     ds = generate_synthetic("ridge", n=200, d=2000, density=0.005, seed=1)
     obj = FiniteSumObjective(ds, make_loss("squared"), split_l2=1e-10)
     got = _outcomes(kernel_paths, "saga_lazy", obj, np.zeros(ds.d),
                     policy=StepSizePolicy("manual", gamma=9.9e9))
     assert got == (DivergenceError,
-                   "solver diverged at step 121 (non-finite step)", 121)
+                   "solver diverged at step 123 (non-finite step)", 123)
+    assert got[2] < ds.n  # inside the first pass
 
 
 # ---------------------------------------------------------------------------

@@ -157,13 +157,14 @@ def test_composite_equals_smooth_without_regularizer():
 # ---------------------------------------------------------------------------
 # prox
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, "1", True])
 def test_strengths_must_be_finite_and_nonnegative(bad, two_quadratics):
+    # "1" ended in a raw TypeError, and True weighed as 1
     obj, _ = two_quadratics
     for kwargs in ({"l1": bad}, {"l2": bad}):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="strengths must be finite"):
             Regularizer(**kwargs)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="split_l2 must be finite"):
         FiniteSumObjective(obj.dataset, obj.loss, split_l2=bad)
 
 

@@ -61,9 +61,10 @@ def test_step_size_modes():
     assert step_size(StepSizePolicy("manual", gamma=0.1), consts) == 0.1
 
 
-@pytest.mark.parametrize("gamma", [None, 0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("gamma", [None, 0.0, -1.0, np.nan, np.inf, "0.5"])
 def test_manual_step_size_must_be_finite_and_positive(gamma):
-    with pytest.raises(ConfigError):
+    # "0.5" ended in a raw TypeError
+    with pytest.raises(ConfigError, match="finite gamma > 0"):
         StepSizePolicy("manual", gamma=gamma)
 
 
@@ -1042,14 +1043,16 @@ def test_run_equals_hand_loop_of_step_functions(method, form):
 
 
 def _dense_scalar_table_run(method, obj, x0, gamma, mu, epochs, seed):
-    """Scalar-table saga, sag and saga_explicit_l2 with every vector
-    formed over all d coordinates: g_new = c a_j, g_old = c_old a_j and
-    the mean update (c - c_old)/n a_j.  Returns the iterate after each
-    epoch."""
+    """Scalar-table saga, sag and saga_explicit_l2 with every step's
+    vectors formed over all d coordinates: g_new = c a_j, g_old = c_old a_j
+    and the mean update (c - c_old)/n a_j.  The mean is filled and resynced
+    at each pass end as the program does, by ``obj.point_sum``: a dense
+    ``points.T @ coeffs`` rounds apart once a coordinate has three or more
+    nonzeros.  Returns the iterate after each epoch."""
     rng = np.random.default_rng(seed)
     n, points = obj.n, obj.points
     coeffs = np.array(obj.loss_coeffs(x0), dtype=float)
-    avg = (points.T @ coeffs) / n
+    avg = obj.point_sum(coeffs) / n
     x, xs = np.array(x0), []
     for _ in range(epochs):
         for j in rng.integers(0, n, size=n).tolist():
@@ -1064,7 +1067,7 @@ def _dense_scalar_table_run(method, obj, x0, gamma, mu, epochs, seed):
                 x = obj.reg.prox(gamma, x - gamma * (g_new - g_old + avg))
             avg += ((c - coeffs[j]) / n) * a
             coeffs[j] = c
-        avg = (points.T @ coeffs) / n
+        avg = obj.point_sum(coeffs) / n
         xs.append(x.copy())
     return xs
 
