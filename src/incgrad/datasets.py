@@ -88,15 +88,24 @@ def load_libsvm(path, n_features=None, normalize=False) -> Dataset:
         d = n_features
     mat = CscMatrix(data, indices, indptr, (d, len(labels)))
     if normalize:
-        norms = np.sqrt(mat.col_sqnorms())
-        scale = 1.0 / np.where(norms > 0, norms, 1.0)
-        mat.data *= np.repeat(scale, np.diff(mat.indptr))
+        _unit_columns(mat)
     return Dataset(mat, np.array(labels))
+
+
+def _unit_columns(mat):
+    """Scale every nonzero column of ``mat`` to unit euclidean norm, in
+    place, over the nonzeros only: each squared norm is summed one term
+    at a time in storage order, and each value is multiplied by
+    1/norm."""
+    norms = np.sqrt(mat.col_sqnorms())
+    scale = 1.0 / np.where(norms > 0, norms, 1.0)
+    mat.data *= np.repeat(scale, np.diff(mat.indptr))
 
 
 _SYNTH_KINDS = ("ridge", "lasso_ls", "logistic")
 
-# entries per row chunk of the generator's row norms (256 kB of doubles)
+# entries per row chunk of the generator's row norms at density 1 (256 kB
+# of doubles)
 _CHUNK = 1 << 15
 
 
@@ -115,8 +124,14 @@ def generate_synthetic(kind, n, d, density=1.0, noise=0.1, seed=0,
     point, that many distinct positions and one normal for each.  So no
     draw below density 1 has n*d entries.  Every feature is scaled by
     1/sqrt(d).  Then the planted weights (d normals), and last the n
-    label draws.  The (n, d) feature array is the only full-size
-    temporary: the row norms are taken in row chunks.
+    label draws.
+
+    Below density 1 the drawn (n, d) array is only the input of
+    ``CscMatrix.from_dense``: the row norms (``normalize``) and the
+    label margins are then taken over the nonzeros, each point's terms
+    summed one at a time in ascending coordinate order, as
+    ``load_libsvm`` normalises.  At density 1 the row norms are taken on
+    the array in row chunks, so no temporary there is full size.
     """
     if kind not in _SYNTH_KINDS:
         raise ConfigError(f"unknown synthetic kind {kind!r}")
@@ -142,19 +157,24 @@ def generate_synthetic(kind, n, d, density=1.0, noise=0.1, seed=0,
         for i, k in enumerate(counts.tolist()):
             cols = rng.choice(d, k, replace=False)
             pts[i, cols] = rng.standard_normal(k) / math.sqrt(d)
+        mat = CscMatrix.from_dense(pts.T)
+        del pts
+        if normalize:
+            _unit_columns(mat)
+        margins = mat.rmatvec(rng.standard_normal(d))
     else:
         pts = rng.standard_normal((n, d))
         pts /= math.sqrt(d)
-    if normalize:
-        rows = max(1, _CHUNK // d)
-        for lo in range(0, n, rows):
-            block = pts[lo:lo + rows]
-            norms = np.linalg.norm(block, axis=1)
-            block /= np.where(norms > 0, norms, 1.0)[:, None]
-    w = rng.standard_normal(d)
-    margins = pts @ w
+        if normalize:
+            rows = max(1, _CHUNK // d)
+            for lo in range(0, n, rows):
+                block = pts[lo:lo + rows]
+                norms = np.linalg.norm(block, axis=1)
+                block /= np.where(norms > 0, norms, 1.0)[:, None]
+        margins = pts @ rng.standard_normal(d)
+        mat = CscMatrix.from_dense(pts.T)
     if kind == "logistic":
         labels = np.where(rng.random(n) < sigmoid(margins), 1.0, -1.0)
     else:
         labels = margins + noise * rng.standard_normal(n)
-    return Dataset.from_dense(pts, labels)
+    return Dataset(mat, labels)

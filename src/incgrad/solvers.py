@@ -240,9 +240,8 @@ def saga_step(state: SagaState, obj, j, gamma, per_n=False, mu=0.0):
         diff = entry * a - table.coeffs[j] * a
         if per_n:
             diff /= obj.n
-        step = table.avg.copy()
-        step[idx] = diff + step[idx]
-        step *= gamma
+        step = table.avg * gamma
+        step[idx] = (diff + table.avg[idx]) * gamma
     else:
         entry, g_new = _new_gradient(obj, table, j, x)
         diff = g_new - (table.vecs[j] if table.mode == "dense"
@@ -250,7 +249,8 @@ def saga_step(state: SagaState, obj, j, gamma, per_n=False, mu=0.0):
         if per_n:
             diff /= obj.n
         step = gamma * (diff + table.avg)
-    w = ((1.0 - gamma * mu) * x if mu else x) - step
+    # w = (1 - gamma mu) x - step, written over step
+    w = np.subtract((1.0 - gamma * mu) * x if mu else x, step, out=step)
     state.x = obj.reg.prox(gamma, w) if obj.reg.l1 or obj.reg.l2 else w
     table.update(j, entry)
 

@@ -144,30 +144,48 @@ def test_synthetic_sizes_and_seed_are_integers(name, value):
 def _generate_synthetic_dense(kind, n, d, density=1.0, noise=0.1, seed=0,
                               normalize=False):
     """Plain reference for generate_synthetic: the same draws, with the
-    normals at density 1 as one (n, d) array, the entries below it set
-    one at a time, point by point, and out-of-place scaling."""
+    normals at density 1 as one (n, d) array, normalised out of place.
+    Below density 1 each point's entries are kept in a list, in
+    ascending coordinate order; its squared norm and its margin are
+    summed one term at a time in that order, and a normalised value is
+    the value times 1/norm."""
     rng = np.random.default_rng(seed)
     if density < 1.0:
         counts = rng.binomial(d, density, size=n)
-        pts = np.zeros((n, d))
+        points = []
         for i in range(n):
             k = max(int(counts[i]), 1)
             cols = rng.choice(d, k, replace=False)
             vals = rng.standard_normal(k)
-            for j, v in zip(cols.tolist(), vals.tolist()):
-                pts[i, j] = v / math.sqrt(d)
+            points.append(sorted((j, v / math.sqrt(d))
+                                 for j, v in zip(cols.tolist(), vals.tolist())))
+        if normalize:
+            for i, point in enumerate(points):
+                sq = 0.0
+                for _, v in point:
+                    sq += v * v
+                scale = 1.0 / math.sqrt(sq)
+                points[i] = [(j, v * scale) for j, v in point]
+        w = rng.standard_normal(d).tolist()
+        margins = np.zeros(n)
+        for i, point in enumerate(points):
+            for j, v in point:
+                margins[i] += v * w[j]
+        features = CscMatrix([v for point in points for _, v in point],
+                             [j for point in points for j, _ in point],
+                             np.cumsum([0] + [len(p) for p in points]), (d, n))
     else:
         pts = rng.standard_normal((n, d)) / math.sqrt(d)
-    if normalize:
-        norms = np.linalg.norm(pts, axis=1)
-        pts = pts / np.where(norms > 0, norms, 1.0)[:, None]
-    w = rng.standard_normal(d)
-    margins = pts @ w
+        if normalize:
+            norms = np.linalg.norm(pts, axis=1)
+            pts = pts / np.where(norms > 0, norms, 1.0)[:, None]
+        margins = pts @ rng.standard_normal(d)
+        features = CscMatrix.from_dense(pts.T)
     if kind == "logistic":
         labels = np.where(rng.random(n) < sigmoid(margins), 1.0, -1.0)
     else:
         labels = margins + noise * rng.standard_normal(n)
-    return Dataset.from_dense(pts, labels)
+    return Dataset(features, labels)
 
 
 @pytest.mark.parametrize("seed", [0, 7])
@@ -255,14 +273,18 @@ def test_synthetic_and_densify_keep_one_dense_copy(monkeypatch):
     assert len(filled) == 1 and np.shares_memory(points, filled[0])
 
 
+@pytest.mark.parametrize("density", [5e-3, 1.0])
 @pytest.mark.parametrize("normalize", [False, True])
-def test_synthetic_bytes_do_not_depend_on_the_chunk(normalize, monkeypatch):
-    # one row per chunk, 7 rows, and the whole array in one chunk
+def test_synthetic_bytes_do_not_depend_on_the_chunk(normalize, density,
+                                                    monkeypatch):
+    # one row per chunk, 7 rows, and the whole array in one chunk; only
+    # density 1 takes its row norms in chunks, the sparse path over the
+    # nonzeros
     n, d = 50, 2000
     outs = []
     for chunk in (d, 7 * d, n * d):
         monkeypatch.setattr(datasets, "_CHUNK", chunk)
-        outs.append(generate_synthetic("ridge", n, d, density=5e-3,
+        outs.append(generate_synthetic("ridge", n, d, density=density,
                                        normalize=normalize))
     for got in outs[1:]:
         for name in ("data", "indices", "indptr"):
@@ -272,8 +294,8 @@ def test_synthetic_bytes_do_not_depend_on_the_chunk(normalize, monkeypatch):
 
 
 def test_synthetic_temporaries_stay_small():
-    # beside the (n, d) feature array, the counts, positions, values and
-    # chunked row norms add well under 2 MiB
+    # beside the (n, d) feature array, the counts, positions, values,
+    # CSC arrays and norms over the nonzeros add well under 2 MiB
     n, d = 600, 10_000
     tracemalloc.start()
     try:
@@ -282,6 +304,37 @@ def test_synthetic_temporaries_stay_small():
     finally:
         tracemalloc.stop()
     assert peak < n * d * 8 + 2 * 2 ** 20
+
+
+@pytest.mark.parametrize("kind", ["ridge", "logistic"])
+@pytest.mark.parametrize("n,d,density,seed", [
+    (60, 3000, 1e-3, 7), (50, 40, 0.3, 3), (80, 40, 0.005, 2)])
+def test_sparse_synthetic_normalises_as_load_libsvm(kind, n, d, density,
+                                                    seed, tmp_path):
+    # one rule for both: the generator's normalised features are
+    # load_libsvm's normalisation of its unnormalised ones
+    raw = generate_synthetic(kind, n, d, density=density, seed=seed)
+    p = tmp_path / "raw.svm"
+    save_libsvm(p, raw)
+    want = load_libsvm(p, n_features=d, normalize=True).features
+    got = generate_synthetic(kind, n, d, density=density, seed=seed,
+                             normalize=True).features
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert np.all(np.abs(got.col_sqnorms() - 1.0) <= 1e-15)
+
+
+def test_sparse_synthetic_takes_no_dense_norm(monkeypatch):
+    def dense_norm(*args, **kwargs):
+        raise AssertionError("np.linalg.norm called on the sparse path")
+
+    monkeypatch.setattr(np.linalg, "norm", dense_norm)
+    for density in (1e-3, 0.3):
+        generate_synthetic("ridge", 60, 3000, density=density, seed=1,
+                           normalize=True)
+    # density 1 still takes them, so the patch is live
+    with pytest.raises(AssertionError, match="sparse path"):
+        generate_synthetic("ridge", 6, 30, seed=1, normalize=True)
 
 
 def test_planted_model_recovery():
