@@ -175,6 +175,7 @@ def generate_synthetic(kind, n, d, density=1.0, noise=0.1, seed=0,
         mat = CscMatrix.from_dense(pts.T)
     if kind == "logistic":
         labels = np.where(rng.random(n) < sigmoid(margins), 1.0, -1.0)
-    else:
-        labels = margins + noise * rng.standard_normal(n)
+    else:  # an overflow to inf is refused by Dataset, without a warning
+        with np.errstate(over="ignore"):
+            labels = margins + noise * rng.standard_normal(n)
     return Dataset(mat, labels)

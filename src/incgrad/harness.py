@@ -8,6 +8,7 @@ it and emits suboptimality traces as CSV.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import dataclass, field
@@ -32,34 +33,63 @@ SWEEP_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 CSV_HEADER = "method,seed,grad_evals_per_n,suboptimality,dist_sq"
 
 
-_EXPECTED = {bool: "true or false", int: "an integer", float: "a finite number"}
+_EXPECTED = {bool: "true or false", int: "an integer", float: "a finite number",
+             str: "a string", list: "a list", dict: "an object", None: "null"}
+
+# each config level's keys and their JSON kinds (a tuple admits each of
+# its kinds): ExperimentConfig's fields, a method entry, and the
+# parameters of load_libsvm and generate_synthetic
+_CONFIG = {"dataset": dict, "loss": str, "l2": float, "l1": float,
+           "methods": list, "epochs": int, "seeds": list, "trace_every": int,
+           "out": (str, None)}
+_METHOD = {"name": str, "step_size": (float, str, None)}
+_FILE = {"path": str, "n_features": (int, None), "normalize": bool}
+_SYNTHETIC = {"kind": str, "n": int, "d": int, "density": float,
+              "noise": float, "seed": int, "normalize": bool}
 
 
-def _checked(key, value, kind):
-    """``value`` as a ``kind`` (bool, int or float), else a ConfigError
-    naming ``key``.  Nothing is coerced: a flag must be a JSON boolean,
-    and a number a JSON number other than a boolean, finite (JSON
-    parsing admits NaN and Infinity) and, for an int, integral."""
+def _checked(key, value, kind, level="config"):
+    """``value`` as a ``kind`` (see ``_EXPECTED``), else a ConfigError
+    naming ``key`` and its ``level``.  Nothing is coerced: a flag must be
+    a JSON boolean, and a number a JSON number other than a boolean,
+    finite (JSON parsing admits NaN and Infinity) and, for an int,
+    integral."""
+    kinds = kind if isinstance(kind, tuple) else (kind,)
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    try:
-        if kind is bool and isinstance(value, bool):
+    for k in kinds:
+        try:
+            if k is int and number and int(value) == value:
+                return int(value)
+            if k is float and number and math.isfinite(float(value)):
+                return float(value)
+        except (ValueError, OverflowError):  # NaN, Infinity or a huge int
+            pass
+        if (k in (bool, str, list, dict) and isinstance(value, k)
+                or k is None and value is None):
             return value
-        if kind is int and number and int(value) == value:
-            return int(value)
-        if kind is float and number and math.isfinite(float(value)):
-            return float(value)
-    except (ValueError, OverflowError):  # int() of NaN or Infinity
-        pass
-    raise ConfigError(f"bad config value for {key!r}: {value!r} "
-                      f"(expected {_EXPECTED[kind]})")
+    raise ConfigError(f"bad config value for {key!r} in {level}: {value!r} "
+                      f"(expected {' or '.join(_EXPECTED[k] for k in kinds)})")
 
 
-def _only(raw, allowed, where):
-    """ConfigError naming every key of the object ``raw`` that is not in
-    ``allowed``: a misspelled key must not fall back to a default."""
-    extra = set(raw) - set(allowed)
+def _fields(raw, table, level):
+    """The entries of the JSON object ``raw``, each checked against its
+    kind in ``table``.  A key not in ``table`` is an error, so a
+    misspelled key cannot fall back to a default unnoticed."""
+    extra = set(raw) - set(table)
     if extra:
-        raise ConfigError(f"unknown {where} keys: {sorted(extra)}")
+        raise ConfigError(f"unknown {level} keys: {sorted(extra)}")
+    return {k: _checked(k, v, table[k], level) for k, v in raw.items()}
+
+
+def _call(fn, raw, table, level, **preset):
+    """``fn`` called with ``preset`` and the checked entries of ``raw``
+    alone, so a key that ``raw`` omits takes ``fn``'s own default."""
+    kwargs = {**preset, **_fields(raw, table, level)}
+    try:
+        inspect.signature(fn).bind(**kwargs)
+    except TypeError as exc:  # a required parameter is missing
+        raise ConfigError(f"{level}: {exc}") from None
+    return fn(**kwargs)
 
 
 @dataclass
@@ -69,30 +99,23 @@ class MethodSpec:
 
     @classmethod
     def from_config(cls, entry):
+        entry = _checked("methods", entry, (str, dict))
         if isinstance(entry, str):
             return cls(name=entry)
-        if not isinstance(entry, dict):
-            raise ConfigError(
-                f"'methods' entries must be names or objects, got {entry!r}")
-        _only(entry, ("name", "step_size"), "'methods' entry")
-        name = entry.get("name")
-        if not name or not isinstance(name, str):
+        entry = _fields(entry, _METHOD, "'methods' entry")
+        if not entry.get("name"):
             raise ConfigError(f"'methods' entry {entry!r} needs a 'name' string")
         step = entry.get("step_size")
-        if step is None:
-            policy = None
-        elif isinstance(step, (int, float)):
-            policy = StepSizePolicy("manual",
-                                    gamma=_checked("step_size", step, float))
-        else:
-            policy = StepSizePolicy(str(step))
-        return cls(name=name, policy=policy)
+        if isinstance(step, str):
+            return cls(entry["name"], StepSizePolicy(step))
+        return cls(entry["name"], None if step is None
+                   else StepSizePolicy("manual", gamma=step))
 
 
 @dataclass
 class ExperimentConfig:
-    dataset: dict
-    loss: str
+    dataset: dict = field(default_factory=dict)
+    loss: str = "squared"
     l2: float = 0.0
     l1: float = 0.0
     methods: list = field(default_factory=list)
@@ -103,35 +126,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        _only(raw, ("dataset", "loss", "l2", "l1", "methods", "epochs",
-                    "seeds", "trace_every", "out"), "config")
-        dataset = raw.get("dataset", {})
-        if not isinstance(dataset, dict):
-            raise ConfigError("'dataset' must be an object")
-        methods = raw.get("methods", [])
-        if not isinstance(methods, list):
-            raise ConfigError("'methods' must be a list of method names or objects")
-        methods = [MethodSpec.from_config(m) for m in methods]
-        out = raw.get("out")
-        if out is not None and not isinstance(out, str):
-            raise ConfigError("'out' must be a path string")
-        seeds = raw.get("seeds", [0])
-        if not isinstance(seeds, list):
-            raise ConfigError("'seeds' must be a list of integers")
-        loss = raw.get("loss", "squared")
-        if not isinstance(loss, str):
-            raise ConfigError(f"'loss' must be a loss name, got {loss!r}")
-        return cls(
-            dataset=dataset,
-            loss=loss,
-            l2=_checked("l2", raw.get("l2", 0.0), float),
-            l1=_checked("l1", raw.get("l1", 0.0), float),
-            methods=methods,
-            epochs=_checked("epochs", raw.get("epochs", 10), int),
-            seeds=[_checked("seeds", s, int) for s in seeds],
-            trace_every=_checked("trace_every", raw.get("trace_every", 1), int),
-            out=out,
-        )
+        cfg = _call(cls, raw, _CONFIG, "config")
+        cfg.methods = [MethodSpec.from_config(m) for m in cfg.methods]
+        cfg.seeds = [_checked("seeds", s, int) for s in cfg.seeds]
+        return cfg
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -168,8 +166,7 @@ def validate_config(cfg: ExperimentConfig):
         raise ConfigError(f"'seeds' must be nonnegative, got {cfg.seeds}")
     if cfg.trace_every < 1:
         raise ConfigError("trace_every must be >= 1")
-    if cfg.l2 < 0 or cfg.l1 < 0:
-        raise ConfigError("regulariser strengths must be nonnegative")
+    Regularizer(l2=cfg.l2, l1=cfg.l1)  # refuses a negative strength
     loss = make_loss(cfg.loss).kind
     for spec in cfg.methods:
         check_method(spec.name, loss=loss, l1=cfg.l1, mu=cfg.l2,
@@ -179,35 +176,12 @@ def validate_config(cfg: ExperimentConfig):
 def build_dataset(cfg: ExperimentConfig):
     ds_cfg = cfg.dataset
     if "path" in ds_cfg:
-        _only(ds_cfg, ("path", "n_features", "normalize"), "file 'dataset'")
-        path = ds_cfg["path"]
-        if not isinstance(path, str):
-            raise ConfigError(f"'dataset' 'path' must be a path string, "
-                              f"got {path!r}")
-        n_features = ds_cfg.get("n_features")
-        if n_features is not None:
-            n_features = _checked("n_features", n_features, int)
-        normalize = _checked("normalize", ds_cfg.get("normalize", False), bool)
-        return load_libsvm(path, n_features=n_features,
-                           normalize=normalize)
-    if "synthetic" in ds_cfg:
-        _only(ds_cfg, ("synthetic",), "synthetic 'dataset'")
-        s = ds_cfg["synthetic"]
-        if not isinstance(s, dict):
-            raise ConfigError("'synthetic' must be an object")
-        _only(s, ("kind", "n", "d", "density", "noise", "seed", "normalize"),
-              "'synthetic'")
-        try:
-            sizes = dict(n=_checked("n", s["n"], int), d=_checked("d", s["d"], int),
-                         density=_checked("density", s.get("density", 1.0), float),
-                         noise=_checked("noise", s.get("noise", 0.1), float),
-                         seed=_checked("seed", s.get("seed", 0), int),
-                         normalize=_checked("normalize",
-                                            s.get("normalize", False), bool))
-        except KeyError as exc:
-            raise ConfigError(f"synthetic dataset config needs {exc}") from None
-        return generate_synthetic(s.get("kind", "ridge"), **sizes)
-    raise ConfigError("dataset config needs a 'path' or a 'synthetic' entry")
+        return _call(load_libsvm, ds_cfg, _FILE, "file 'dataset'")
+    if "synthetic" not in ds_cfg:
+        raise ConfigError("dataset config needs a 'path' or a 'synthetic' entry")
+    synthetic = _fields(ds_cfg, {"synthetic": dict}, "'dataset'")["synthetic"]
+    return _call(generate_synthetic, synthetic, _SYNTHETIC,
+                 "synthetic 'dataset'", kind="ridge")
 
 
 def canonical_objective(ds, cfg) -> FiniteSumObjective:

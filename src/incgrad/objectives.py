@@ -55,6 +55,8 @@ class Dataset:
         labels = np.ascontiguousarray(labels, dtype=np.float64)
         if labels.ndim != 1 or labels.shape[0] != features.ncols:
             raise ConfigError("labels must be a vector with one entry per point")
+        if not (np.isfinite(labels).all() and np.isfinite(features.data).all()):
+            raise ConfigError("labels and feature values must be finite")
         self.features = features
         self.labels = labels
         self._dense = None
@@ -360,10 +362,7 @@ def estimate_constants(obj: FiniteSumObjective) -> ProblemConstants:
     """
     sq = obj.dataset.sqnorms()
     L = float(obj.loss.curvature_bound * sq.max()) + obj.split_l2
-    mu = obj.split_l2
-    if L <= 0:
-        raise ConfigError("estimated L is zero; no valid step size exists")
-    return ProblemConstants(n=obj.n, d=obj.d, L=L, mu=mu)
+    return ProblemConstants(n=obj.n, d=obj.d, L=L, mu=obj.split_l2)
 
 
 # where scalar_loss_prox's margin solve stops; the compiled midpoint pass too

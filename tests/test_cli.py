@@ -105,6 +105,9 @@ def test_run_non_numeric_value_exits_one(config_path, tmp_path, capsys, key):
     ("dataset", {"path": 5}),
     ("dataset", {"path": ["x"]}),
     ("seeds", [-1]),
+    ("dataset", {"synthetic": 3}),
+    ("dataset", {"synthetic": {"kind": 3, "n": 20, "d": 5}}),
+    ("methods", [{"step_size": 0.5}]),
 ])
 def test_run_wrong_field_type_exits_one(config_path, tmp_path, capsys, key,
                                         value):
@@ -138,6 +141,64 @@ def test_run_non_finite_value_exits_one(config_path, tmp_path, capsys, key,
     for command in ("run", "optimum"):
         _assert_config_error([command, "--config", str(p)], capsys,
                              mentions=f"'{key}'")
+
+
+def test_null_where_a_key_admits_it_runs_as_if_omitted(config_path, tmp_path):
+    data = tmp_path / "data.svm"
+    data.write_text("1 1:0.5 2:1.0\n-1 1:1.0 3:0.25\n")
+    base = json.loads(config_path.read_text())
+    nulls = dict(base, out=None, methods=[{"name": "saga", "step_size": None}])
+    files = [dict(base, dataset={"path": str(data)}),
+             dict(base, dataset={"path": str(data), "n_features": None})]
+    outputs = []
+    for cfg in (base, nulls, *files):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        out = tmp_path / "rows.csv"
+        assert main(["run", "--config", str(p), "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] and outputs[2] == outputs[3]
+
+
+@pytest.mark.parametrize("where,key", [
+    *[("config", k) for k in ("dataset", "loss", "l2", "l1", "methods",
+                              "epochs", "seeds", "trace_every")],
+    ("method", "name"), ("dataset", "synthetic"),
+    *[("synthetic", k) for k in ("kind", "n", "d", "density", "noise",
+                                 "seed", "normalize")],
+    ("file", "path"), ("file", "normalize")])
+def test_null_anywhere_else_exits_one(config_path, tmp_path, capsys, where,
+                                      key):
+    cfg = json.loads(config_path.read_text())
+    level = {"config": cfg, "method": {"name": "saga"},
+             "dataset": cfg["dataset"],
+             "synthetic": cfg["dataset"]["synthetic"],
+             "file": {"path": "data.svm"}}[where]
+    if where == "method":
+        cfg["methods"] = [level]
+    elif where == "file":
+        (tmp_path / "data.svm").write_text("1 1:0.5 2:1.0\n")
+        level["path"] = str(tmp_path / "data.svm")
+        cfg["dataset"] = level
+    level[key] = None
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(cfg))
+    _assert_config_error(["run", "--config", str(p)], capsys,
+                         mentions=f"'{key}'")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["run", "optimum"])
+def test_labels_past_the_largest_double_exit_one(config_path, tmp_path,
+                                                 capsys, command):
+    # a finite noise whose labels overflow printed a numpy RuntimeWarning
+    # and ended in a raw "x must be finite" traceback
+    cfg = json.loads(config_path.read_text())
+    cfg["dataset"]["synthetic"]["noise"] = 1e308
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(cfg))
+    _assert_config_error([command, "--config", str(p)], capsys,
+                         mentions="labels and feature values must be finite")
 
 
 def test_run_non_integer_seeds_exits_one(config_path, capsys):

@@ -130,6 +130,14 @@ def test_synthetic_density_and_noise_are_checked(kwargs, match):
         generate_synthetic("ridge", 10, 5, **kwargs)
 
 
+@pytest.mark.filterwarnings("error")
+def test_synthetic_labels_past_the_largest_double_are_one_config_error():
+    # a finite noise of 1e308 overflowed the labels to inf with a numpy
+    # RuntimeWarning, and the data was accepted
+    with pytest.raises(ConfigError, match="must be finite"):
+        generate_synthetic("ridge", 20, 5, noise=1e308)
+
+
 @pytest.mark.parametrize("name,value", [
     ("n", 2.5), ("n", True), ("d", 3.0), ("d", True), ("seed", 1.5),
     ("seed", True)])

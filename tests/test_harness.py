@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 import weakref
 
@@ -28,6 +30,7 @@ from incgrad.harness import (
     run_experiment,
     validate_config,
 )
+from incgrad.datasets import generate_synthetic, load_libsvm
 
 
 def _base_config(**overrides):
@@ -118,6 +121,30 @@ def test_method_spec_parsing():
     assert MethodSpec.from_config("sag").policy is None
 
 
+def test_config_tables_are_the_parameters_they_fill():
+    # a parameter added to either dataset function is within a config's
+    # reach, and every top-level key is a field of the config
+    def params(fn):
+        return set(inspect.signature(fn).parameters)
+
+    assert set(harness._SYNTHETIC) == params(generate_synthetic)
+    assert set(harness._FILE) == params(load_libsvm)
+    assert set(harness._CONFIG) == {
+        f.name for f in dataclasses.fields(ExperimentConfig)}
+
+
+def test_an_omitted_key_takes_the_default_of_the_library(monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "generate_synthetic",
+                        lambda **kwargs: calls.append(kwargs))
+    monkeypatch.setattr(harness, "load_libsvm",
+                        lambda **kwargs: calls.append(kwargs))
+    build_dataset(ExperimentConfig(dataset={"synthetic": {"n": 20, "d": 5}}))
+    build_dataset(ExperimentConfig(dataset={"path": "data.svm"}))
+    assert calls == [{"kind": "ridge", "n": 20, "d": 5}, {"path": "data.svm"}]
+    assert ExperimentConfig.from_dict({}) == ExperimentConfig()
+
+
 # methods each config change must reject, at the config and in run
 REJECTED_BY = {
     "l1": {"saga_u", "sag", "finito", "sdca", "sdca_variant5", "midpoint",
@@ -167,7 +194,8 @@ def test_validate_config_agrees_with_run(name, change):
 
 @pytest.mark.parametrize("name,step,l2", [
     ("saga", "strongly_convex", 0.0), ("svrg", "average_sc", 0.0),
-    ("saga_explicit_l2", 20, 0.1), ("saga_lazy", 10, 0.1)])
+    ("saga_explicit_l2", 20, 0.1), ("saga_lazy", 10, 0.1),
+    ("saga", 0.01, -0.1)])
 def test_config_rules_stop_before_any_data(name, step, l2, monkeypatch):
     def no_data(cfg):
         raise AssertionError("build_dataset ran before the config check")

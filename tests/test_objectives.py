@@ -87,6 +87,19 @@ def test_component_gradient_rejects_overflowing_margin():
         obj.component_gradient(0, np.array([1e10, 1e10]))
 
 
+@pytest.mark.parametrize("points,labels", [
+    ([[1.0, 2.0], [0.5, -1.0]], [np.nan, 1.0]),
+    ([[1.0, 2.0], [0.5, -1.0]], [1.0, -np.inf]),
+    ([[1.0, np.inf], [0.5, -1.0]], [1.0, 1.0]),
+    ([[1.0, 2.0], [np.nan, -1.0]], [1.0, 1.0])])
+def test_dataset_refuses_non_finite_values(points, labels):
+    # a NaN label ended in DivergenceError at saga's first step, an
+    # infinite feature in "x must be finite" for a finite x, and a NaN
+    # feature in "need L >= mu >= 0, got L=nan"
+    with pytest.raises(ConfigError, match="must be finite"):
+        Dataset.from_dense(points, labels)
+
+
 def test_full_gradient_hand_values(two_quadratics):
     obj, _ = two_quadratics
     assert obj.full_gradient(np.array([1.0])) == pytest.approx([1.0])
