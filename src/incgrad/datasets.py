@@ -104,9 +104,38 @@ def _unit_columns(mat):
 
 _SYNTH_KINDS = ("ridge", "lasso_ls", "logistic")
 
-# entries per row chunk of the generator's row norms at density 1 (256 kB
-# of doubles)
+# entries per chunk of points of the generator (256 kB of doubles): below
+# density 1 the points drawn into one buffer at a time, at density 1 the
+# rows normalised at a time
 _CHUNK = 1 << 15
+
+
+def _draw_points(rng, counts, d):
+    """The (d, n) CSC matrix of the sparse draw: point i takes
+    ``counts[i]`` distinct positions, then one normal for each, scaled
+    by 1/sqrt(d).  The points of one chunk are placed in a zeroed
+    buffer, which ``CscMatrix.from_dense`` converts before it is zeroed
+    for the next chunk; each chunk's columns are copied in after the
+    last."""
+    n = counts.shape[0]
+    rows = max(1, _CHUNK // d)
+    buf = np.zeros((min(rows, n), d))
+    total = int(counts.sum())  # nnz, unless from_dense drops a zero normal
+    data, indices = np.empty(total), np.empty(total, dtype=np.int64)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    for lo in range(0, n, rows):
+        block = buf[:n - lo]
+        for i, k in enumerate(counts[lo:lo + rows].tolist()):
+            cols = rng.choice(d, k, replace=False)
+            block[i, cols] = rng.standard_normal(k) / math.sqrt(d)
+        part = CscMatrix.from_dense(block.T)
+        start = indptr[lo]
+        data[start:start + part.nnz] = part.data
+        indices[start:start + part.nnz] = part.indices
+        indptr[lo + 1:lo + 1 + len(block)] = part.indptr[1:] + start
+        block.fill(0.0)
+    nnz = indptr[-1]
+    return CscMatrix(data[:nnz], indices[:nnz], indptr, (d, n))
 
 
 def generate_synthetic(kind, n, d, density=1.0, noise=0.1, seed=0,
@@ -126,8 +155,11 @@ def generate_synthetic(kind, n, d, density=1.0, noise=0.1, seed=0,
     1/sqrt(d).  Then the planted weights (d normals), and last the n
     label draws.
 
-    Below density 1 the drawn (n, d) array is only the input of
-    ``CscMatrix.from_dense``: the row norms (``normalize``) and the
+    Below density 1 the points are drawn into one zeroed buffer of
+    ``_CHUNK`` entries at a time (one point, when a point is larger),
+    and each chunk is converted by ``CscMatrix.from_dense`` before the
+    buffer is zeroed for the next, so no (n, d) array is made: set-up
+    holds O(nnz + n + d) memory.  The row norms (``normalize``) and the
     label margins are then taken over the nonzeros, each point's terms
     summed one at a time in ascending coordinate order, as
     ``load_libsvm`` normalises.  At density 1 the row norms are taken on
@@ -153,12 +185,7 @@ def generate_synthetic(kind, n, d, density=1.0, noise=0.1, seed=0,
     rng = np.random.default_rng(seed)
     if density < 1.0:
         counts = np.maximum(rng.binomial(d, density, size=n), 1)
-        pts = np.zeros((n, d))
-        for i, k in enumerate(counts.tolist()):
-            cols = rng.choice(d, k, replace=False)
-            pts[i, cols] = rng.standard_normal(k) / math.sqrt(d)
-        mat = CscMatrix.from_dense(pts.T)
-        del pts
+        mat = _draw_points(rng, counts, d)
         if normalize:
             _unit_columns(mat)
         margins = mat.rmatvec(rng.standard_normal(d))

@@ -40,12 +40,17 @@ class InconsistentReferenceError(RuntimeError):
 
 
 class OptimumError(RuntimeError):
-    """Reference-optimum computation hit its iteration cap."""
+    """Reference-optimum computation hit its iteration cap, or a
+    non-finite value (``non_finite`` names it) at iteration ``iterations``."""
 
-    def __init__(self, residual, iterations, solver="proximal gradient"):
+    def __init__(self, residual, iterations, solver="proximal gradient",
+                 non_finite=None):
         self.residual = residual
         self.iterations = iterations
-        super().__init__(
-            f"{solver} did not converge within {iterations} iterations; "
-            f"final fixed-point residual {residual:.3e}"
-        )
+        if non_finite:
+            msg = (f"{solver} reached a non-finite {non_finite} "
+                   f"at iteration {iterations}")
+        else:
+            msg = (f"{solver} did not converge within {iterations} "
+                   f"iterations; final fixed-point residual {residual:.3e}")
+        super().__init__(msg)

@@ -714,7 +714,9 @@ def prox_gradient_optimum(obj, tol=1e-12, max_iter=1_000_000, x0=None):
     T(y) = prox_{1/L_max}^h(y - f'(y) / L_max), the run stops at the
     first tested point y with |T(y) - y| <= ``tol`` and returns
     (T(y), F(T(y))); :class:`OptimumError` is raised if ``max_iter``
-    full gradients pass first.  This is the residual test of plain
+    full gradients pass first, or, without a numpy warning, at the
+    first non-finite residual or objective value (as labels whose
+    squares overflow give).  This is the residual test of plain
     proximal gradient at step 1/L_max, so a returned point carries the
     same certificate; acceleration only changes which points y get
     tested.
@@ -743,37 +745,48 @@ def prox_gradient_optimum(obj, tol=1e-12, max_iter=1_000_000, x0=None):
     y, my, exact, fy = x, mx, mx, None
     t = 1.0
     residual = math.inf
-    for _ in range(max_iter):
-        g = obj.full_gradient(y, margins=exact)
-        ty = prox(1.0 / l_max, y - g / l_max)
-        r = ty - y
-        residual = math.sqrt(float(r @ r))  # np.linalg.norm's formula
-        if residual <= tol:
-            return ty, obj.value(ty)
-        if fy is None and lip < l_max:
-            fy = obj.smooth_value(y, margins=my)
-        while True:
-            x_new = ty if lip == l_max else prox(1.0 / lip, y - g / lip)
-            m_new = obj.margins(x_new)
-            dx = x_new - y
-            f_new = None
-            if lip == l_max:  # the step 1/L_max needs no test
-                break
-            f_new = obj.smooth_value(x_new, margins=m_new)
-            if (f_new <= fy + float(g @ dx) + 0.5 * lip * float(dx @ dx)
-                    + 1e-15 * abs(fy)):
-                break
-            lip = min(2.0 * lip, l_max)
-        step = x_new - x
-        if float(dx @ step) < 0.0:  # (y - x_new)'(x_new - x) > 0
-            t = 1.0
-            y, my, exact, fy = x_new, m_new, m_new, f_new
-        else:
-            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-            beta = (t - 1.0) / t_new
-            y = x_new + beta * step
-            my = m_new + beta * (m_new - mx)
-            exact = fy = None
-            t = t_new
-        x, mx = x_new, m_new
+
+    def finite(value, what, k):
+        if not math.isfinite(value):
+            raise OptimumError(residual, k, non_finite=what)
+        return value
+
+    # an overflow ends the run at the non-finite value it makes
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, max_iter + 1):
+            g = obj.full_gradient(y, margins=exact)
+            ty = prox(1.0 / l_max, y - g / l_max)
+            r = ty - y
+            residual = math.sqrt(float(r @ r))  # np.linalg.norm's formula
+            finite(residual, "fixed-point residual", k)
+            if residual <= tol:
+                return ty, finite(obj.value(ty), "objective value", k)
+            if fy is None and lip < l_max:
+                fy = finite(obj.smooth_value(y, margins=my),
+                            "objective value", k)
+            while True:
+                x_new = ty if lip == l_max else prox(1.0 / lip, y - g / lip)
+                m_new = obj.margins(x_new)
+                dx = x_new - y
+                f_new = None
+                if lip == l_max:  # the step 1/L_max needs no test
+                    break
+                f_new = finite(obj.smooth_value(x_new, margins=m_new),
+                               "objective value", k)
+                if (f_new <= fy + float(g @ dx) + 0.5 * lip * float(dx @ dx)
+                        + 1e-15 * abs(fy)):
+                    break
+                lip = min(2.0 * lip, l_max)
+            step = x_new - x
+            if float(dx @ step) < 0.0:  # (y - x_new)'(x_new - x) > 0
+                t = 1.0
+                y, my, exact, fy = x_new, m_new, m_new, f_new
+            else:
+                t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+                beta = (t - 1.0) / t_new
+                y = x_new + beta * step
+                my = m_new + beta * (m_new - mx)
+                exact = fy = None
+                t = t_new
+            x, mx = x_new, m_new
     raise OptimumError(residual=residual, iterations=max_iter)

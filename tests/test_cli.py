@@ -201,6 +201,25 @@ def test_labels_past_the_largest_double_exit_one(config_path, tmp_path,
                          mentions="labels and feature values must be finite")
 
 
+@pytest.mark.parametrize("command", ["run", "optimum"])
+def test_labels_whose_squares_overflow_exit_two(tmp_path, capsys, command):
+    # finite labels of about 1e160, whose squares overflow in the
+    # reference optimum: one line, no numpy warning, no output
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps({
+        "dataset": {"synthetic": {"kind": "ridge", "n": 20, "d": 5,
+                                  "noise": 1e160, "seed": 1}},
+        "loss": "squared", "l2": 0.1, "methods": ["saga"]}))
+    out = ["--out", str(tmp_path / "rows.csv")] if command == "run" else []
+    assert main([command, "--config", str(p), *out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "numerical failure: proximal gradient reached a non-finite "
+        "fixed-point residual at iteration 1"]
+    assert not (tmp_path / "rows.csv").exists()
+
+
 def test_run_non_integer_seeds_exits_one(config_path, capsys):
     _assert_config_error(["run", "--config", str(config_path),
                           "--seeds", "x"], capsys)

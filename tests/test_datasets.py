@@ -269,6 +269,7 @@ def test_synthetic_and_densify_keep_one_dense_copy(monkeypatch):
         return filled[-1]
 
     monkeypatch.setattr(CscMatrix, "to_dense", recording_to_dense)
+    generate_synthetic("ridge", 2, 3, density=0.5)  # first-call imports
     tracemalloc.start()
     try:
         ds = generate_synthetic("ridge", n, d, density=1e-3, normalize=True)
@@ -276,7 +277,9 @@ def test_synthetic_and_densify_keep_one_dense_copy(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.35 * n * d * 8
+    # the generator holds no (n, d) array, so the dense copy is the only
+    # one; about 160 kB beside it
+    assert peak <= n * d * 8 + 2 ** 19
     assert points.shape == (n, d) and points.flags.c_contiguous
     assert len(filled) == 1 and np.shares_memory(points, filled[0])
 
@@ -285,9 +288,9 @@ def test_synthetic_and_densify_keep_one_dense_copy(monkeypatch):
 @pytest.mark.parametrize("normalize", [False, True])
 def test_synthetic_bytes_do_not_depend_on_the_chunk(normalize, density,
                                                     monkeypatch):
-    # one row per chunk, 7 rows, and the whole array in one chunk; only
-    # density 1 takes its row norms in chunks, the sparse path over the
-    # nonzeros
+    # one point per chunk, 7 points, and all of them in one chunk: the
+    # points drawn and converted at a time below density 1, the rows
+    # normalised at a time at density 1
     n, d = 50, 2000
     outs = []
     for chunk in (d, 7 * d, n * d):
@@ -302,16 +305,19 @@ def test_synthetic_bytes_do_not_depend_on_the_chunk(normalize, density,
 
 
 def test_synthetic_temporaries_stay_small():
-    # beside the (n, d) feature array, the counts, positions, values,
-    # CSC arrays and norms over the nonzeros add well under 2 MiB
-    n, d = 600, 10_000
-    tracemalloc.start()
-    try:
-        generate_synthetic("ridge", n, d, density=1e-3, normalize=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < n * d * 8 + 2 * 2 ** 20
+    # O(nnz + n + d): the chunk buffer, and the counts, positions, values,
+    # CSC arrays and norms over the nonzeros, with no (n, d) array; at
+    # 10 nonzeros a point of d = 20,000 such an array would be 320 MB
+    generate_synthetic("ridge", 2, 3, density=0.5)  # first-call imports
+    for n, d, density in ((600, 10_000, 1e-3), (2000, 20_000, 5e-4)):
+        tracemalloc.start()
+        try:
+            ds = generate_synthetic("ridge", n, d, density=density,
+                                    normalize=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < datasets._CHUNK * 8 + 32 * (ds.features.nnz + n + d)
 
 
 @pytest.mark.parametrize("kind", ["ridge", "logistic"])

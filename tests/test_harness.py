@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from incgrad import (
     ConfigError,
+    CscMatrix,
     Dataset,
     FiniteSumObjective,
     InconsistentReferenceError,
@@ -334,6 +336,43 @@ def test_experiment_holds_one_run_result_at_a_time(monkeypatch):
     assert len(rows) == 2 * 2 * 4
     assert live_at_start == [[], [False], [False, False],
                              [False, False, False]]
+
+
+def test_lazy_experiment_on_sparse_data_holds_no_n_by_d_array(monkeypatch):
+    # saga_lazy alone makes no dense copy of the points, and nothing else
+    # in the experiment, generator included, holds an (n, d) array (48 MB
+    # here): beside the nonzeros, only a few n- and d-vectors and the
+    # epochs + 1 iterates of the trace
+    def experiment(n, d, density, method="saga_lazy"):
+        return ExperimentConfig.from_dict({
+            "dataset": {"synthetic": {"kind": "ridge", "n": n, "d": d,
+                                      "density": density, "seed": 1,
+                                      "normalize": True}},
+            "loss": "squared", "l2": 0.1, "methods": [method], "epochs": 3})
+
+    run_experiment(experiment(5, 30, 0.5))  # first-call imports and loads
+    densified = []
+    to_dense = CscMatrix.to_dense
+
+    def recording_to_dense(self):
+        densified.append(self.shape)
+        return to_dense(self)
+
+    monkeypatch.setattr(CscMatrix, "to_dense", recording_to_dense)
+    n, d = 600, 10_000
+    cfg = experiment(n, d, 1e-3)
+    tracemalloc.start()
+    try:
+        rows = run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 4 and not densified
+    nnz = build_dataset(cfg).features.nnz
+    assert peak < 16 * 8 * (nnz + n + d)
+    # the dense path densifies, so the patch is live
+    run_experiment(experiment(30, 2000, 5e-3, method="saga_explicit_l2"))
+    assert densified == [(2000, 30)]
 
 
 # ---------------------------------------------------------------------------

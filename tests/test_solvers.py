@@ -878,6 +878,29 @@ def test_prox_gradient_optimum_iteration_cap():
     assert err.value.residual > 1e-12
 
 
+@pytest.mark.parametrize("scale,labels,what", [
+    (1.0, 1e160, "fixed-point residual"),  # |T(0) - 0|^2 overflows first
+    (1e3, 1e155, "objective value"),  # f(0) overflows, |T(0)|^2 does not
+])
+def test_prox_gradient_optimum_stops_at_a_non_finite_value(scale, labels,
+                                                           what):
+    # finite labels whose squares overflow: the run stops at once, without
+    # a numpy warning (warnings fail the suite)
+    from incgrad import OptimumError
+
+    rng = np.random.default_rng(5)
+    pts = scale * rng.standard_normal((20, 5))
+    obj = FiniteSumObjective(
+        Dataset.from_dense(pts, labels * rng.standard_normal(20)),
+        make_loss("squared"), split_l2=0.1)
+    with pytest.raises(OptimumError) as err:
+        prox_gradient_optimum(obj)
+    assert str(err.value) == ("proximal gradient reached a non-finite "
+                              f"{what} at iteration 1")
+    assert err.value.iterations == 1
+    assert math.isfinite(err.value.residual) is (what == "objective value")
+
+
 # ---------------------------------------------------------------------------
 # run driver
 
