@@ -173,12 +173,12 @@ enum {
 
 /* m steps of one table method, with j = idx[s], each followed by the
  * divergence check and xsum += x.  The table is dense (vecs, n x d) or,
- * for saga_u and sag without a split L2 term, scalar (coeffs, n), whose
- * mean avg moves over the nonzeros of the CSC column j when indptr is
- * set; saga_explicit_l2's is scalar, on dense data only.  saga_u,
- * finito, sag and saga_explicit_l2 step with gamma, the last scaling x
- * by 1 - gamma * mu, mu its explicit L2 term (numpy skips the scaling
- * at mu = 0, where it is 1.0 * x, the same bits);
+ * for sdca_variant5, and saga_u and sag without a split L2 term, scalar
+ * (coeffs, n), whose mean avg moves over the nonzeros of the CSC column
+ * j when indptr is set; saga_explicit_l2's is scalar, on dense data
+ * only.  saga_u, finito, sag and saga_explicit_l2 step with gamma, the
+ * last scaling x by 1 - gamma * mu, mu its explicit L2 term (numpy
+ * skips the scaling at mu = 0, where it is 1.0 * x, the same bits);
  * sdca_variant5 and midpoint derive their steps from mu (and L), as
  * their numpy steps do.
  * u is saga_u's, phi (n x d) and phi_mean finito's and midpoint's;
@@ -242,6 +242,11 @@ int64_t incgrad_table_pass(
             }
         } else if (coeffs) {  /* scalar: no margin check, as _new_gradient */
             double c = loss_deriv(logistic, t, b), old = coeffs[j];
+            if (method == SDCA_VARIANT5) {  /* blend, then move x along a_j */
+                c = (1.0 - beta) * old + beta * c;
+                for (int64_t i = 0; i < d; i++)
+                    x[i] = x[i] - (gamma * (c - old)) * a[i];
+            }
             double q = (c - old) / dn;
             if (method == SAG && indptr) {  /* as saga_step's support branch */
                 for (int64_t i = 0; i < d; i++)
@@ -276,10 +281,7 @@ int64_t incgrad_table_pass(
                 double gi = c * a[i];  /* f_j'(x) */
                 if (split != 0)
                     gi = gi + split * x[i];
-                if (method == SDCA_VARIANT5) {  /* blend, then move x */
-                    gi = (1.0 - beta) * row[i] + beta * gi;
-                    x[i] = x[i] - gamma * (gi - row[i]);
-                } else if (method == SAG)
+                if (method == SAG)
                     x[i] = x[i] - gamma * ((gi - row[i]) / dn + avg[i]);
                 g[i] = gi;
             }

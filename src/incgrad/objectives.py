@@ -369,42 +369,38 @@ def estimate_constants(obj: FiniteSumObjective) -> ProblemConstants:
 _PROX_TOL = 1e-12
 
 
-def scalar_loss_prox(obj: FiniteSumObjective, i: int, gamma: float, z,
-                     max_iter: int | None = None):
-    """Proximal step on a single component f_i.
+def scalar_loss_prox(obj: FiniteSumObjective, i: int, gamma: float,
+                     az: float, max_iter: int | None = None) -> float:
+    """Proximal step on a single component f_i, on its margin.
 
-    Solves phi = argmin_x f_i(x) + |x - z|^2 / (2 gamma) by reducing to
-    the margin t = a_i' phi: the minimiser moves from z only along a_i
-    (after the uniform shrink from any split-in L2 term), so t solves
+    phi = argmin_x f_i(x) + |x - z|^2 / (2 gamma) moves from z only
+    along a_i (after the uniform shrink from any split-in L2 term):
+
+        phi = (z - gamma c a_i) / (1 + gamma*split),   c = psi_i'(t),
+
+    where the margin t = a_i' phi solves
 
         (1 + gamma*split) t + gamma |a_i|^2 psi_i'(t) = a_i' z.
 
-    Squared loss gives t in closed form; logistic uses safeguarded
-    Newton with a bisection fallback on a bracket that is guaranteed to
-    contain the root, for at most ``max_iter`` iterations (default: the
-    bound of :func:`_solve_margin`).  Returns (phi, stored_gradient) where
-    stored_gradient = (z - phi)/gamma = f_i'(phi).
+    So the step needs only ``az`` = a_i' z, and returns the coefficient
+    c, with which f_i'(phi) = (z - phi) / gamma = c a_i + split * phi;
+    any vector is the caller's to form.  Squared loss gives t in closed
+    form; logistic uses safeguarded Newton with a bisection fallback on a
+    bracket that is guaranteed to contain the root, for at most
+    ``max_iter`` iterations (default: the bound of :func:`_solve_margin`).
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     obj._check_index(i)
-    z = np.asarray(z, float)
-    a = obj.points[i]
     b = float(obj.labels[i])
     q = float(obj.dataset.sqnorms()[i])
-    sig = obj.split_l2
-    az = float(np.vdot(a, z))
-    shrink = 1.0 + gamma * sig
+    shrink = 1.0 + gamma * obj.split_l2
 
     if obj.loss.kind == "squared":
         t = (az + gamma * q * b) / (shrink + gamma * q)
     else:
         t = _solve_margin(b, shrink, gamma * q, az, _PROX_TOL, max_iter)
-
-    coef = obj.loss.deriv_scalar(t, b)
-    phi = (z - gamma * coef * a) / shrink
-    stored = (z - phi) / gamma
-    return phi, stored
+    return obj.loss.deriv_scalar(t, b)
 
 
 def _solve_margin(b, shrink, gq, az, tol, max_iter=None):

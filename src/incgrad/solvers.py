@@ -38,7 +38,7 @@ def is_int(value):
 
 
 def _check_iterate(x, k):
-    s = float(x @ x)
+    s = float(np.vdot(x, x))  # x @ x's bits, without its overflow warning
     if not (s < DIVERGENCE_SQNORM):
         raise DivergenceError(k, detail=_DIVERGED)
 
@@ -49,11 +49,14 @@ def _check_iterate(x, k):
 class GradientTable:
     """Per-component stored gradients f_i'(phi_i) plus their running mean.
 
-    ``dense`` mode keeps one d-vector per component.  ``scalar`` mode
-    keeps a single weight c_i = psi_i'(a_i' phi_i) per component, valid
-    only when split_l2 = 0 so that f_i'(phi_i) = c_i a_i.  The mean is
-    maintained incrementally and can be recomputed from scratch with
-    :meth:`resync` to shed accumulated rounding.
+    ``scalar`` mode keeps a single weight c_i = psi_i'(a_i' phi_i) per
+    component, valid only when split_l2 = 0 so that f_i'(phi_i) = c_i
+    a_i: the default then, and what saga, sag, saga_u and the loss-only
+    components of sdca and sdca_variant5 keep.  ``dense`` mode keeps one
+    d-vector per component: split-L2 saga, sag and saga_u, and finito
+    and midpoint.  The mean is maintained incrementally and can be
+    recomputed from scratch with :meth:`resync` to shed accumulated
+    rounding.
 
     On sparse data (``FiniteSumObjective.sparse``) a scalar table sets
     ``support``: updates and steps touch only the nonzeros of a_i, with
@@ -162,10 +165,12 @@ def finito_init(obj, x0) -> SagaState:
 
 
 def sdca_init(obj, x0, mu) -> SagaState:
-    """Table at x0; the iterate is the table-implied point -(1/mu n) sum.
-    Needs mu > 0 and loss-only components (see :func:`check_method`)."""
+    """Scalar table at x0, the coefficients c_i = psi_i'(a_i' x0) (the
+    dual variables, up to sign); the iterate is the table-implied point
+    -(1/mu n) sum_i c_i a_i.  Needs mu > 0 and loss-only components (see
+    :func:`check_method`)."""
     x0 = np.array(x0, dtype=float)
-    table = GradientTable.at_point(obj, x0, mode="dense")
+    table = GradientTable.at_point(obj, x0)
     return SagaState(x=-(1.0 / (mu * obj.n)) * table.sum(), table=table)
 
 
@@ -301,33 +306,36 @@ def finito_step(state: SagaState, obj, j, gamma):
 
 
 def sdca_primal_step(state: SagaState, obj, j, mu):
-    """Primal-only dual coordinate step.
+    """Primal-only dual coordinate step on the scalar table.
 
     With gamma = 1/(mu n), the leave-one-out point
-    z = -gamma sum_{i != j} f_i'(phi_i) is proxed through f_j, the new
-    gradient (z - phi_j)/gamma replaces entry j, and the iterate is kept
-    at x = -gamma sum_i f_i'(phi_i).
+    z = -gamma sum_{i != j} f_i'(phi_i) = x + gamma c_j a_j is proxed
+    through f_j on its margin a_j' z = a_j' x + gamma c_j |a_j|^2, the
+    prox's coefficient replaces c_j, and the iterate is kept at
+    x = -gamma sum_i c_i a_i.  Neither z nor phi_j is formed.
     """
     gamma = 1.0 / (mu * obj.n)
-    g_old = state.table.vecs[j]  # read in place, so diff before update
-    z = state.x + gamma * g_old
-    phi_j, g_new = scalar_loss_prox(obj, j, gamma, z)
-    diff = g_new - g_old
-    state.table.update(j, g_new)
-    state.x = state.x - gamma * diff
+    a = obj.points[j]
+    c_old = float(state.table.coeffs[j])
+    az = (float(np.vdot(a, state.x))
+          + gamma * c_old * float(obj.dataset.sqnorms()[j]))
+    c_new = scalar_loss_prox(obj, j, gamma, az)
+    state.table.update(j, c_new)
+    state.x = state.x - (gamma * (c_new - c_old)) * a
 
 
 def sdca_variant5_step(state: SagaState, obj, j, mu, L):
-    """Conjugate-free variant: blend the stored gradient towards
-    f_j'(x^k) with weight beta = mu n / (L + mu n); phi_j itself is
-    never formed."""
+    """Conjugate-free variant: blend the stored coefficient towards
+    psi_j'(a_j' x^k) with weight beta = mu n / (L + mu n), and keep
+    x = -(1/mu n) sum_i c_i a_i; phi_j itself is never formed."""
     beta = mu * obj.n / (L + mu * obj.n)
     gamma = 1.0 / (mu * obj.n)
-    g_old = state.table.vecs[j]  # read in place, so diff before update
-    new = (1.0 - beta) * g_old + beta * obj.component_gradient(j, state.x)
-    diff = new - g_old
+    a = obj.points[j]
+    c_old = float(state.table.coeffs[j])
+    c_x = obj.loss.deriv_scalar(float(np.vdot(a, state.x)), obj.labels[j])
+    new = (1.0 - beta) * c_old + beta * c_x
     state.table.update(j, new)
-    state.x = state.x - gamma * diff
+    state.x = state.x - (gamma * (new - c_old)) * a
 
 
 def midpoint_step(state: SagaState, obj, j, mu):
@@ -344,8 +352,10 @@ def midpoint_step(state: SagaState, obj, j, mu):
     sum_g = state.table.sum()
     z = ((sum_phi - state.phi[j]) / (n - 1)
          - (sum_g - state.table.vecs[j]) / (mu * (n - 1)))
-    phi_j, g_new = scalar_loss_prox(obj, j, gamma_p, z)
-    state.table.update(j, g_new)
+    a = obj.points[j]
+    coef = scalar_loss_prox(obj, j, gamma_p, float(np.vdot(a, z)))
+    phi_j = (z - gamma_p * coef * a) / (1.0 + gamma_p * obj.split_l2)
+    state.table.update(j, (z - phi_j) / gamma_p)
     state.phi_mean = state.phi_mean + (phi_j - state.phi[j]) / n
     state.phi[j] = phi_j
     state.x = phi_j

@@ -244,10 +244,20 @@ def test_moreau_decomposition_identities():
 # ---------------------------------------------------------------------------
 # scalar loss prox
 
+def prox_point(obj, i, gamma, z):
+    """(phi, f_i'(phi)) of the prox of f_i at z, formed from the
+    coefficient of scalar_loss_prox as midpoint_step forms them."""
+    a = obj.points[i]
+    c = scalar_loss_prox(obj, i, gamma, float(np.vdot(a, z)))
+    phi = (z - gamma * c * a) / (1.0 + gamma * obj.split_l2)
+    return phi, (z - phi) / gamma
+
+
 def test_scalar_loss_prox_squared_hand_value():
     ds = Dataset.from_dense([[1.0]], [1.0])
     obj = FiniteSumObjective(ds, make_loss("squared"))
-    phi, g = scalar_loss_prox(obj, 0, 1.0, np.array([0.0]))
+    assert scalar_loss_prox(obj, 0, 1.0, 0.0) == pytest.approx(-0.5)
+    phi, g = prox_point(obj, 0, 1.0, np.array([0.0]))
     assert phi == pytest.approx([0.5])
     assert g == pytest.approx([-0.5])
 
@@ -255,8 +265,10 @@ def test_scalar_loss_prox_squared_hand_value():
 def test_scalar_loss_prox_fixes_minimizer():
     ds = Dataset.from_dense([[2.0]], [3.0])
     obj = FiniteSumObjective(ds, make_loss("squared"))
-    z = np.array([1.5])  # a'z = 3 = b, so the gradient vanishes at z
-    phi, g = scalar_loss_prox(obj, 0, 0.7, z)
+    # a'z = 3 = b, so the gradient vanishes at z
+    assert scalar_loss_prox(obj, 0, 0.7, 3.0) == pytest.approx(0.0, abs=1e-15)
+    z = np.array([1.5])
+    phi, g = prox_point(obj, 0, 0.7, z)
     assert phi == pytest.approx(z)
     assert g == pytest.approx([0.0], abs=1e-15)
 
@@ -270,17 +282,19 @@ def test_scalar_loss_prox_optimality_identity(kind, split):
         i = int(rng.integers(0, obj.n))
         gamma = float(10.0 ** rng.uniform(-1.5, 1.0))
         z = rng.standard_normal(obj.d)
-        phi, g = scalar_loss_prox(obj, i, gamma, z)
+        phi, g = prox_point(obj, i, gamma, z)
         # the stored value must be the actual component gradient at phi
         assert np.linalg.norm(g - obj.component_gradient(i, phi)) <= 1e-10
-        assert np.linalg.norm(g - (z - phi) / gamma) <= 1e-10
+        c = scalar_loss_prox(obj, i, gamma, float(obj.points[i] @ z))
+        assert np.linalg.norm(g - (c * obj.points[i] + split * phi)) <= 1e-10
 
 
 @pytest.mark.parametrize("kind,split,d", [
     ("squared", 0.0, 5), ("squared", 0.6, 100), ("logistic", 0.0, 100),
     ("logistic", 0.4, 5)])
 def test_scalar_loss_prox_equals_matmul_margin_formula(kind, split, d):
-    # the margin a'z is a vdot, bit for bit the matmul a @ z it replaced
+    # the caller's margin np.vdot(a, z) is bit for bit the matmul a @ z,
+    # and the coefficient is psi'(t) at the margin formula's root
     rng = np.random.default_rng(19)
     obj = make_random_objective(rng, kind=kind, n=8, d=d, split=split)
     for i in range(obj.n):
@@ -289,10 +303,13 @@ def test_scalar_loss_prox_equals_matmul_margin_formula(kind, split, d):
         a, b = obj.points[i], float(obj.labels[i])
         q = float(obj.dataset.sqnorms()[i])
         az, shrink = float(a @ z), 1.0 + gamma * split
+        assert float(np.vdot(a, z)).hex() == az.hex()
         t = ((az + gamma * q * b) / (shrink + gamma * q) if kind == "squared"
              else _solve_margin(b, shrink, gamma * q, az, 1e-12, 100))
-        phi = (z - gamma * obj.loss.deriv_scalar(t, b) * a) / shrink
-        got_phi, got_g = scalar_loss_prox(obj, i, gamma, z)
+        c = obj.loss.deriv_scalar(t, b)
+        assert scalar_loss_prox(obj, i, gamma, az).hex() == c.hex()
+        phi = (z - gamma * c * a) / shrink
+        got_phi, got_g = prox_point(obj, i, gamma, z)
         assert np.array_equal(got_phi, phi)
         assert np.array_equal(got_g, (z - phi) / gamma)
 
@@ -302,7 +319,7 @@ def test_scalar_loss_prox_is_true_minimizer():
     obj = make_random_objective(rng, kind="logistic", n=4, d=3, split=0.2)
     gamma = 0.8
     z = rng.standard_normal(3)
-    phi, _ = scalar_loss_prox(obj, 0, gamma, z)
+    phi, _ = prox_point(obj, 0, gamma, z)
 
     def total(q):
         return component_value(obj, 0, q) + float(np.sum((q - z) ** 2)) / (2 * gamma)
@@ -396,7 +413,7 @@ def test_scalar_loss_prox_reports_nonconvergence():
     ds = Dataset.from_dense([[10.0]], [1.0])
     obj = FiniteSumObjective(ds, make_loss("logistic"))
     with pytest.raises(ProxSolveError) as err:
-        scalar_loss_prox(obj, 0, 1.0, np.array([0.0]), max_iter=2)
+        scalar_loss_prox(obj, 0, 1.0, 0.0, max_iter=2)
     assert err.value.residual > 0
 
 

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from incgrad import (
     make_loss,
     prox_gradient_optimum,
     run,
+    solvers,
     step_size,
 )
 from incgrad.solvers import (
@@ -44,7 +46,7 @@ from incgrad.solvers import (
     sdca_variant5_step,
 )
 from incgrad.harness import ExperimentConfig, canonical_objective
-from incgrad.objectives import scalar_loss_prox
+from incgrad.objectives import _solve_margin, scalar_loss_prox
 from incgrad.datasets import generate_synthetic
 from conftest import make_random_objective, midpoint_identity_residual
 from helpers import fixed_point_residual, with_l2
@@ -512,25 +514,36 @@ def test_variant5_blend_weights():
 
 def _copying_steps(method, state, obj, js, mu, L):
     """sdca_primal_step, sdca_variant5_step and midpoint_step written
-    with every stored row read through the copying table.gradient(j)."""
+    with every stored entry read from a copy taken before the step: the
+    coefficient array for sdca's scalar tables, and through the copying
+    table.gradient(j) for midpoint's rows."""
     n, table = obj.n, state.table
     for j in js:
-        g_old = table.gradient(j)
+        a = obj.points[j]
         if method == "sdca":
             gamma = 1.0 / (mu * n)
-            _, g_new = scalar_loss_prox(obj, j, gamma, state.x + gamma * g_old)
-            table.update(j, g_new)
-            state.x = state.x - gamma * (g_new - g_old)
+            c_old = float(table.coeffs.copy()[j])
+            az = float(np.vdot(a, state.x)) + gamma * c_old * float(
+                obj.dataset.sqnorms()[j])
+            c_new = scalar_loss_prox(obj, j, gamma, az)
+            table.update(j, c_new)
+            state.x = state.x - (gamma * (c_new - c_old)) * a
         elif method == "sdca_variant5":
             beta = mu * n / (L + mu * n)
-            g_at_x = obj.component_gradient(j, state.x)
-            table.update(j, (1.0 - beta) * table.gradient(j) + beta * g_at_x)
-            state.x = state.x - (1.0 / (mu * n)) * (table.gradient(j) - g_old)
+            c_old = float(table.coeffs.copy()[j])
+            c_x = obj.loss.deriv_scalar(float(np.vdot(a, state.x)),
+                                        obj.labels[j])
+            table.update(j, (1.0 - beta) * c_old + beta * c_x)
+            state.x = state.x - ((1.0 / (mu * n))
+                                 * (table.coeffs.copy()[j] - c_old)) * a
         else:
+            g_old = table.gradient(j)
+            gamma_p = 1.0 / (mu * (n - 1))
             z = ((state.phi_mean * n - state.phi[j]) / (n - 1)
                  - (table.sum() - g_old) / (mu * (n - 1)))
-            phi_j, g_new = scalar_loss_prox(obj, j, 1.0 / (mu * (n - 1)), z)
-            table.update(j, g_new)
+            c = scalar_loss_prox(obj, j, gamma_p, float(np.vdot(a, z)))
+            phi_j = (z - gamma_p * c * a) / (1.0 + gamma_p * obj.split_l2)
+            table.update(j, (z - phi_j) / gamma_p)
             state.phi_mean = state.phi_mean + (phi_j - state.phi[j]) / n
             state.phi[j] = phi_j
             state.x = phi_j
@@ -555,11 +568,94 @@ def test_in_place_row_reads_equal_copying_steps(method):
         step[method](got, obj, j, mu)
     _copying_steps(method, want, obj, js, mu, L)
     assert np.array_equal(got.x, want.x)
-    assert np.array_equal(got.table.vecs, want.table.vecs)
+    if method == "midpoint":
+        assert np.array_equal(got.table.vecs, want.table.vecs)
+    else:
+        assert np.array_equal(got.table.coeffs, want.table.coeffs)
     assert np.array_equal(got.table.avg, want.table.avg)
     if method == "midpoint":
         assert np.array_equal(got.phi, want.phi)
         assert np.array_equal(got.phi_mean, want.phi_mean)
+
+
+@pytest.mark.parametrize("method", ["sdca", "sdca_variant5"])
+def test_sdca_tables_keep_one_scalar_per_point(method, monkeypatch):
+    states = []
+
+    def recorded(*args):
+        states.append(sdca_init(*args))
+        return states[-1]
+
+    monkeypatch.setattr(solvers, "sdca_init", recorded)
+    obj = _sdca_problem(np.random.default_rng(29), n=7, d=3)
+    run(method, obj, np.zeros(3), epochs=1)
+    [state] = states
+    assert state.table.mode == "scalar"
+    assert state.table.vecs is None
+    assert state.table.coeffs.shape == (obj.n,)
+
+
+@pytest.mark.parametrize("method", ["sdca", "sdca_variant5"])
+def test_sdca_epoch_on_sparse_data_holds_no_n_by_d_table(method, kernel_paths):
+    # an (n, d) table of f_i'(phi_i) is 12 MB here; the scalar table and
+    # the run's d-vectors take about 0.4 MB
+    ds = generate_synthetic("ridge", n=300, d=5000, density=2e-3, seed=3,
+                            normalize=True)
+    obj = FiniteSumObjective(ds, make_loss("squared"), reg=Regularizer(l2=0.1))
+    assert obj.sparse
+    obj.points  # the dense copy, charged before tracing
+    x0 = np.zeros(obj.d)
+    for _ in kernel_paths():
+        run(method, obj, x0, epochs=0)  # a first call's imports and loads
+        tracemalloc.start()
+        try:
+            run(method, obj, x0, epochs=1, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+
+def _frozen_dense_sdca(obj, x0, mu, js):
+    """The iterates of sdca as it stepped on a dense table of rows
+    f_j'(phi_j), kept frozen: the prox formed phi_j and the stored row
+    (z - phi_j) / gamma from a_j' z, and x moved by the rows'
+    difference."""
+    n = obj.n
+    gamma = 1.0 / (mu * n)
+    table = GradientTable.at_point(obj, x0, mode="dense")
+    x = -(1.0 / (mu * n)) * table.sum()
+    xs = []
+    for j in js:
+        g_old = table.vecs[j]
+        z = x + gamma * g_old
+        a, b = obj.points[j], float(obj.labels[j])
+        q = float(obj.dataset.sqnorms()[j])
+        az = float(np.vdot(a, z))
+        t = ((az + gamma * q * b) / (1.0 + gamma * q)
+             if obj.loss.kind == "squared"
+             else _solve_margin(b, 1.0, gamma * q, az, 1e-12))
+        phi = (z - gamma * obj.loss.deriv_scalar(t, b) * a) / 1.0
+        g_new = (z - phi) / gamma
+        diff = g_new - g_old
+        table.update(j, g_new)
+        x = x - gamma * diff
+        xs.append(x)
+    return xs
+
+
+@pytest.mark.parametrize("kind", ["squared", "logistic"])
+def test_scalar_sdca_step_follows_the_dense_table_step(kind):
+    rng = np.random.default_rng(30)
+    mu = 0.05
+    obj = make_random_objective(rng, kind=kind, n=25, d=8, split=0.0)
+    obj = FiniteSumObjective(obj.dataset, obj.loss, reg=Regularizer(l2=mu))
+    x0 = rng.standard_normal(8)
+    js = rng.integers(0, obj.n, size=200).tolist()
+    state = sdca_init(obj, x0, mu)
+    for j, want in zip(js, _frozen_dense_sdca(obj, x0, mu, js)):
+        sdca_primal_step(state, obj, j, mu)
+        assert np.linalg.norm(state.x - want) <= 1e-13 * np.linalg.norm(want)
 
 
 def test_variant5_converges():
@@ -960,6 +1056,17 @@ def test_run_divergence_detected():
     assert err.value.step > 0
 
 
+@pytest.mark.parametrize("method", ["saga", "sdca"])
+def test_divergence_guard_on_huge_labels_raises_no_warning(method):
+    # labels of about 1e160: the first iterate's |x|^2 overflows, which
+    # the guard reads as divergence, with no numpy warning (an error here)
+    ds = generate_synthetic("ridge", 20, 5, noise=1e160, seed=1)
+    obj = FiniteSumObjective(ds, make_loss("squared"), split_l2=0.1)
+    with pytest.raises(DivergenceError) as err:
+        run(method, obj, np.zeros(5), epochs=2)
+    assert err.value.step == 1
+
+
 def test_run_permuted_sampling_touches_every_component():
     rng = np.random.default_rng(46)
     obj = make_random_objective(rng, split=0.2, n=9, d=3)
@@ -1260,7 +1367,7 @@ def test_run_zero_epochs_pins_every_method(method, start):
         assert np.array_equal(res.xbar, x0)
         assert np.array_equal(res.records[0].xbar, x0)
     if method in ("sdca", "sdca_variant5"):
-        table_sum = GradientTable.at_point(obj, x0, mode="dense").sum()
+        table_sum = GradientTable.at_point(obj, x0).sum()
         want = -(1.0 / (mu * obj.n)) * table_sum
     elif method == "saga_u":
         gamma = step_size(StepSizePolicy("strongly_convex"),
