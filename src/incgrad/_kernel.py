@@ -261,15 +261,15 @@ def svrg_pass(obj, gamma):
 def table_pass(code, obj, state, xsum, *, gamma, mu, L):
     """A function running one pass of the table step with ``code`` (see
     ``solvers.COMPILED_STEPS``) on ``obj`` in place, or None without a
-    kernel, bound once to the ``SagaState`` the step's init built (for
-    sag's warm start, the table it fills) and the run's sum of iterates
-    ``xsum``.  ``gamma`` is None for sdca_variant5 and midpoint, whose
-    steps C derives from ``mu`` and ``L``; midpoint's pass also binds
-    the data's squared norms.  ``mu`` is saga_explicit_l2's explicit L2
-    term, and that method has no pass on sparse data, whose support step
-    stays numpy's (None).  It takes the pass's indices and what a
-    pass-end replaces: x, the table's mean and the phi_mean of finito
-    and midpoint, else None (see :func:`_pass_of`)."""
+    kernel, bound once to the ``SagaState`` the step's init built and
+    the run's sum of iterates ``xsum``.  ``gamma`` is None for
+    sdca_variant5 and midpoint, whose steps C derives from ``mu`` and
+    ``L``; midpoint's pass also binds the data's squared norms.  ``mu``
+    is saga_explicit_l2's explicit L2 term, and that method has no pass
+    on sparse data, whose support step stays numpy's (None).  It takes
+    the pass's indices and what a pass-end replaces: x, the table's mean
+    and the phi_mean of finito and midpoint, else None (see
+    :func:`_pass_of`)."""
     t = state.table
     if t.support and code == solvers.COMPILED_STEPS["saga_explicit_l2"]:
         return None

@@ -260,20 +260,6 @@ def saga_step(state: SagaState, obj, j, gamma, per_n=False, mu=0.0):
     table.update(j, entry)
 
 
-def warm_step(state: SagaState, obj, j, gamma):
-    """Step j of the one-by-one warm start of saga and sag: entry j is
-    set to f_j'(x) and x <- prox_gamma^h(x - gamma * the mean of the j + 1
-    gradients stored so far).  Points are visited in order from an empty
-    table whose ``avg`` holds their running sum until the pass-end
-    resync."""
-    table = state.table
-    entry, g_new = _new_gradient(obj, table, j, state.x)
-    table.avg += g_new
-    (table.coeffs if table.mode == "scalar" else table.vecs)[j] = entry
-    w = state.x - gamma * (table.avg / (j + 1))
-    state.x = obj.reg.prox(gamma, w) if obj.reg.l1 or obj.reg.l2 else w
-
-
 def saga_u_reconstruct(state: SagaState, gamma) -> np.ndarray:
     """Current iterate x = u - gamma * sum_i f_i'(phi_i)."""
     return state.u - gamma * state.table.sum()
@@ -412,8 +398,8 @@ def _check_scaling(gamma, l2):
         raise ConfigError("the explicit form needs l2 >= 0 and gamma * l2 < 1")
 
 
-def check_method(name, *, loss, l1, mu, policy=None, n=None, init="full",
-                 sampling="iid", inner_steps=None) -> Method:
+def check_method(name, *, loss, l1, mu, policy=None, n=None, sampling="iid",
+                 inner_steps=None) -> Method:
     """Every rule that ties a method to its problem and run options:
     ``loss`` is the loss kind, ``l1`` the L1 strength, ``mu`` the L2
     strength of the problem, ``n`` the number of points, if known, and
@@ -437,10 +423,8 @@ def check_method(name, *, loss, l1, mu, policy=None, n=None, init="full",
         raise ConfigError("finito accepts only a manual step size override")
     if policy is not None:
         policy.check_mu(mu)
-    if init not in ("full", "one_by_one") or sampling not in ("iid", "perm"):
-        raise ConfigError(f"unknown init or sampling mode {init!r}, {sampling!r}")
-    if init != "full" and name not in ("saga", "sag"):
-        raise ConfigError("the one-by-one warm start is only wired for saga/sag")
+    if sampling not in ("iid", "perm"):
+        raise ConfigError(f"unknown sampling mode {sampling!r}")
     if sampling != "iid" and name in ("svrg", "saga_lazy"):
         raise ConfigError(f"{name} samples iid only")
     if inner_steps is not None and name != "svrg":
@@ -453,15 +437,17 @@ def check_method(name, *, loss, l1, mu, policy=None, n=None, init="full",
     return info
 
 
-def _setup(method, obj, consts=None, policy=None, init="full",
-           sampling="iid", inner_steps=None):
+def _setup(method, obj, consts=None, policy=None, sampling="iid",
+           inner_steps=None):
     """Check a run of ``method`` on the problem ``obj`` before any work.
     Returns ``obj`` in the method's form (``obj`` itself if it is in
-    it), the L2 strength that form keeps out of the objective, the
-    constants (estimated, with mu the L2 strength, unless given) and
-    the step of ``policy``: None when the method is parameter free, and
-    without a policy 1/(2 mu n) for finito, otherwise 1/(2(mu n + L))
-    when mu > 0 and 1/(3L) when not."""
+    it), the L2 strength that form keeps out of the objective, the mu
+    and L of its steps (those of ``consts``, estimated unless given; the
+    separate form's components keep none of the L2 strength, so its mu
+    is the regulariser's unless ``consts`` give one) and the step of
+    ``policy``: None when the method is parameter free, and without a
+    policy 1/(2 mu n) for finito, otherwise 1/(2(mu n + L)) when mu > 0
+    and 1/(3L) when not."""
     info = method_info(method)
     l2 = obj.split_l2 + obj.reg.l2
     split, h_l2, explicit_l2 = (l2 if info.form == form else 0.0
@@ -471,13 +457,13 @@ def _setup(method, obj, consts=None, policy=None, init="full",
                                  reg=Regularizer(l2=h_l2, l1=obj.reg.l1))
     if consts is None:
         consts = estimate_constants(obj)
-        if info.form != "split":  # mu is the L2 term; L counts the scaling
+        if info.form == "explicit":  # mu is the L2 term; L counts the scaling
             consts = replace(consts, L=consts.L + explicit_l2, mu=l2)
     # mu: the scaling's, else the step's; a method needing mu needs both
-    mu = l2 if info.form == "explicit" else consts.mu
+    mu = l2 if info.form == "explicit" else consts.mu or h_l2
     check_method(method, loss=obj.loss.kind, l1=obj.reg.l1,
                  mu=min(mu, l2) if info.needs_mu else mu,
-                 policy=policy, n=obj.n, init=init, sampling=sampling,
+                 policy=policy, n=obj.n, sampling=sampling,
                  inner_steps=inner_steps)
     if info.param_free:
         gamma = None
@@ -488,7 +474,7 @@ def _setup(method, obj, consts=None, policy=None, init="full",
             "strongly_convex" if consts.mu > 0 else "adaptive"), consts)
     if info.form == "explicit":
         _check_scaling(gamma, explicit_l2)
-    return obj, explicit_l2, consts, gamma
+    return obj, explicit_l2, mu, consts.L, gamma
 
 
 # ---------------------------------------------------------------------------
@@ -530,18 +516,16 @@ def _record(obj, k, evals, x, xbar, reference, extra_l2=0.0):
 
 
 def run(method, obj, x0, *, epochs, policy=None, seed=0, rng=None,
-        trace_every=1, reference=None, consts=None, init="full",
-        sampling="iid", inner_steps=None) -> RunResult:
+        trace_every=1, reference=None, consts=None, sampling="iid",
+        inner_steps=None) -> RunResult:
     """Run a method for a number of epochs of n steps each on the
     problem ``obj``, whose L2 strength ``obj.split_l2 + obj.reg.l2`` goes
     where the method's form (:class:`Method`) keeps it.
 
     The gradient table (or stored points) is initialised with a full
-    pass at x0, charged n gradient evaluations, unless
-    ``init='one_by_one'`` asks for the warm-up pass where epoch 0 sweeps
-    the data in order, each step moving along the average of the
-    gradients stored so far.  ``sampling`` picks components iid
-    uniformly, or epoch-wise without replacement when set to ``'perm'``.
+    pass at x0, charged n gradient evaluations.  ``sampling`` picks
+    components iid uniformly, or epoch-wise without replacement when
+    set to ``'perm'``.
     ``svrg`` takes ``inner_steps`` steps per pass (default n) after a
     full gradient at its snapshot, and ``saga_lazy`` runs the lagged
     sparse engine of :mod:`incgrad.lazy` from the origin.
@@ -567,16 +551,16 @@ def run(method, obj, x0, *, epochs, policy=None, seed=0, rng=None,
         raise ConfigError(f"x0 must be a finite vector of length {obj.d}")
     if rng is None:
         rng = np.random.default_rng(seed)
-    obj, explicit_l2, consts, gamma = _setup(method, obj, consts, policy,
-                                             init, sampling, inner_steps)
+    obj, explicit_l2, mu, L, gamma = _setup(method, obj, consts, policy,
+                                            sampling, inner_steps)
     if method == "svrg":
         m = obj.n if inner_steps is None else int(inner_steps)
         passes = _svrg_passes(obj, x0, gamma, m, epochs, rng)
     elif method == "saga_lazy":
         passes = lazy.lazy_passes(obj, x0, gamma, explicit_l2, epochs, rng)
     else:
-        passes = _table_passes(method, obj, x0, gamma, consts.mu, consts.L,
-                               explicit_l2, epochs, rng, init, sampling)
+        passes = _table_passes(method, obj, x0, gamma, mu, L, explicit_l2,
+                               epochs, rng, sampling)
     k, evals, x, xsum = next(passes)
     records = [_record(obj, 0, 0.0, x0, None if xsum is None else x0,
                        reference, explicit_l2)]
@@ -591,10 +575,9 @@ def run(method, obj, x0, *, epochs, policy=None, seed=0, rng=None,
 
 
 def _table_passes(method, obj, x0, gamma, mu, L, explicit_l2, epochs, rng,
-                  init, sampling):
+                  sampling):
     """Engine of the table methods (see :func:`run`)."""
     n = obj.n
-    heuristic = init == "one_by_one"
     if method == "saga_u":
         state, step, args = saga_u_init(obj, x0, gamma), saga_u_step, (gamma,)
     elif method == "finito":
@@ -606,16 +589,9 @@ def _table_passes(method, obj, x0, gamma, mu, L, explicit_l2, epochs, rng,
     elif method == "sdca_variant5":
         state, step, args = sdca_init(obj, x0, mu), sdca_variant5_step, (mu, L)
     else:  # saga, sag and saga_explicit_l2
+        state = saga_init(obj, x0)
         step, args = saga_step, (gamma, method == "sag", explicit_l2)
-        if heuristic:  # an empty table, filled by warm_step in epoch 0
-            scalar = obj.split_l2 == 0
-            state = SagaState(x=np.array(x0), table=GradientTable(
-                obj, "scalar" if scalar else "dense", avg=np.zeros(obj.d),
-                coeffs=np.zeros(n) if scalar else None,
-                vecs=None if scalar else np.zeros((n, obj.d))))
-        else:
-            state = saga_init(obj, x0)
-    evals = 0.0 if heuristic else float(n)  # the full pass at x0
+    evals = float(n)  # the full pass at x0
     xsum = np.zeros_like(x0)
     kernel_pass = None
     if method in COMPILED_STEPS:  # the explicit form scales by explicit_l2
@@ -626,20 +602,16 @@ def _table_passes(method, obj, x0, gamma, mu, L, explicit_l2, epochs, rng,
     steps = 0
     yield 0, evals, state.x, xsum
 
-    for ep in range(epochs):
-        if heuristic and ep == 0:
-            fn, fn_args, order = warm_step, (gamma,), np.arange(n)
-        else:
-            fn, fn_args = step, args
-            order = (rng.permutation(n) if sampling == "perm"
-                     else rng.integers(0, n, size=n))
-        if kernel_pass is not None and fn is step:  # warm_step stays numpy
+    for _ in range(epochs):
+        order = (rng.permutation(n) if sampling == "perm"
+                 else rng.integers(0, n, size=n))
+        if kernel_pass is not None:
             state.x = state.x.copy()  # the kernel works in place; yielded x stay
             steps += kernel_pass(order, state.x, state.table.avg,
                                  state.phi_mean)
         else:
             for j in order.tolist():
-                fn(state, obj, j, *fn_args)
+                step(state, obj, j, *args)
                 steps += 1
                 _check_iterate(state.x, steps)
                 xsum += state.x

@@ -302,32 +302,6 @@ def test_table_pass_keeps_every_byte(method, kind, split, sparse, sampling, n,
     assert outs["kernel" if "kernel" in outs else "numpy"] == outs["numpy"]
 
 
-@pytest.mark.parametrize("kind, split, sparse", [
-    ("squared", 0.0, False), ("logistic", 0.0, True), ("logistic", 0.1, False),
-    ("squared", 0.1, True)])
-def test_sag_warm_start_keeps_every_byte(kind, split, sparse, kernel_paths,
-                                         monkeypatch):
-    # epoch 0 is numpy's warm_step on both paths, the kernel runs from 1
-    obj = _table_objective("sag", kind, split, sparse, 20)
-    x0 = np.random.default_rng(1).standard_normal(obj.d) / 4
-    states = _recorded_states(monkeypatch)
-    updates = _counted_updates(monkeypatch)
-    outs = {}
-    for path in kernel_paths():
-        states.clear()
-        updates.clear()
-        rng = np.random.default_rng(5)
-        res = run("sag", obj, x0, epochs=4, rng=rng, init="one_by_one",
-                  sampling="perm")
-        outs[path] = ([(r.k, r.grad_evals, r.x.tobytes(), r.xbar.tobytes())
-                       for r in res.records], _state_bytes(states[0]),
-                      rng.bit_generator.state)
-        assert len(updates) == (0 if path == "kernel" else 3 * 20)
-    assert [r[:2] for r in outs["numpy"][0]] == [
-        (0, 0.0), (20, 20.0), (40, 40.0), (60, 60.0), (80, 80.0)]
-    assert outs["kernel" if "kernel" in outs else "numpy"] == outs["numpy"]
-
-
 def _outcomes(kernel_paths, method, obj, x0, **kw):
     outcomes, states = [], []
     for _ in kernel_paths():
@@ -482,7 +456,7 @@ def test_midpoint_failed_margin_solve_raises_alike_at_the_same_step(
         states.clear()
         rng = np.random.default_rng(4)
         passes = _table_passes("midpoint", obj, x0, None, 0.01, 1.0, 0.0, 3,
-                               rng, "full", "iid")
+                               rng, "iid")
         ks = []
         with pytest.raises(ProxSolveError) as failed:
             for k, _, _, xsum in passes:
@@ -539,7 +513,7 @@ def test_table_yielded_iterates_never_change_afterwards(method, kernel_paths):
     L = 0.25 * float(obj.dataset.sqnorms().max()) + obj.split_l2
     for _ in kernel_paths():
         passes = _table_passes(method, obj, np.ones(obj.d), 0.3, mu, L, 0.0,
-                               4, np.random.default_rng(1), "full", "iid")
+                               4, np.random.default_rng(1), "iid")
         seen = [(x, x.tobytes()) for _, _, x, _ in passes]
         assert len({b for _, b in seen}) == 5
         assert [x.tobytes() for x, _ in seen] == [b for _, b in seen]

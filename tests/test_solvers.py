@@ -257,16 +257,6 @@ def test_u_form_guard_checks_the_new_iterate():
         assert err.value.step == 1, method
 
 
-def test_warm_start_guard_checks_each_iterate():
-    # the one-by-one pass's first step reaches x_1 = 1e13, over the guard
-    ds = Dataset.from_dense([[1.0], [1.0]], [1.0, 2.0])
-    obj = FiniteSumObjective(ds, make_loss("squared"))
-    with pytest.raises(DivergenceError) as err:
-        run("saga", obj, np.zeros(1), epochs=1, init="one_by_one",
-            policy=StepSizePolicy("manual", gamma=1e13))
-    assert err.value.step == 1
-
-
 def test_u_form_guard_checks_the_final_iterate():
     # one point, one epoch: the only step's result is the run's output
     ds = Dataset.from_dense([[1.0]], [3.0])
@@ -1023,30 +1013,6 @@ def test_run_saga_tracks_corollary_bound(two_quadratics):
         assert rec.dist_sq <= (5 / 6) ** rec.k * b0 + 1e-12
 
 
-def test_run_first_pass_heuristic_visits_in_order():
-    rng = np.random.default_rng(44)
-    obj = make_random_objective(rng, split=0.0, n=8, d=3)
-    gamma = 0.05
-    res = run("saga", obj, np.zeros(3), epochs=1, seed=9,
-              policy=StepSizePolicy("manual", gamma=gamma), init="one_by_one")
-    # oracle: replay the ordered pass with running averages by hand
-    x = np.zeros(3)
-    gsum = np.zeros(3)
-    for j in range(obj.n):
-        gsum += obj.component_gradient(j, x)
-        x = x - gamma * gsum / (j + 1)
-    assert np.allclose(res.x, x, atol=1e-14)
-    # no separate initialisation pass is charged
-    assert res.records[-1].grad_evals == obj.n
-
-
-def test_run_heuristic_limited_to_table_methods(two_quadratics):
-    obj, consts = two_quadratics
-    with pytest.raises(ConfigError):
-        run("finito", obj, np.zeros(1), epochs=1, consts=consts,
-            init="one_by_one")
-
-
 def test_run_divergence_detected():
     rng = np.random.default_rng(45)
     obj = make_random_objective(rng, split=0.0, n=6, d=3)
@@ -1067,12 +1033,21 @@ def test_divergence_guard_on_huge_labels_raises_no_warning(method):
     assert err.value.step == 1
 
 
-def test_run_permuted_sampling_touches_every_component():
+def test_run_permuted_sampling_touches_every_component(monkeypatch):
+    # numpy saga: each pass of sampling="perm" updates every entry once
     rng = np.random.default_rng(46)
     obj = make_random_objective(rng, split=0.2, n=9, d=3)
-    res = run("saga", obj, np.zeros(3), epochs=3, seed=5, sampling="perm")
-    res2 = run("saga", obj, np.zeros(3), epochs=3, seed=5, sampling="perm")
-    assert np.allclose(res.x, res2.x)
+    updates = []
+    update = GradientTable.update
+
+    def counted(table, i, new):
+        updates.append(i)
+        update(table, i, new)
+
+    monkeypatch.setattr(GradientTable, "update", counted)
+    run("saga", obj, np.zeros(3), epochs=3, seed=5, sampling="perm")
+    per_pass = np.sort(np.reshape(updates, (3, 9)), axis=1)
+    assert (per_pass == np.arange(9)).all()
 
 
 def test_run_trace_row_counting(two_quadratics):
@@ -1170,6 +1145,27 @@ def test_run_equals_hand_loop_of_step_functions(method, form):
     assert np.array_equal(res.x, xs[-1])
     assert np.array_equal(res.xbar, xbar)
     assert np.array_equal(res.records[-1].xbar, xbar)
+
+
+@pytest.mark.parametrize("method", ["sdca", "sdca_variant5"])
+def test_separate_form_takes_an_l2_term_above_the_loss_smoothness(
+        method, kernel_paths):
+    # l2 = 1 exceeds the loss's smoothness L = max |a_i|^2: the step's mu
+    # is the regulariser's strength, kept out of the component constants
+    rng = np.random.default_rng(8)
+    pts = rng.standard_normal((12, 4)) / 8
+    ds = Dataset.from_dense(pts, pts @ rng.standard_normal(4))
+    sep = FiniteSumObjective(ds, make_loss("squared"), reg=Regularizer(l2=1.0))
+    L = estimate_constants(sep).L
+    assert L < 1.0
+    x0 = rng.standard_normal(4)
+    xs, xbar = _hand_run(method, sep, x0, None, 1.0, L, 3, 11)
+    split = FiniteSumObjective(ds, make_loss("squared"), split_l2=1.0)
+    for _ in kernel_paths():
+        res = run(method, split, x0, epochs=3, seed=11)
+        assert [r.x.tobytes() for r in res.records[1:]] == [
+            x.tobytes() for x in xs]
+        assert res.xbar.tobytes() == xbar.tobytes()
 
 
 def _dense_scalar_table_run(method, obj, x0, gamma, mu, epochs, seed):
@@ -1435,7 +1431,7 @@ def _form_run(method, problem, x0, *, epochs, seed, reference, policy=None):
         passes = lazy.lazy_passes(obj, x0, gamma, explicit_l2, epochs, rng)
     else:
         passes = _table_passes(method, obj, x0, gamma, consts.mu, consts.L,
-                               explicit_l2, epochs, rng, "full", "iid")
+                               explicit_l2, epochs, rng, "iid")
     k, evals, x, xsum = next(passes)
     records = [_record(obj, 0, 0.0, x0, None if xsum is None else x0,
                        reference, explicit_l2)]
