@@ -82,26 +82,37 @@ class ProblemSnapshot:
     consts: ProblemConstants
 
 
+# certify's problems hold at most 50 x 10 entries, so numpy's Python-level
+# wrappers cost more than the arithmetic.  The reductions here call the
+# ufunc itself and keep np.mean's and np.sum's bits: np.sum is
+# np.add.reduce behind a dispatch wrapper, and np.mean is that reduce
+# followed by one true division by the count.
+
+def _mean(a):
+    """``np.mean(a, axis=0)``, bit for bit (see above)."""
+    return np.add.reduce(a) / len(a)
+
+
 def _surplus(obj, phi, xs, g_star):
     """(T - c|x-x*|^2, f_i(phi_i), <f_i'(x*), phi_i - x*>), given the
     g_star = f_i'(x*) (see :func:`lyapunov_value`)."""
     f_phi = obj.values_at_points(phi)
     ip_phi = np.einsum("ij,ij->i", g_star, phi - xs)
-    surplus = float(np.mean(f_phi)) - obj.smooth_value(xs) - float(np.mean(ip_phi))
+    surplus = float(_mean(f_phi)) - obj.smooth_value(xs) - float(_mean(ip_phi))
     return surplus, f_phi, ip_phi
 
 
 def _table_gradients(obj, x, phi):
     """(f_j'(x), f_j'(phi_j), their mean over j): saga's direction terms."""
     g_phi = obj.gradients_at_points(phi)
-    return obj.component_gradients(x), g_phi, g_phi.mean(axis=0)
+    return obj.component_gradients(x), g_phi, _mean(g_phi)
 
 
 def lyapunov_value(snap: ProblemSnapshot, obj, c: float) -> float:
     """T = mean f_i(phi_i) - f(x*) - mean <f_i'(x*), phi_i - x*> + c|x-x*|^2."""
     xs = snap.x_star
     surplus = _surplus(obj, snap.phi, xs, obj.component_gradients(xs))[0]
-    return surplus + c * float(np.sum((snap.x - xs) ** 2))
+    return surplus + c * float(np.add.reduce((snap.x - xs) ** 2))
 
 
 def expected_lyapunov_next(snap: ProblemSnapshot, obj,
@@ -122,14 +133,14 @@ def expected_lyapunov_next(snap: ProblemSnapshot, obj,
     g_x, g_phi, gbar = _table_gradients(obj, x, phi)
     w = x[None, :] - gamma * (g_x - g_phi + gbar[None, :])
     x_next = obj.reg.prox(gamma, w) if obj.reg.l1 or obj.reg.l2 else w
-    dist = np.sum((x_next - xs[None, :]) ** 2, axis=1)
+    dist = np.add.reduce((x_next - xs[None, :]) ** 2, axis=1)
 
     g_star = obj.component_gradients(xs)
     base, f_phi, ip_phi = _surplus(obj, phi, xs, g_star)
     f_x = obj.component_values(x)
     ip_x = g_star @ (x - xs)
     t_next = base + (f_x - f_phi) / n - (ip_x - ip_phi) / n + c * dist
-    return float(np.mean(t_next))
+    return float(_mean(t_next))
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +162,7 @@ class EstimatorSpec:
         p = np.asarray(self.probs, float)
         if not (xs.shape == ys.shape == p.shape) or xs.ndim != 1:
             raise ConfigError("xs, ys, probs must be equal-length vectors")
-        if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
+        if np.any(p < 0) or abs(np.add.reduce(p) - 1.0) > 1e-12:
             raise ConfigError("probs must be a distribution")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError("alpha must lie in [0, 1]")
@@ -218,8 +229,8 @@ def lemma_strong_lb_gap(obj, i, x, y, mu, L) -> float:
     fy, gy = _component_value_gradient_ld(obj, i, y)
     rhs = fy
     rhs += gy @ (x - y)
-    rhs += np.sum((gx - gy) ** 2) / (2 * (L - mu))
-    rhs += mu * L / (2 * (L - mu)) * np.sum((y - x) ** 2)
+    rhs += np.add.reduce((gx - gy) ** 2) / (2 * (L - mu))
+    rhs += mu * L / (2 * (L - mu)) * np.add.reduce((y - x) ** 2)
     rhs += mu / (L - mu) * ((gx - gy) @ (y - x))
     return float(fx - rhs)
 
@@ -231,11 +242,11 @@ def lemma_ip_bound_gap(obj, x, x_star, mu, L) -> float:
     g = obj.full_gradient(x)
     gs = obj.full_gradient(xs)
     lhs = float(g @ (xs - x))
-    comp_sq = float(np.mean(
-        np.sum((obj.component_gradients(xs) - obj.component_gradients(x)) ** 2,
-               axis=1)))
+    comp_sq = float(_mean(np.add.reduce(
+        (obj.component_gradients(xs) - obj.component_gradients(x)) ** 2,
+        axis=1)))
     rhs = (L - mu) / L * (obj.smooth_value(xs) - obj.smooth_value(x))
-    rhs -= 0.5 * mu * float(np.sum((xs - x) ** 2))
+    rhs -= 0.5 * mu * float(np.add.reduce((xs - x) ** 2))
     rhs -= comp_sq / (2.0 * L)
     rhs -= mu / L * float(gs @ (x - xs))
     return rhs - lhs
@@ -247,8 +258,8 @@ def lemma_grad_diff_gap(obj, phi, x_star, L) -> float:
     phi = np.asarray(phi, float)
     xs = np.asarray(x_star, float)
     g_star = obj.component_gradients(xs)
-    lhs = float(np.mean(np.sum((obj.gradients_at_points(phi) - g_star) ** 2,
-                               axis=1)))
+    lhs = float(_mean(np.add.reduce(
+        (obj.gradients_at_points(phi) - g_star) ** 2, axis=1)))
     return 2.0 * L * _surplus(obj, phi, xs, g_star)[0] - lhs
 
 
@@ -267,10 +278,11 @@ def lemma_wchange_gap(obj, x, phi, x_star, gamma, beta) -> float:
     g_star = obj.component_gradients(xs)
     gs_full = obj.full_gradient(xs)
     w = x[None, :] - gamma * (g_x - g_phi + gbar[None, :])
-    lhs = float(np.mean(np.sum((w - x[None, :] + gamma * gs_full) ** 2, axis=1)))
-    t_phi = float(np.mean(np.sum((g_phi - g_star) ** 2, axis=1)))
-    t_x = float(np.mean(np.sum((g_x - g_star) ** 2, axis=1)))
-    g_dev = float(np.sum((obj.full_gradient(x) - gs_full) ** 2))
+    lhs = float(_mean(np.add.reduce((w - x[None, :] + gamma * gs_full) ** 2,
+                                    axis=1)))
+    t_phi = float(_mean(np.add.reduce((g_phi - g_star) ** 2, axis=1)))
+    t_x = float(_mean(np.add.reduce((g_x - g_star) ** 2, axis=1)))
+    g_dev = float(np.add.reduce((obj.full_gradient(x) - gs_full) ** 2))
     return min(gamma**2 * ((1.0 + 1.0 / b) * t_phi + (1.0 + b) * t_x
                            - b * g_dev) - lhs for b in betas)
 
@@ -304,12 +316,15 @@ def bound_value(kind: str, obj, consts: ProblemConstants, x0, x_star, k: int,
     E[F(xbar^k)] - F* for merely convex components under 1/(3L).  The
     ``average_sc`` rate (strong convexity holding only on average, step
     1/(3(mu n+L))) is stated without an accompanying argument, so it is
-    locked behind ``allow_unverified``.
+    locked behind ``allow_unverified``.  A step count ``k`` that is not
+    a nonnegative integer raises :class:`ConfigError`.
     """
+    if not is_int(k) or k < 0:
+        raise ConfigError(f"k must be a nonnegative integer, got {k!r}")
     x0 = np.asarray(x0, float)
     xs = np.asarray(x_star, float)
     n, L, mu = consts.n, consts.L, consts.mu
-    d0 = float(np.sum((x0 - xs) ** 2))
+    d0 = float(np.add.reduce((x0 - xs) ** 2))
     bracket = obj.smooth_value(x0) - float(obj.full_gradient(xs) @ (x0 - xs)) \
         - obj.smooth_value(xs)
     if kind == "corollary_sc":
@@ -385,14 +400,20 @@ def _newton_optimum(obj):
     sigmoid(m) sigmoid(-m)); returns x and its certified distance
     |F'(x)|/mu >= |x - x*| (Nesterov 2004, sec. 2.1.3)."""
     a, mu, x = obj.points, obj.split_l2, np.zeros(obj.d)
+    mu_eye = mu * np.eye(obj.d)
     for _ in range(NEWTON_MAX_STEPS + 1):
         m = obj.margins(x)
         g = obj.full_gradient(x, margins=m)
         residual = math.sqrt(float(g @ g))
         if residual <= 1e-12:
             return x, residual / mu
-        h = sigmoid(m) * sigmoid(-m) if obj.loss.kind == "logistic" else 1.0
-        hess = (a.T * h) @ a / obj.n + mu * np.eye(obj.d)
+        h = 1.0
+        if obj.loss.kind == "logistic":
+            # sigmoid(m) and sigmoid(-m) are 1/den and e/den in some order
+            e = np.exp(-np.abs(m))
+            den = 1.0 + e
+            h = (1.0 / den) * (e / den)
+        hess = (a.T * h) @ a / obj.n + mu_eye
         x = x - np.linalg.solve(hess, g)
     raise OptimumError(residual, NEWTON_MAX_STEPS, solver="Newton's method")
 
@@ -444,7 +465,7 @@ def _check_estimator(rng):
         xs = rng.standard_normal(size)
         ys = 0.7 * xs + 0.3 * rng.standard_normal(size)
         p = rng.random(size)
-        p /= p.sum()
+        p /= np.add.reduce(p)
         alpha = float(rng.random())
         spec = EstimatorSpec(xs=xs, ys=ys, probs=p, alpha=alpha)
         bias, var = theta_estimator_stats(spec)
@@ -477,10 +498,10 @@ def _check_unbiasedness(rng):
         phi = rng.standard_normal((obj.n, obj.d))
         g_x, g_phi, gbar = _table_gradients(obj, x, phi)
         full = obj.full_gradient(x)
-        saga_mean = (g_x - g_phi + gbar).mean(axis=0)
+        saga_mean = _mean(g_x - g_phi + gbar)
         worst_saga = max(worst_saga, float(np.abs(saga_mean - full).max()))
         n = obj.n
-        sag_mean = ((g_x - g_phi) / n + gbar).mean(axis=0)
+        sag_mean = _mean((g_x - g_phi) / n + gbar)
         expected = full / n + (1.0 - 1.0 / n) * gbar
         worst_sag = max(worst_sag, float(np.abs(sag_mean - expected).max()))
     return worst_saga, worst_sag

@@ -105,7 +105,8 @@ class CscMatrix:
         large as the dense copy of the points."""
         if self._col_of is not None:
             return self._col_of
-        return np.repeat(np.arange(self.ncols), np.diff(self.indptr))
+        lengths = self.indptr[1:] - self.indptr[:-1]  # np.diff's subtraction
+        return np.repeat(np.arange(self.ncols), lengths)
 
     def column(self, j):
         """Return (row_indices, values) views of column j."""

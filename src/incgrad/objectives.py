@@ -36,7 +36,7 @@ def sigmoid(u):
     u = np.asarray(u, dtype=float)
     e = np.exp(-np.abs(u))
     d = 1.0 + e
-    return np.where(u >= 0, 1.0 / d, e / d)
+    return np.where(u >= 0, 1.0, e) / d
 
 
 def _sigmoid_scalar(u: float) -> float:

@@ -1,5 +1,9 @@
 """Helpers that only the tests call: a fixed-point residual oracle, an
-added L2 term and a libsvm writer."""
+added L2 term, a libsvm writer, a frozen sigmoid and the fingerprint of
+the machine that checked-in outputs depend on."""
+
+import ctypes
+import platform
 
 import numpy as np
 
@@ -13,6 +17,15 @@ def fixed_point_residual(obj, x, consts=None) -> float:
     step = 1.0 / consts.L
     w = x - step * obj.full_gradient(x)
     return float(np.linalg.norm(x - obj.reg.prox(step, w)))
+
+
+def frozen_sigmoid(u):
+    """The logistic function in its two-division form, kept frozen as
+    the reference for :func:`incgrad.objectives.sigmoid`'s bits."""
+    u = np.asarray(u, dtype=float)
+    e = np.exp(-np.abs(u))
+    d = 1.0 + e
+    return np.where(u >= 0, 1.0 / d, e / d)
 
 
 def with_l2(obj, l2) -> FiniteSumObjective:
@@ -31,3 +44,20 @@ def save_libsvm(path, dataset: Dataset):
             toks = [repr(float(dataset.labels[j]))]
             toks += [f"{int(i) + 1}:{float(v)!r}" for i, v in zip(idxs, vals)]
             fh.write(" ".join(toks) + "\n")
+
+
+def machine_fingerprint() -> dict:
+    """What the checked-in outputs' bytes depend on beyond the code: the
+    numpy version, the core OpenBLAS picked for this CPU (its ``ddot``
+    kernel) and the C library (libm).  A part that cannot be read is
+    ``"unknown"``, which no machine that could read it records."""
+    try:
+        blas = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        corename = blas.scipy_openblas_get_corename64_
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        core = corename().decode()
+    except (AttributeError, OSError):  # older numpy, or another BLAS
+        core = "unknown"
+    libc, version = platform.libc_ver()
+    return {"numpy": np.__version__, "openblas_core": core,
+            "libc": f"{libc} {version}" if libc else "unknown"}

@@ -23,7 +23,7 @@ from incgrad.analysis import (
     theta_estimator_stats,
 )
 from conftest import make_random_objective
-from helpers import fixed_point_residual
+from helpers import fixed_point_residual, frozen_sigmoid
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +103,35 @@ def test_newton_optimum_is_within_its_certified_distance():
         assert bound <= 1e-12 / obj.split_l2
         assert (np.linalg.norm(x_newton - x_fista)
                 <= bound + np.linalg.norm(g) / obj.split_l2)
+
+
+def _frozen_newton_optimum(obj):
+    """``_newton_optimum`` as it stood with the logistic weight formed
+    as sigmoid(m) sigmoid(-m), by the two-division sigmoid, and mu I
+    formed at every step; kept frozen as the reference for its bits."""
+    a, mu, x = obj.points, obj.split_l2, np.zeros(obj.d)
+    for _ in range(analysis.NEWTON_MAX_STEPS + 1):
+        m = obj.margins(x)
+        g = obj.full_gradient(x, margins=m)
+        residual = math.sqrt(float(g @ g))
+        if residual <= 1e-12:
+            return x, residual / mu
+        h = (frozen_sigmoid(m) * frozen_sigmoid(-m)
+             if obj.loss.kind == "logistic" else 1.0)
+        hess = (a.T * h) @ a / obj.n + mu * np.eye(obj.d)
+        x = x - np.linalg.solve(hess, g)
+    raise AssertionError("frozen loop did not converge")
+
+
+@pytest.mark.parametrize("kind", ["logistic", "squared"])
+def test_newton_optimum_bits_equal_the_frozen_loop(kind):
+    rng = np.random.default_rng(34)
+    for _ in range(50):
+        obj = random_strongly_convex_objective(rng, kind=kind)
+        x, bound = analysis._newton_optimum(obj)
+        x_want, bound_want = _frozen_newton_optimum(obj)
+        assert x.tobytes() == x_want.tobytes()
+        assert np.float64(bound).tobytes() == np.float64(bound_want).tobytes()
 
 
 def test_certify_solves_one_optimum_by_proximal_gradient(monkeypatch):
@@ -311,6 +340,17 @@ def test_bound_validation(two_quadratics):
     flat = ProblemConstants(n=2, d=1, L=1.0, mu=0.0)
     with pytest.raises(ConfigError):
         bound_value("corollary_sc", obj, flat, x0, xs, 1)
+
+
+@pytest.mark.parametrize("kind", ["corollary_sc", "adaptive", "nonsc",
+                                  "average_sc"])
+@pytest.mark.parametrize("k", [-3, -1, 2.5, True, None, "3", np.float64(4)])
+def test_bound_value_refuses_a_step_count_that_is_not_a_count(two_quadratics,
+                                                              kind, k):
+    obj, consts = two_quadratics
+    with pytest.raises(ConfigError, match="^k must be a nonnegative integer"):
+        bound_value(kind, obj, consts, np.ones(1), np.zeros(1), k,
+                    allow_unverified=True)
 
 
 def test_nonsc_bound_decays_like_one_over_k(two_quadratics):

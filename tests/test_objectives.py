@@ -17,6 +17,7 @@ from incgrad import (
 from incgrad.datasets import generate_synthetic
 from incgrad.objectives import _solve_margin, sigmoid
 from conftest import central_difference_gradient, make_random_objective
+from helpers import frozen_sigmoid
 
 
 def component_value(obj, i, x) -> float:
@@ -134,12 +135,18 @@ def test_gradient_correctness_property_100_pairs():
 # objective values
 
 def test_sigmoid_and_smooth_value_equal_their_old_formulas():
-    # 1 + e is formed once, and the mean is np.mean's own sum and division
-    u = np.concatenate([np.linspace(-40, 40, 2001), [0.0, -0.0, 1e-300,
-                                                     -745.0, 710.0]])
-    e = np.exp(-np.abs(u))
-    assert np.array_equal(sigmoid(u),
-                          np.where(u >= 0, 1.0 / (1.0 + e), e / (1.0 + e)))
+    # sigmoid divides once by 1 + e, after where() picks 1 or e, and the
+    # mean is np.mean's own sum and division
+    edges = np.array([0.0, 5e-324, 1e-300, 709.0, 710.0, 745.0, 745.2,
+                      800.0, np.inf, np.nan])
+    normals = np.random.default_rng(34).standard_normal(10_000)
+    u = np.concatenate([edges, -edges, np.linspace(-40, 40, 2001), normals,
+                        100.0 * normals])
+    assert np.array_equal(sigmoid(u).view(np.int64),
+                          frozen_sigmoid(u).view(np.int64))
+    for v in u[:2 * edges.size]:
+        assert (np.float64(sigmoid(v)).view(np.int64)
+                == np.float64(frozen_sigmoid(v)).view(np.int64))
     rng = np.random.default_rng(37)
     for kind, split, n in (("squared", 0.0, 1), ("squared", 0.3, 257),
                            ("logistic", 0.0, 1000), ("logistic", 0.1, 13)):

@@ -49,7 +49,7 @@ from incgrad.harness import ExperimentConfig, canonical_objective
 from incgrad.objectives import _solve_margin, scalar_loss_prox
 from incgrad.datasets import generate_synthetic
 from conftest import make_random_objective, midpoint_identity_residual
-from helpers import fixed_point_residual, with_l2
+from helpers import fixed_point_residual, frozen_sigmoid, with_l2
 
 
 # ---------------------------------------------------------------------------
@@ -847,11 +847,6 @@ def test_prox_gradient_optimum_matches_reference(case):
     assert abs(f_again - f_star) <= 1e-13 * max(1.0, abs(f_star))
 
 
-def _frozen_sigmoid(u):
-    e = np.exp(-np.abs(u))
-    return np.where(u >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
 def _frozen_smooth_value(obj, x, margins):
     val = float(np.mean(obj.loss.value(margins, obj.labels)))
     if obj.split_l2:
@@ -861,7 +856,7 @@ def _frozen_smooth_value(obj, x, margins):
 
 def _frozen_full_gradient(obj, x):
     m, b = obj.margins(x), obj.labels
-    c = m - b if obj.loss.kind == "squared" else -b * _frozen_sigmoid(-b * m)
+    c = m - b if obj.loss.kind == "squared" else -b * frozen_sigmoid(-b * m)
     g = obj.point_sum(c) / obj.n
     return g + obj.split_l2 * x if obj.split_l2 else g
 
