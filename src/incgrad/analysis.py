@@ -321,6 +321,7 @@ def bound_value(kind: str, obj, consts: ProblemConstants, x0, x_star, k: int,
     """
     if not is_int(k) or k < 0:
         raise ConfigError(f"k must be a nonnegative integer, got {k!r}")
+    k = int(k)  # a numpy k would take numpy's power, which rounds otherwise
     x0 = np.asarray(x0, float)
     xs = np.asarray(x_star, float)
     n, L, mu = consts.n, consts.L, consts.mu

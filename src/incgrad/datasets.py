@@ -114,9 +114,9 @@ def _draw_points(rng, counts, d):
     """The (d, n) CSC matrix of the sparse draw: point i takes
     ``counts[i]`` distinct positions, then one normal for each, scaled
     by 1/sqrt(d).  The points of one chunk are placed in a zeroed
-    buffer, which ``CscMatrix.from_dense`` converts before it is zeroed
-    for the next chunk; each chunk's columns are copied in after the
-    last."""
+    buffer, which ``CscMatrix.from_dense`` converts before the entries
+    it found are zeroed for the next chunk, in O(nnz); each chunk's
+    columns are copied in after the last."""
     n = counts.shape[0]
     rows = max(1, _CHUNK // d)
     buf = np.zeros((min(rows, n), d))
@@ -133,7 +133,7 @@ def _draw_points(rng, counts, d):
         data[start:start + part.nnz] = part.data
         indices[start:start + part.nnz] = part.indices
         indptr[lo + 1:lo + 1 + len(block)] = part.indptr[1:] + start
-        block.fill(0.0)
+        block[part.col_of, part.indices] = 0.0
     nnz = indptr[-1]
     return CscMatrix(data[:nnz], indices[:nnz], indptr, (d, n))
 
@@ -158,8 +158,8 @@ def generate_synthetic(kind, n, d, density=1.0, noise=0.1, seed=0,
     Below density 1 the points are drawn into one zeroed buffer of
     ``_CHUNK`` entries at a time (one point, when a point is larger),
     and each chunk is converted by ``CscMatrix.from_dense`` before the
-    buffer is zeroed for the next, so no (n, d) array is made: set-up
-    holds O(nnz + n + d) memory.  The row norms (``normalize``) and the
+    entries written are zeroed for the next, so no (n, d) array is made:
+    set-up holds O(nnz + n + d) memory.  The row norms (``normalize``) and the
     label margins are then taken over the nonzeros, each point's terms
     summed one at a time in ascending coordinate order, as
     ``load_libsvm`` normalises.  At density 1 the row norms are taken on

@@ -353,6 +353,23 @@ def test_bound_value_refuses_a_step_count_that_is_not_a_count(two_quadratics,
                     allow_unverified=True)
 
 
+@pytest.mark.parametrize("kind", ["corollary_sc", "adaptive", "nonsc",
+                                  "average_sc"])
+def test_bound_value_bits_do_not_depend_on_the_count_type(two_quadratics,
+                                                          kind):
+    # rate**k takes numpy's power for a numpy k, which rounds differently
+    # at some k: corollary_sc's rate here is 5/6, and (5/6)**np.int64(3)
+    # differs from (5/6)**3 in the last bit
+    obj, consts = two_quadratics
+    x0, xs = np.ones(1), np.zeros(1)
+    for k in range(1, 200):
+        want = bound_value(kind, obj, consts, x0, xs, k, allow_unverified=True)
+        for count in (np.int64(k), np.int32(k)):
+            got = bound_value(kind, obj, consts, x0, xs, count,
+                              allow_unverified=True)
+            assert type(got) is float and got.hex() == want.hex(), (k, count)
+
+
 def test_nonsc_bound_decays_like_one_over_k(two_quadratics):
     obj, consts = two_quadratics
     x0, xs = np.ones(1), np.zeros(1)

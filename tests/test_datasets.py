@@ -284,16 +284,20 @@ def test_synthetic_and_densify_keep_one_dense_copy(monkeypatch):
     assert len(filled) == 1 and np.shares_memory(points, filled[0])
 
 
-@pytest.mark.parametrize("density", [5e-3, 1.0])
+@pytest.mark.parametrize("density,d", [(5e-3, 2000), (1.0, 2000), (0.3, 40)],
+                         ids=["0.005", "1.0", "0.3"])
 @pytest.mark.parametrize("normalize", [False, True])
-def test_synthetic_bytes_do_not_depend_on_the_chunk(normalize, density,
+def test_synthetic_bytes_do_not_depend_on_the_chunk(normalize, density, d,
                                                     monkeypatch):
-    # one point per chunk, 7 points, and all of them in one chunk: the
-    # points drawn and converted at a time below density 1, the rows
-    # normalised at a time at density 1
-    n, d = 50, 2000
+    # one point per chunk, 3 points (the last chunk holds 2), 7 points,
+    # and all of them in one chunk: the points drawn and converted at a
+    # time below density 1, the rows normalised at a time at density 1.
+    # At density 0.3 of d = 40 each point writes about 12 of the 40
+    # entries of its buffer row, so an entry left unreset from the chunk
+    # before shows as an extra nonzero
+    n = 50
     outs = []
-    for chunk in (d, 7 * d, n * d):
+    for chunk in (d, 3 * d, 7 * d, n * d):
         monkeypatch.setattr(datasets, "_CHUNK", chunk)
         outs.append(generate_synthetic("ridge", n, d, density=density,
                                        normalize=normalize))
@@ -381,22 +385,30 @@ def _check_from_dense(shape, density):
     rng = np.random.default_rng(sum(shape))
     dense = rng.standard_normal(shape) * (rng.random(shape) < density)
     dense[:, ::3] = 0.0  # empty columns, at the ends and inside
-    m = CscMatrix.from_dense(dense)
-    data, indices, indptr = _from_dense_loop(dense)
-    assert m.shape == shape
-    assert np.array_equal(m.data, data)
-    assert np.array_equal(m.indices, indices)
-    assert np.array_equal(m.indptr, indptr)
-    assert np.array_equal(m.to_dense(), dense)
+    # a C-ordered (d, n) array; the transpose of a C-ordered (n, d) one,
+    # which Dataset.from_dense and the generator pass; a strided column
+    # slice of a C-ordered array
+    for arr in (dense, np.ascontiguousarray(dense.T).T,
+                np.repeat(dense, 2, axis=1)[:, ::2]):
+        m = CscMatrix.from_dense(arr)
+        data, indices, indptr = _from_dense_loop(arr)
+        assert m.shape == shape
+        assert m.indices.dtype == np.int64 and m.indptr.dtype == np.int64
+        assert np.array_equal(m.data, data)
+        assert np.array_equal(m.indices, indices)
+        assert np.array_equal(m.indptr, indptr)
+        assert np.array_equal(m.to_dense(), dense)
 
 
 @pytest.mark.parametrize("shape,density", [
     ((100, 600), 1.0), ((600, 10000), 1e-3), ((5, 8), 0.4), ((7, 3), 0.0),
     ((1, 1), 1.0), ((30, 40), 0.05), ((3000, 1000), 0.01),
+    ((300_000, 4), 1e-4),
 ])
 def test_from_dense_matches_column_loop(shape, density):
     # (600, 10000) and (3000, 1000) span several 256 kB mask chunks, the
-    # last one short
+    # last one short; a point of 300,000 coordinates is wider than
+    # _MASK_BYTES, so each mask chunk holds one point
     _check_from_dense(shape, density)
 
 
@@ -407,6 +419,24 @@ def test_from_dense_small_mask_chunks(shape, density, monkeypatch):
     # 64-byte masks put every column, or a few, in a chunk of its own
     monkeypatch.setattr(cscmat, "_MASK_BYTES", 64)
     _check_from_dense(shape, density)
+
+
+def test_from_dense_holds_one_index_per_nonzero_beside_its_output():
+    # the flat positions become the row indices in place: beside the
+    # output only the column starts subtracted from them (one int64 per
+    # nonzero) and a few arrays of one entry per column are held
+    d, n = 200, 600
+    dense = np.random.default_rng(5).standard_normal((n, d)).T
+    CscMatrix.from_dense(dense[:, :2])  # first-call imports
+    tracemalloc.start()
+    try:
+        m = CscMatrix.from_dense(dense)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.nnz == n * d
+    out = m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+    assert peak <= out + 8 * m.nnz + 32 * (n + 1)
 
 
 @pytest.mark.parametrize("shape,density", [
