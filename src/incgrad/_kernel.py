@@ -278,7 +278,6 @@ def table_pass(code, obj, state, xsum, *, gamma, mu, L):
         return None
     kernel, data = problem
     n, d = obj.n, obj.d
-    dense = t.mode == "dense"
     # a scalar table on sparse data steps on the support (C reads no CSC
     # pointer of a dense table)
     csc = _csc(obj.dataset.features) if obj.sparse else [None] * 3
@@ -288,8 +287,7 @@ def table_pass(code, obj, state, xsum, *, gamma, mu, L):
     return _pass_of(kernel.table, (
         kernel.ddot, code, n, d, *data, obj.split_l2,
         np.nan if gamma is None else gamma, mu, L,
-        *_ptrs(F64, (n, d), t.vecs if dense else None),
-        *_ptrs(F64, (n,), None if dense else t.coeffs), *csc,
+        *_ptrs(F64, (n, d), t.vecs), *_ptrs(F64, (n,), t.coeffs), *csc,
         *_ptrs(F64, (d,), state.u), *_ptrs(F64, (n, d), state.phi),
         *_ptrs(F64, (n,), sqnorms), _PROX_TOL, ctypes.byref(residual),
         *_ptrs(F64, (d,), scratch, xsum)),

@@ -172,15 +172,17 @@ enum {
 };
 
 /* m steps of one table method, with j = idx[s], each followed by the
- * divergence check and xsum += x.  The table is dense (vecs, n x d) or,
- * for sdca_variant5, and saga_u and sag without a split L2 term, scalar
- * (coeffs, n), whose mean avg moves over the nonzeros of the CSC column
- * j when indptr is set; saga_explicit_l2's is scalar, on dense data
- * only.  saga_u, finito, sag and saga_explicit_l2 step with gamma, the
- * last scaling x by 1 - gamma * mu, mu its explicit L2 term (numpy
- * skips the scaling at mu = 0, where it is 1.0 * x, the same bits);
- * sdca_variant5 and midpoint derive their steps from mu (and L), as
- * their numpy steps do.
+ * divergence check and xsum += x.  The table is dense (vecs, n x d) for
+ * saga_u and sag with a split L2 term, else scalar (coeffs, n), whose
+ * mean avg moves over the nonzeros of the CSC column j when indptr is
+ * set (saga_explicit_l2's on dense data only).  A scalar table holds the
+ * loss part c_j a_j of each stored gradient; finito and midpoint, which
+ * keep phi, add split * phi_j where they read one, and split * phi_mean
+ * to the mean.  saga_u, finito, sag and saga_explicit_l2 step with
+ * gamma, the last scaling x by 1 - gamma * mu, mu its explicit L2 term
+ * (numpy skips the scaling at mu = 0, where it is 1.0 * x, the same
+ * bits); sdca_variant5 and midpoint derive their steps from mu (and L),
+ * as their numpy steps do.
  * u is saga_u's, phi (n x d) and phi_mean finito's and midpoint's;
  * sqnorms (the |a_j|^2) and tol are midpoint's prox, which leaves the
  * residual and the cap of a failed margin solve in res[0..1]; g holds d
@@ -206,6 +208,7 @@ int64_t incgrad_table_pass(
         gamma = 1.0 / (mu * dn);
     } else if (method == MIDPOINT)  /* the prox weight 1 / (mu (n - 1)) */
         gamma = 1.0 / (mu * dn1);
+    double shrink = 1.0 + gamma * split;  /* midpoint's prox shrink */
     for (int64_t s = 0; s < m; s++) {
         int64_t j = idx[s];
         const double *a = points + j * d;
@@ -217,36 +220,32 @@ int64_t incgrad_table_pass(
                 u[i] = u[i] + (x[i] - u[i]) / dn;
         else if (method == FINITO)  /* x <- mean(phi) - gamma * sum */
             for (int64_t i = 0; i < d; i++)
-                x[i] = phi_mean[i] - gamma * (avg[i] * dn);
+                x[i] = phi_mean[i]
+                       - gamma * ((avg[i] + split * phi_mean[i]) * dn);
         else if (method == MIDPOINT)  /* z, from the other points, in g */
             for (int64_t i = 0; i < d; i++)
                 g[i] = (phi_mean[i] * dn - pj[i]) / dn1
-                       - (avg[i] * dn - row[i]) / (mu * dn1);
+                       - ((avg[i] + split * phi_mean[i]) * dn
+                          - (coeffs[j] * a[i] + split * pj[i])) / (mu * dn1);
         double t = incgrad_dot(ddot, d, a, method == MIDPOINT ? g : x);
-        if (method == MIDPOINT) {  /* phi_j <- x <- the prox of f_j at z */
-            double shrink = 1.0 + gamma * split, gq = gamma * sqnorms[j];
+        if (method == MIDPOINT) {  /* the margin of the prox of f_j at z */
+            double gq = gamma * sqnorms[j];
             if (!logistic)
                 t = (t + gq * b) / (shrink + gq);
             else if (solve_margin(b, shrink, gq, t, tol, &t, res) != OK) {
                 *why = NO_ROOT;
                 return s;
             }
-            double gc = gamma * loss_deriv(logistic, t, b);
-            for (int64_t i = 0; i < d; i++) {
-                double p = (g[i] - gc * a[i]) / shrink;
-                double stored = (g[i] - p) / gamma;
-                avg[i] = avg[i] + (stored - row[i]) / dn;
-                row[i] = stored;
-                phi_mean[i] = phi_mean[i] + (p - pj[i]) / dn;
-                pj[i] = x[i] = p;
-            }
-        } else if (coeffs) {  /* scalar: no margin check, as _new_gradient */
+        }
+        if (coeffs) {  /* scalar: no margin check, as _new_gradient */
             double c = loss_deriv(logistic, t, b), old = coeffs[j];
             if (method == SDCA_VARIANT5) {  /* blend, then move x along a_j */
                 c = (1.0 - beta) * old + beta * c;
                 for (int64_t i = 0; i < d; i++)
                     x[i] = x[i] - (gamma * (c - old)) * a[i];
-            }
+            } else if (method == MIDPOINT)  /* x <- the prox of f_j at z */
+                for (int64_t i = 0; i < d; i++)
+                    x[i] = (g[i] - (gamma * c) * a[i]) / shrink;
             double q = (c - old) / dn;
             if (method == SAG && indptr) {  /* as saga_step's support branch */
                 for (int64_t i = 0; i < d; i++)
@@ -293,7 +292,7 @@ int64_t incgrad_table_pass(
         if (method == SAGA_U)  /* x <- u - gamma * sum */
             for (int64_t i = 0; i < d; i++)
                 x[i] = u[i] - gamma * (avg[i] * dn);
-        else if (method == FINITO)  /* phi_j <- x */
+        else if (method == FINITO || method == MIDPOINT)  /* phi_j <- x */
             for (int64_t i = 0; i < d; i++) {
                 phi_mean[i] = phi_mean[i] + (x[i] - pj[i]) / dn;
                 pj[i] = x[i];

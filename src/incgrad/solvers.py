@@ -49,14 +49,15 @@ def _check_iterate(x, k):
 class GradientTable:
     """Per-component stored gradients f_i'(phi_i) plus their running mean.
 
-    ``scalar`` mode keeps a single weight c_i = psi_i'(a_i' phi_i) per
-    component, valid only when split_l2 = 0 so that f_i'(phi_i) = c_i
-    a_i: the default then, and what saga, sag, saga_u and the loss-only
-    components of sdca and sdca_variant5 keep.  ``dense`` mode keeps one
-    d-vector per component: split-L2 saga, sag and saga_u, and finito
-    and midpoint.  The mean is maintained incrementally and can be
-    recomputed from scratch with :meth:`resync` to shed accumulated
-    rounding.
+    ``scalar`` mode keeps one weight c_i = psi_i'(a_i' phi_i) per
+    component and holds the loss part c_i a_i of f_i'(phi_i) = c_i a_i
+    + split_l2 phi_i: all of it at split_l2 = 0, the default then (saga,
+    sag, saga_u, and the loss-only components of sdca and
+    sdca_variant5); with split_l2 > 0 only a state that keeps phi uses
+    it (finito and midpoint).  ``dense`` mode keeps one d-vector per
+    component: split-L2 saga, sag and saga_u, which keep no phi.  The
+    mean is maintained incrementally and can be recomputed from scratch
+    with :meth:`resync` to shed accumulated rounding.
 
     On sparse data (``FiniteSumObjective.sparse``) a scalar table sets
     ``support``: updates and steps touch only the nonzeros of a_i, with
@@ -68,8 +69,6 @@ class GradientTable:
                  vecs=None, avg=None):
         if mode not in ("scalar", "dense"):
             raise ConfigError(f"unknown table mode {mode!r}")
-        if mode == "scalar" and obj.split_l2 != 0.0:
-            raise ConfigError("scalar gradient storage requires split_l2 = 0")
         self.obj = obj
         self.mode = mode
         self.support = mode == "scalar" and obj.sparse
@@ -91,7 +90,7 @@ class GradientTable:
         return cls(obj, "dense", vecs=vecs, avg=vecs.mean(axis=0))
 
     def gradient(self, i) -> np.ndarray:
-        """Stored f_i'(phi_i), reconstructed in scalar mode."""
+        """Stored f_i'(phi_i); its loss part c_i a_i in scalar mode."""
         if self.mode == "scalar":
             return self.coeffs[i] * self.obj.points[i]
         return self.vecs[i].copy()
@@ -134,7 +133,7 @@ class SagaState:
     """State of every table method: the iterate and the table, plus
     ``u`` for saga_u (reset x with :func:`saga_u_reconstruct` after
     changing the table by other means) and the stored points ``phi``
-    and their mean for finito and midpoint."""
+    and their mean for finito and midpoint, whose table is scalar."""
 
     x: np.ndarray
     table: GradientTable
@@ -159,7 +158,7 @@ def saga_u_init(obj, x0, gamma) -> SagaState:
 
 def finito_init(obj, x0) -> SagaState:
     x0 = np.array(x0, dtype=float)
-    table = GradientTable.at_point(obj, x0, mode="dense")
+    table = GradientTable.at_point(obj, x0, mode="scalar")
     return SagaState(x=x0.copy(), table=table, phi=np.tile(x0, (obj.n, 1)),
                      phi_mean=x0.copy())
 
@@ -283,9 +282,10 @@ def saga_u_step(state: SagaState, obj, j, gamma):
 
 def finito_step(state: SagaState, obj, j, gamma):
     """x <- mean(phi) - gamma * sum_i f_i'(phi_i), then phi_j <- x."""
-    x = state.phi_mean - gamma * state.table.sum()
-    g_new = obj.component_gradient(j, x)
-    state.table.update(j, g_new)
+    x = state.phi_mean - gamma * (
+        (state.table.avg + obj.split_l2 * state.phi_mean) * obj.n)
+    state.table.update(j, obj.loss.deriv_scalar(
+        float(np.vdot(obj.points[j], x)), obj.labels[j]))
     state.phi_mean = state.phi_mean + (x - state.phi[j]) / obj.n
     state.phi[j] = x
     state.x = x
@@ -330,18 +330,19 @@ def midpoint_step(state: SagaState, obj, j, mu):
 
     z averages the other points' linearisations, phi_j is the prox of
     f_j at z with weight 1/(mu (n-1)), and afterwards the new iterate
-    satisfies x = mean(phi) - (1/(mu n)) sum_i f_i'(phi_i) exactly.
+    satisfies x = mean(phi) - (1/(mu n)) sum_i f_i'(phi_i) exactly,
+    each f_i'(phi_i) = c_i a_i + split_l2 phi_i formed where it is read.
     """
-    n = obj.n
+    n, lam, table = obj.n, obj.split_l2, state.table
     gamma_p = 1.0 / (mu * (n - 1))
-    sum_phi = state.phi_mean * n
-    sum_g = state.table.sum()
-    z = ((sum_phi - state.phi[j]) / (n - 1)
-         - (sum_g - state.table.vecs[j]) / (mu * (n - 1)))
     a = obj.points[j]
+    sum_g = (table.avg + lam * state.phi_mean) * n
+    row = table.coeffs[j] * a + lam * state.phi[j]
+    z = ((state.phi_mean * n - state.phi[j]) / (n - 1)
+         - (sum_g - row) / (mu * (n - 1)))
     coef = scalar_loss_prox(obj, j, gamma_p, float(np.vdot(a, z)))
-    phi_j = (z - gamma_p * coef * a) / (1.0 + gamma_p * obj.split_l2)
-    state.table.update(j, (z - phi_j) / gamma_p)
+    phi_j = (z - gamma_p * coef * a) / (1.0 + gamma_p * lam)
+    table.update(j, coef)
     state.phi_mean = state.phi_mean + (phi_j - state.phi[j]) / n
     state.phi[j] = phi_j
     state.x = phi_j

@@ -58,10 +58,12 @@ def make_random_objective(rng, kind="squared", n=12, d=4, split=0.3, l1=0.0):
                               make_loss(kind), split_l2=split, reg=reg)
 
 
-def midpoint_identity_residual(state, mu) -> float:
+def midpoint_identity_residual(obj, state, mu) -> float:
     """|x - (mean(phi) - (1/(mu n)) sum f_i'(phi_i))|, zero after a
-    midpoint step."""
-    rhs = state.phi_mean - state.table.avg / mu
+    midpoint step; both means are formed afresh from the points phi,
+    whatever the state keeps beside them."""
+    grads = obj.gradients_at_points(state.phi).mean(axis=0)
+    rhs = state.phi.mean(axis=0) - grads / mu
     return float(np.linalg.norm(state.x - rhs))
 
 

@@ -48,16 +48,24 @@ def save_libsvm(path, dataset: Dataset):
 
 def machine_fingerprint() -> dict:
     """What the checked-in outputs' bytes depend on beyond the code: the
-    numpy version, the core OpenBLAS picked for this CPU (its ``ddot``
-    kernel) and the C library (libm).  A part that cannot be read is
-    ``"unknown"``, which no machine that could read it records."""
+    numpy version, the SIMD targets numpy dispatches its loops to on
+    this CPU (fewer under ``NPY_DISABLE_CPU_FEATURES``), the core
+    OpenBLAS picked for this CPU (its ``ddot`` kernel) and the C library
+    (libm).  A part that cannot be read is ``"unknown"``, which no
+    machine that could read it records."""
+    umath = getattr(getattr(np, "_core", None), "_multiarray_umath", None)
     try:
-        blas = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        simd = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__[t]]
+    except AttributeError:  # older numpy
+        simd = "unknown"
+    try:
+        blas = ctypes.CDLL(umath.__file__)
         corename = blas.scipy_openblas_get_corename64_
         corename.argtypes, corename.restype = [], ctypes.c_char_p
         core = corename().decode()
     except (AttributeError, OSError):  # older numpy, or another BLAS
         core = "unknown"
     libc, version = platform.libc_ver()
-    return {"numpy": np.__version__, "openblas_core": core,
+    return {"numpy": np.__version__, "numpy_simd": simd,
+            "openblas_core": core,
             "libc": f"{libc} {version}" if libc else "unknown"}

@@ -268,7 +268,7 @@ def test_criterion_8_reformulation_and_midpoint_identities():
     worst_mid = 0.0
     for j in rng.integers(0, 15, size=200):
         midpoint_step(st, obj, int(j), mu)
-        worst_mid = max(worst_mid, midpoint_identity_residual(st, mu))
+        worst_mid = max(worst_mid, midpoint_identity_residual(obj, st, mu))
     ok = worst_u <= 1e-12 and worst_mid <= 1e-10
     _report(8, ok, f"u-form deviation {worst_u:.2e} over 100 steps, "
             f"midpoint identity residual {worst_mid:.2e} over 200 steps")

@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -366,7 +367,7 @@ def test_saga_explicit_l2_steps_in_numpy_on_sparse_data(monkeypatch):
     # source of the GradientTable.update calls that LAYERS in
     # perfbench/tracing.py requires on sparse_ridge (ROADMAP item 1), and
     # its dense-row margin np.vdot(obj.points[j], x) is due to move over
-    # the nonzeros (ROADMAP item 4)
+    # the nonzeros (ROADMAP item 5)
     if _kernel.load() is None:
         pytest.skip("the compiled passes do not build here")
     obj = _table_objective("saga_explicit_l2", "squared", 0.1, True, 20)
@@ -477,7 +478,7 @@ def test_midpoint_failed_margin_solve_raises_alike_at_the_same_step(
     assert outs == [outs[0]] * len(outs)
 
 
-@pytest.mark.parametrize("method", ["saga_u", "finito", "sag"])
+@pytest.mark.parametrize("method", ["saga_u", "sag"])
 def test_table_non_finite_margin_raises_the_same_value_error(method,
                                                              kernel_paths):
     # the dense table's margins overflow once x leaves the origin
@@ -490,18 +491,24 @@ def test_table_non_finite_margin_raises_the_same_value_error(method,
 
 
 def test_scalar_table_steps_through_an_overflowing_margin(kernel_paths):
-    # a scalar table takes no margin check: from x = (5, 5) on, these
-    # margins are inf and the logistic weights 0, on both paths
+    # a scalar table takes no margin check: from x = (5, 5) on (saga_u
+    # without a split L2 term), or (10, 10) (finito, whose table is scalar
+    # with one), these margins are inf and the logistic weights 0, on both
+    # paths and without a numpy warning
     ds = Dataset.from_dense(np.full((2, 2), 1e308), [1.0, 1.0])
-    obj = FiniteSumObjective(ds, make_loss("logistic"))
-    consts = ProblemConstants(n=2, d=2, L=1.0, mu=0.0)
-    rows = []
-    for _ in kernel_paths():
-        res = run("saga_u", obj, np.zeros(2), epochs=3, seed=0, consts=consts,
-                  policy=StepSizePolicy("manual", gamma=1e-307))
-        rows.append([r.x.tobytes() for r in res.records])
-    assert rows == [rows[0]] * len(rows)
-    assert np.frombuffer(rows[0][-1]).tolist() == [5.0, 5.0]
+    for method, split, end in (("saga_u", 0.0, 5.0), ("finito", 0.5, 10.0)):
+        obj = FiniteSumObjective(ds, make_loss("logistic"), split_l2=split)
+        consts = ProblemConstants(n=2, d=2, L=1.0 + 2 * split, mu=split)
+        rows = []
+        for _ in kernel_paths():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = run(method, obj, np.zeros(2), epochs=3, seed=0,
+                          consts=consts,
+                          policy=StepSizePolicy("manual", gamma=1e-307))
+            rows.append([r.x.tobytes() for r in res.records])
+        assert rows == [rows[0]] * len(rows)
+        assert np.frombuffer(rows[0][-1]).tolist() == [end, end]
 
 
 @pytest.mark.parametrize("method", TABLE_METHODS)
@@ -544,7 +551,7 @@ def _bind(method, obj, state, xsum):
 
 
 def _finito_bytes(state, xsum):
-    return [a.tobytes() for a in (state.x, state.table.avg, state.table.vecs,
+    return [a.tobytes() for a in (state.x, state.table.avg, state.table.coeffs,
                                   state.phi, state.phi_mean, xsum)]
 
 
@@ -573,10 +580,10 @@ def test_bound_table_pass_rejects_bad_input_before_any_c_call():
 
 
 @pytest.mark.parametrize("method, split, array", [
-    ("finito", 0.1, "vecs"), ("finito", 0.1, "phi"), ("finito", 0.1, "xsum"),
+    ("finito", 0.1, "coeffs"), ("finito", 0.1, "phi"), ("finito", 0.1, "xsum"),
     ("saga_u", 0.1, "u"), ("saga_u", 0.0, "coeffs"), ("sag", 0.1, "vecs"),
     ("sag", 0.0, "coeffs"), ("sag", 0.1, "xsum"), ("midpoint", 0.1, "phi"),
-    ("midpoint", 0.1, "vecs"), ("midpoint", 0.1, "sqnorms")])
+    ("midpoint", 0.1, "coeffs"), ("midpoint", 0.1, "sqnorms")])
 def test_binding_rejects_a_non_contiguous_run_long_array(method, split, array):
     obj, state, xsum = _bound_state(method, split)
     if array == "xsum":

@@ -9,6 +9,10 @@ numpy paths must agree everywhere.
 """
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -40,3 +44,27 @@ def test_certify_report_equals_the_checked_in_file(seed, kernel_paths,
     with capsys.disabled():
         print(f"\ncertify --seed {seed}: byte check skipped on {here}; "
               f"the file was made on {RECORDED}")
+
+
+def _fingerprint_in_a_process(**env):
+    here = pathlib.Path(__file__).resolve().parent
+    code = ("import json; from helpers import machine_fingerprint; "
+            "print(json.dumps(machine_fingerprint()))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, **env,
+                                  PYTHONPATH=os.pathsep.join(
+                                      [str(here.parent / "src"), str(here)])))
+    return json.loads(out.stdout)
+
+
+def test_fingerprint_differs_with_numpy_simd_targets_disabled():
+    # numpy picks its loops by the SIMD targets it dispatches to, so a
+    # process that disables some of them is another machine for the bytes
+    plain = _fingerprint_in_a_process()
+    assert plain == machine_fingerprint()
+    if plain["numpy_simd"] in ([], "unknown"):
+        pytest.skip(f"numpy dispatches to no SIMD target here: {plain}")
+    off = _fingerprint_in_a_process(
+        NPY_DISABLE_CPU_FEATURES=" ".join(plain["numpy_simd"]))
+    assert off == dict(plain, numpy_simd=[])

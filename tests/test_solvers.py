@@ -408,13 +408,14 @@ def test_finito_mean_update_identity_in_expectation():
     for j in rng.integers(0, 7, size=10):
         finito_step(base, obj, int(j), 0.02)
     gamma = 0.02
-    x_next = base.phi_mean - gamma * base.table.sum()
+    grads = obj.gradients_at_points(base.phi)
+    x_next = base.phi_mean - gamma * grads.sum(axis=0)
     acc = np.zeros(3)
     for j in range(obj.n):
         st = finito_init(obj, np.zeros(3))
         st.phi = base.phi.copy()
         st.phi_mean = base.phi_mean.copy()
-        st.table = GradientTable(obj, "dense", vecs=base.table.vecs.copy(),
+        st.table = GradientTable(obj, "scalar", coeffs=base.table.coeffs.copy(),
                                  avg=base.table.avg.copy())
         finito_step(st, obj, j, gamma)
         acc += st.phi_mean
@@ -505,8 +506,8 @@ def test_variant5_blend_weights():
 def _copying_steps(method, state, obj, js, mu, L):
     """sdca_primal_step, sdca_variant5_step and midpoint_step written
     with every stored entry read from a copy taken before the step: the
-    coefficient array for sdca's scalar tables, and through the copying
-    table.gradient(j) for midpoint's rows."""
+    coefficient array, and for midpoint's rows c_j a_j + split phi_j
+    also the stored points."""
     n, table = obj.n, state.table
     for j in js:
         a = obj.points[j]
@@ -527,13 +528,15 @@ def _copying_steps(method, state, obj, js, mu, L):
             state.x = state.x - ((1.0 / (mu * n))
                                  * (table.coeffs.copy()[j] - c_old)) * a
         else:
-            g_old = table.gradient(j)
+            lam = obj.split_l2
+            g_old = table.coeffs.copy()[j] * a + lam * state.phi.copy()[j]
             gamma_p = 1.0 / (mu * (n - 1))
             z = ((state.phi_mean * n - state.phi[j]) / (n - 1)
-                 - (table.sum() - g_old) / (mu * (n - 1)))
+                 - ((table.avg + lam * state.phi_mean) * n - g_old)
+                 / (mu * (n - 1)))
             c = scalar_loss_prox(obj, j, gamma_p, float(np.vdot(a, z)))
-            phi_j = (z - gamma_p * c * a) / (1.0 + gamma_p * obj.split_l2)
-            table.update(j, (z - phi_j) / gamma_p)
+            phi_j = (z - gamma_p * c * a) / (1.0 + gamma_p * lam)
+            table.update(j, c)
             state.phi_mean = state.phi_mean + (phi_j - state.phi[j]) / n
             state.phi[j] = phi_j
             state.x = phi_j
@@ -558,10 +561,7 @@ def test_in_place_row_reads_equal_copying_steps(method):
         step[method](got, obj, j, mu)
     _copying_steps(method, want, obj, js, mu, L)
     assert np.array_equal(got.x, want.x)
-    if method == "midpoint":
-        assert np.array_equal(got.table.vecs, want.table.vecs)
-    else:
-        assert np.array_equal(got.table.coeffs, want.table.coeffs)
+    assert np.array_equal(got.table.coeffs, want.table.coeffs)
     assert np.array_equal(got.table.avg, want.table.avg)
     if method == "midpoint":
         assert np.array_equal(got.phi, want.phi)
@@ -594,16 +594,22 @@ def test_sdca_epoch_on_sparse_data_holds_no_n_by_d_table(method, kernel_paths):
     obj = FiniteSumObjective(ds, make_loss("squared"), reg=Regularizer(l2=0.1))
     assert obj.sparse
     obj.points  # the dense copy, charged before tracing
-    x0 = np.zeros(obj.d)
+    assert max(_one_epoch_peaks(method, obj, kernel_paths)) < 1e6
+
+
+def _one_epoch_peaks(method, obj, kernel_paths):
+    """The traced peak of a one-epoch run of ``method`` from the origin on
+    each path, after a first call's imports and loads."""
+    x0, peaks = np.zeros(obj.d), []
     for _ in kernel_paths():
-        run(method, obj, x0, epochs=0)  # a first call's imports and loads
+        run(method, obj, x0, epochs=0)
         tracemalloc.start()
         try:
             run(method, obj, x0, epochs=1, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
+            peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert peak < 1e6
+    return peaks
 
 
 def _frozen_dense_sdca(obj, x0, mu, js):
@@ -665,7 +671,7 @@ def test_midpoint_hand_values(two_quadratics):
     midpoint_step(st, obj, 0, mu=1.0)
     assert st.phi[0] == pytest.approx([0.0], abs=1e-14)
     assert st.x == pytest.approx([0.0], abs=1e-14)
-    assert midpoint_identity_residual(st, 1.0) <= 1e-14
+    assert midpoint_identity_residual(obj, st, 1.0) <= 1e-14
 
 
 def test_midpoint_identity_along_random_run():
@@ -674,7 +680,7 @@ def test_midpoint_identity_along_random_run():
     st = finito_init(obj, rng.standard_normal(4))
     for j in rng.integers(0, 9, size=60):
         midpoint_step(st, obj, int(j), mu=0.6)
-        assert midpoint_identity_residual(st, 0.6) <= 1e-10
+        assert midpoint_identity_residual(obj, st, 0.6) <= 1e-10
 
 
 def test_midpoint_zero_gradient_leave_one_out():
@@ -688,6 +694,17 @@ def test_midpoint_zero_gradient_leave_one_out():
     sum_phi = st.phi_mean * 2
     z = (sum_phi - st.phi[0]) / 1 - (st.table.sum() - st.table.gradient(0)) / mu
     assert z == pytest.approx(st.phi[1])
+
+
+@pytest.mark.parametrize("method", ["finito", "midpoint"])
+def test_stored_point_methods_hold_one_n_by_d_array(method, kernel_paths):
+    # phi is the one (n, d) array of these runs: the table beside it keeps
+    # one coefficient per point, not a second n x d table of rows
+    n, d = 200, 2000
+    ds = generate_synthetic("logistic", n=n, d=d, seed=2, normalize=True)
+    obj = FiniteSumObjective(ds, make_loss("logistic"), split_l2=0.1)
+    obj.points, obj.dataset.sqnorms()  # cached, charged before tracing
+    assert max(_one_epoch_peaks(method, obj, kernel_paths)) < 1.5 * n * d * 8
 
 
 def test_midpoint_needs_two_components():
@@ -761,11 +778,17 @@ def test_table_scalar_update_matches_dense_formula(density, support):
     assert np.array_equal(table.coeffs, coeffs)
 
 
-def test_table_scalar_mode_requires_no_split():
+def test_table_scalar_mode_with_a_split_holds_the_loss_part():
+    # f_i'(phi_i) = c_i a_i + split phi_i: the table keeps c_i and the
+    # mean of the c_i a_i, and a state keeping phi adds the rest
     rng = np.random.default_rng(42)
     obj = make_random_objective(rng, split=0.5)
-    with pytest.raises(ConfigError):
-        GradientTable.at_point(obj, np.zeros(obj.d), mode="scalar")
+    x = rng.standard_normal(obj.d)
+    table = GradientTable.at_point(obj, x, mode="scalar")
+    assert table.vecs is None
+    assert np.array_equal(table.coeffs, obj.loss_coeffs(x))
+    want = obj.component_gradients(x).mean(axis=0)
+    assert np.allclose(table.avg + obj.split_l2 * x, want, rtol=0, atol=1e-15)
 
 
 def test_sdca_iterate_stays_consistent_with_table():
