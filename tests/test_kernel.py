@@ -490,25 +490,34 @@ def test_table_non_finite_margin_raises_the_same_value_error(method,
     assert got == (ValueError, "x must be finite", None)
 
 
-def test_scalar_table_steps_through_an_overflowing_margin(kernel_paths):
-    # a scalar table takes no margin check: from x = (5, 5) on (saga_u
-    # without a split L2 term), or (10, 10) (finito, whose table is scalar
-    # with one), these margins are inf and the logistic weights 0, on both
-    # paths and without a numpy warning
+def _overflow_end(kernel_paths, method, split):
+    # a scalar table takes no margin check: once x leaves the origin these
+    # margins are inf and the logistic weights 0; the last x, the same on
+    # both paths and reached without a numpy warning
     ds = Dataset.from_dense(np.full((2, 2), 1e308), [1.0, 1.0])
-    for method, split, end in (("saga_u", 0.0, 5.0), ("finito", 0.5, 10.0)):
-        obj = FiniteSumObjective(ds, make_loss("logistic"), split_l2=split)
-        consts = ProblemConstants(n=2, d=2, L=1.0 + 2 * split, mu=split)
-        rows = []
-        for _ in kernel_paths():
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                res = run(method, obj, np.zeros(2), epochs=3, seed=0,
-                          consts=consts,
-                          policy=StepSizePolicy("manual", gamma=1e-307))
-            rows.append([r.x.tobytes() for r in res.records])
-        assert rows == [rows[0]] * len(rows)
-        assert np.frombuffer(rows[0][-1]).tolist() == [end, end]
+    obj = FiniteSumObjective(ds, make_loss("logistic"), split_l2=split)
+    consts = ProblemConstants(n=2, d=2, L=1.0 + 2 * split, mu=split)
+    rows = []
+    for _ in kernel_paths():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run(method, obj, np.zeros(2), epochs=3, seed=0,
+                      consts=consts,
+                      policy=StepSizePolicy("manual", gamma=1e-307))
+        rows.append([r.x.tobytes() for r in res.records])
+    assert rows == [rows[0]] * len(rows)
+    return np.frombuffer(rows[0][-1]).tolist()
+
+
+def test_scalar_table_steps_through_an_overflowing_margin(kernel_paths):
+    # saga_u without a split L2 term stops at x = (5, 5)
+    assert _overflow_end(kernel_paths, "saga_u", 0.0) == [5.0, 5.0]
+
+
+def test_finito_scalar_table_steps_through_an_overflowing_margin(
+        kernel_paths):
+    # finito's table is scalar with a split L2 term too: x reaches (10, 10)
+    assert _overflow_end(kernel_paths, "finito", 0.5) == [10.0, 10.0]
 
 
 @pytest.mark.parametrize("method", TABLE_METHODS)
