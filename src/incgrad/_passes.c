@@ -237,7 +237,7 @@ int64_t incgrad_table_pass(
                 return s;
             }
         }
-        if (coeffs) {  /* scalar: no margin check, as _new_gradient */
+        if (coeffs) {  /* scalar: no margin check, as GradientTable.entry */
             double c = loss_deriv(logistic, t, b), old = coeffs[j];
             if (method == SDCA_VARIANT5) {  /* blend, then move x along a_j */
                 c = (1.0 - beta) * old + beta * c;

@@ -59,6 +59,10 @@ class GradientTable:
     mean is maintained incrementally and can be recomputed from scratch
     with :meth:`resync` to shed accumulated rounding.
 
+    Entry j for f_j at x (:meth:`entry`) is psi_j'(a_j' x) in scalar
+    mode, with no margin check, and f_j'(x) in dense mode, whose
+    ``component_gradient`` raises ValueError on a non-finite margin.
+
     On sparse data (``FiniteSumObjective.sparse``) a scalar table sets
     ``support``: updates and steps touch only the nonzeros of a_i, with
     the bits of the dense form, whose c * 0 - c_old * 0 = +-0 off the
@@ -88,6 +92,14 @@ class GradientTable:
             return cls(obj, "scalar", coeffs=coeffs, avg=avg)
         vecs = obj.component_gradients(x)
         return cls(obj, "dense", vecs=vecs, avg=vecs.mean(axis=0))
+
+    def entry(self, j, x):
+        """The value entry j takes for f_j at x (see the class)."""
+        obj = self.obj
+        if self.mode == "scalar":
+            return obj.loss.deriv_scalar(float(np.vdot(obj.points[j], x)),
+                                         obj.labels[j])
+        return obj.component_gradient(j, x)
 
     def gradient(self, i) -> np.ndarray:
         """Stored f_i'(phi_i); its loss part c_i a_i in scalar mode."""
@@ -216,18 +228,8 @@ def step_size(policy: StepSizePolicy, consts: ProblemConstants) -> float:
 
 
 # ---------------------------------------------------------------------------
-# single steps: each updates the state in place and checks nothing; the
+# single steps: each updates the state in place and checks no rule; the
 # rules are checked once, before any table is built (see _setup)
-
-def _new_gradient(obj, table, j, x):
-    """(table entry value, gradient vector) of f_j at x."""
-    if table.mode == "scalar":
-        a = obj.points[j]
-        c = obj.loss.deriv_scalar(float(np.vdot(a, x)), obj.labels[j])
-        return c, c * a
-    g = obj.component_gradient(j, x)
-    return g, g
-
 
 def saga_step(state: SagaState, obj, j, gamma, per_n=False, mu=0.0):
     """One update of the saga family: x <- prox_gamma^h(w) with
@@ -237,21 +239,19 @@ def saga_step(state: SagaState, obj, j, gamma, per_n=False, mu=0.0):
     direction; ``mu`` is an L2 term kept out of the table (the explicit
     form), and its scaling is skipped when mu = 0."""
     table, x = state.table, state.x
-    if table.support:
-        idx, a = obj.dataset.point(j)
-        entry = obj.loss.deriv_scalar(float(np.vdot(obj.points[j], x)),
-                                      obj.labels[j])
+    entry = table.entry(j, x)
+    if table.mode == "dense":
+        diff = entry - table.vecs[j]
+    else:
+        idx, a = (obj.dataset.point(j) if table.support
+                  else (None, obj.points[j]))
         diff = entry * a - table.coeffs[j] * a
-        if per_n:
-            diff /= obj.n
+    if per_n:
+        diff /= obj.n
+    if table.support:
         step = table.avg * gamma
         step[idx] = (diff + table.avg[idx]) * gamma
     else:
-        entry, g_new = _new_gradient(obj, table, j, x)
-        diff = g_new - (table.vecs[j] if table.mode == "dense"
-                        else table.gradient(j))
-        if per_n:
-            diff /= obj.n
         step = gamma * (diff + table.avg)
     # w = (1 - gamma mu) x - step, written over step
     w = np.subtract((1.0 - gamma * mu) * x if mu else x, step, out=step)
@@ -275,8 +275,7 @@ def saga_u_step(state: SagaState, obj, j, gamma):
     """
     x = state.x
     state.u = state.u + (x - state.u) / obj.n
-    entry, _ = _new_gradient(obj, state.table, j, x)
-    state.table.update(j, entry)
+    state.table.update(j, state.table.entry(j, x))
     state.x = saga_u_reconstruct(state, gamma)
 
 
@@ -284,8 +283,7 @@ def finito_step(state: SagaState, obj, j, gamma):
     """x <- mean(phi) - gamma * sum_i f_i'(phi_i), then phi_j <- x."""
     x = state.phi_mean - gamma * (
         (state.table.avg + obj.split_l2 * state.phi_mean) * obj.n)
-    state.table.update(j, obj.loss.deriv_scalar(
-        float(np.vdot(obj.points[j], x)), obj.labels[j]))
+    state.table.update(j, state.table.entry(j, x))
     state.phi_mean = state.phi_mean + (x - state.phi[j]) / obj.n
     state.phi[j] = x
     state.x = x
@@ -318,8 +316,7 @@ def sdca_variant5_step(state: SagaState, obj, j, mu, L):
     gamma = 1.0 / (mu * obj.n)
     a = obj.points[j]
     c_old = float(state.table.coeffs[j])
-    c_x = obj.loss.deriv_scalar(float(np.vdot(a, state.x)), obj.labels[j])
-    new = (1.0 - beta) * c_old + beta * c_x
+    new = (1.0 - beta) * c_old + beta * state.table.entry(j, state.x)
     state.table.update(j, new)
     state.x = state.x - (gamma * (new - c_old)) * a
 
@@ -595,11 +592,10 @@ def _table_passes(method, obj, x0, gamma, mu, L, explicit_l2, epochs, rng,
     evals = float(n)  # the full pass at x0
     xsum = np.zeros_like(x0)
     kernel_pass = None
-    if method in COMPILED_STEPS:  # the explicit form scales by explicit_l2
+    if method in COMPILED_STEPS:  # mu is explicit_l2 in the explicit form
         from . import _kernel  # which loads the library only for a pass
         kernel_pass = _kernel.table_pass(
-            COMPILED_STEPS[method], obj, state, xsum, gamma=gamma, L=L,
-            mu=explicit_l2 if method == "saga_explicit_l2" else mu)
+            COMPILED_STEPS[method], obj, state, xsum, gamma=gamma, L=L, mu=mu)
     steps = 0
     yield 0, evals, state.x, xsum
 

@@ -362,6 +362,27 @@ def test_saga_explicit_l2_scales_by_explicit_l2_not_consts_mu(
     assert outs == [outs[0]] * len(outs)
 
 
+@pytest.mark.parametrize("kind", ["ridge", "logistic"])
+@pytest.mark.parametrize("d, density", [(100, 1.0), (2000, 0.005)],
+                         ids=["dense", "sparse"])
+def test_numpy_saga_equals_the_explicit_l2_pass_at_l2_zero(kind, d, density,
+                                                           kernel_paths):
+    # at l2 = 0 saga_explicit_l2 is saga: its scaling is skipped, so its
+    # compiled pass (dense data only) is a reference for numpy saga's
+    # scalar-table steps, byte for byte
+    ds = generate_synthetic(kind, n=200, d=d, density=density, seed=1)
+    obj = FiniteSumObjective(
+        ds, make_loss("squared" if kind == "ridge" else "logistic"))
+    assert obj.sparse == (density < 1.0)
+    for _ in kernel_paths():
+        rows = []
+        for method in ("saga", "saga_explicit_l2"):
+            res = run(method, obj, np.zeros(d), epochs=3, seed=4)
+            rows.append([(r.x.tobytes(), r.xbar.tobytes())
+                         for r in res.records])
+        assert len(rows[0]) == 4 and rows[0] == rows[1]
+
+
 def test_saga_explicit_l2_steps_in_numpy_on_sparse_data(monkeypatch):
     # on sparse data the step stays numpy's support step: it is the only
     # source of the GradientTable.update calls that LAYERS in

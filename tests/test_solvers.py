@@ -164,7 +164,7 @@ def test_explicit_l2_reduces_to_plain_saga_when_mu_zero():
     for j in rng.integers(0, obj.n, size=30):
         saga_step(a, obj, int(j), 0.05)
         saga_step(b, obj, int(j), 0.05, mu=0.0)
-    assert np.allclose(a.x, b.x, atol=1e-14)
+    assert np.array_equal(a.x, b.x)
 
 
 def test_explicit_l2_matches_split_form_for_one_step():
