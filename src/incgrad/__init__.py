@@ -31,7 +31,6 @@ from .solvers import (
     GradientTable,
     RunResult,
     SagaState,
-    StepSizePolicy,
     TraceRecord,
     check_method,
     prox_gradient_optimum,
@@ -59,7 +58,6 @@ __all__ = [
     "RunResult",
     "SagaState",
     "SquaredLoss",
-    "StepSizePolicy",
     "TraceRecord",
     "check_method",
     "estimate_constants",

@@ -23,10 +23,11 @@ from .objectives import (
     ProblemConstants,
     Regularizer,
     estimate_constants,
+    is_int,
     make_loss,
     sigmoid,
 )
-from .solvers import StepSizePolicy, is_int, prox_gradient_optimum, step_size
+from .solvers import prox_gradient_optimum, step_size
 
 MAX_ENUMERABLE_N = 10_000
 NEWTON_MAX_STEPS = 20
@@ -54,7 +55,7 @@ class LyapunovParams:
         kappa = 1/(gamma mu), beta = (2 mu n + L)/L."""
         if consts.mu <= 0:
             raise ConfigError("the strongly convex preset needs mu > 0")
-        gamma = step_size(StepSizePolicy("strongly_convex"), consts)
+        gamma = step_size("strongly_convex", consts)
         c = 1.0 / (2.0 * gamma * (1.0 - gamma * consts.mu) * consts.n)
         kappa = 1.0 / (gamma * consts.mu)
         beta = (2.0 * consts.mu * consts.n + consts.L) / consts.L
@@ -65,7 +66,7 @@ class LyapunovParams:
         """gamma = 1/(3L) without using mu in the step; the contraction
         rate 1/kappa = min(1/(4n), mu/(3L)) still reflects any strong
         convexity actually present, with beta = 2 and the same c."""
-        gamma = step_size(StepSizePolicy("adaptive"), consts)
+        gamma = step_size("adaptive", consts)
         c = 1.0 / (2.0 * gamma * (1.0 - gamma * consts.mu) * consts.n)
         rate = min(1.0 / (4.0 * consts.n), consts.mu / (3.0 * consts.L))
         kappa = math.inf if rate == 0 else 1.0 / rate
@@ -195,25 +196,17 @@ def _component_value_gradient_ld(obj, i, x):
     The strong-convexity lower bound is an equality for quadratics, and
     its 1/(2(L-mu)) coefficient blows up for weakly curved components,
     so double-precision cancellation alone can push the gap past 1e-12;
-    the whole evaluation therefore runs in long double.
+    the whole evaluation therefore runs in long double, which the loss
+    models keep.
     """
     ld = np.longdouble
     a = obj.points[i].astype(ld)
-    b = ld(obj.labels[i])
+    b = obj.labels[i]
     sig = ld(obj.split_l2)
     x = np.asarray(x, dtype=ld)
     t = a @ x
-    if obj.loss.kind == "squared":
-        val = ld(0.5) * (t - b) ** 2
-        coef = t - b
-    else:
-        u = -b * t
-        val = np.logaddexp(ld(0), u)
-        e = np.exp(-np.abs(u))
-        s = 1.0 / (1.0 + e) if u >= 0 else e / (1.0 + e)
-        coef = -b * s
-    val += ld(0.5) * sig * (x @ x)
-    return val, coef * a + sig * x
+    val = obj.loss.value(t, b) + ld(0.5) * sig * (x @ x)
+    return val, obj.loss.deriv(t, b) * a + sig * x
 
 
 def lemma_strong_lb_gap(obj, i, x, y, mu, L) -> float:
@@ -347,7 +340,7 @@ def bound_value(kind: str, obj, consts: ProblemConstants, x0, x_star, k: int,
                 "pass allow_unverified=True to evaluate it anyway")
         if mu <= 0:
             raise ConfigError("average_sc requires mu > 0")
-        gamma = step_size(StepSizePolicy("average_sc"), consts)
+        gamma = step_size("average_sc", consts)
         rate = 1.0 - mu / (6.0 * (mu * n + L))
         return rate**k * (d0 + 2.0 * gamma * (1.0 - gamma * mu) * n * bracket)
     raise ConfigError(f"unknown bound kind {kind!r}")

@@ -9,8 +9,7 @@ import numpy as np
 
 from .cscmat import CscMatrix
 from .errors import ConfigError
-from .objectives import Dataset, is_real, sigmoid
-from .solvers import is_int
+from .objectives import Dataset, is_int, is_real, sigmoid
 
 
 # the largest d whose d-vector of doubles numpy can size (2^60 - 1)

@@ -19,7 +19,7 @@ from .datasets import generate_synthetic, load_libsvm
 from .errors import ConfigError, DivergenceError, InconsistentReferenceError
 from .objectives import FiniteSumObjective, Regularizer, make_loss
 from .solvers import (
-    StepSizePolicy,
+    _check_step,
     _setup,
     check_method,
     method_info,
@@ -95,7 +95,7 @@ def _call(fn, raw, table, level, **preset):
 @dataclass
 class MethodSpec:
     name: str
-    policy: StepSizePolicy | None = None
+    step: float | str | None = None
 
     @classmethod
     def from_config(cls, entry):
@@ -106,10 +106,8 @@ class MethodSpec:
         if not entry.get("name"):
             raise ConfigError(f"'methods' entry {entry!r} needs a 'name' string")
         step = entry.get("step_size")
-        if isinstance(step, str):
-            return cls(entry["name"], StepSizePolicy(step))
-        return cls(entry["name"], None if step is None
-                   else StepSizePolicy("manual", gamma=step))
+        _check_step(step)
+        return cls(entry["name"], step)
 
 
 @dataclass
@@ -170,7 +168,7 @@ def validate_config(cfg: ExperimentConfig):
     loss = make_loss(cfg.loss).kind
     for spec in cfg.methods:
         check_method(spec.name, loss=loss, l1=cfg.l1, mu=cfg.l2,
-                     policy=spec.policy)
+                     step=spec.step)
 
 
 def build_dataset(cfg: ExperimentConfig):
@@ -197,15 +195,14 @@ def compute_reference_optimum(obj):
 
 
 def _sweep_gamma(name, obj, x0, cfg, reference):
-    """Geometric grid around the theory default; picks the step with the
-    lowest final suboptimality on the first seed."""
+    """Geometric grid around the theory default; returns the step with
+    the lowest final suboptimality on the first seed."""
     *_, base = _setup(name, obj)
     best_gamma, best_val = None, np.inf
     for mult in SWEEP_GRID:
         gamma = base * mult
         try:
-            final = run(name, obj, x0, epochs=cfg.epochs,
-                        policy=StepSizePolicy("manual", gamma=gamma),
+            final = run(name, obj, x0, epochs=cfg.epochs, step=gamma,
                         seed=cfg.seeds[0], trace_every=cfg.epochs,
                         reference=reference).records[-1].subopt
         except (DivergenceError, ConfigError):
@@ -214,7 +211,7 @@ def _sweep_gamma(name, obj, x0, cfg, reference):
             best_val, best_gamma = final, gamma
     if best_gamma is None:
         raise DivergenceError(0, detail=f"every swept step diverged for {name}")
-    return StepSizePolicy("manual", gamma=best_gamma)
+    return best_gamma
 
 
 def _result_rows(res, method, seed, n):
@@ -247,15 +244,15 @@ def run_experiment(cfg: ExperimentConfig, sweep_steps=False):
     reference = (x_star, f_star)
     rows = []
     for spec in cfg.methods:
-        policy = spec.policy
-        if (sweep_steps and policy is None
+        step = spec.step
+        if (sweep_steps and step is None
                 and not method_info(spec.name).param_free):
-            policy = _sweep_gamma(spec.name, canon, x0, cfg, reference)
+            step = _sweep_gamma(spec.name, canon, x0, cfg, reference)
         for seed in cfg.seeds:
             # the result goes out of scope here, so the next run starts
             # without this one's iterate copies
             rows += _result_rows(
-                run(spec.name, canon, x0, epochs=cfg.epochs, policy=policy,
+                run(spec.name, canon, x0, epochs=cfg.epochs, step=step,
                     seed=seed, trace_every=cfg.trace_every,
                     reference=reference),
                 spec.name, seed, ds.n)

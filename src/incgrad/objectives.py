@@ -31,9 +31,21 @@ def is_real(value):
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def is_int(value):
+    """True for an integer other than a bool: True counts nothing."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _floating(t):
+    """``t`` as an array of its floating dtype (certify's lemma passes
+    long double), or else of float64."""
+    t = np.asarray(t)
+    return t if t.dtype.kind == "f" else t.astype(float)
+
+
 def sigmoid(u):
     """Numerically stable logistic function, elementwise."""
-    u = np.asarray(u, dtype=float)
+    u = _floating(u)
     e = np.exp(-np.abs(u))
     d = 1.0 + e
     return np.where(u >= 0, 1.0, e) / d
@@ -114,11 +126,11 @@ class SquaredLoss(LossModel):
     curvature_bound = 1.0
 
     def value(self, t, b):
-        r = np.asarray(t, float) - b
+        r = _floating(t) - b
         return 0.5 * r * r
 
     def deriv(self, t, b):
-        return np.asarray(t, float) - b
+        return _floating(t) - b
 
     def deriv_scalar(self, t, b):
         return t - b
@@ -129,10 +141,10 @@ class LogisticLoss(LossModel):
     curvature_bound = 0.25
 
     def value(self, t, b):
-        return np.logaddexp(0.0, -b * np.asarray(t, float))
+        return np.logaddexp(0.0, -b * _floating(t))
 
     def deriv(self, t, b):
-        return -b * sigmoid(-b * np.asarray(t, float))
+        return -b * sigmoid(-b * _floating(t))
 
     def deriv_scalar(self, t, b):
         return -b * _sigmoid_scalar(-b * t)

@@ -12,7 +12,6 @@ single :func:`run` driver handles sampling, tracing and bookkeeping.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,17 +23,13 @@ from .objectives import (
     ProblemConstants,
     Regularizer,
     estimate_constants,
+    is_int,
     is_real,
     scalar_loss_prox,
 )
 
 DIVERGENCE_SQNORM = 1e24  # |x|^2 guard, i.e. |x| > 1e12
 _DIVERGED = "non-finite or oversized iterate"
-
-
-def is_int(value):
-    """True for an integer other than a bool: True counts nothing."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _check_iterate(x, k):
@@ -100,12 +95,6 @@ class GradientTable:
             return obj.loss.deriv_scalar(float(np.vdot(obj.points[j], x)),
                                          obj.labels[j])
         return obj.component_gradient(j, x)
-
-    def gradient(self, i) -> np.ndarray:
-        """Stored f_i'(phi_i); its loss part c_i a_i in scalar mode."""
-        if self.mode == "scalar":
-            return self.coeffs[i] * self.obj.points[i]
-        return self.vecs[i].copy()
 
     def update(self, i, new):
         """Replace entry i (a weight in scalar mode, a vector otherwise)
@@ -186,43 +175,33 @@ def sdca_init(obj, x0, mu) -> SagaState:
 
 
 # ---------------------------------------------------------------------------
-# step size policies
+# step sizes
 
-@dataclass(frozen=True)
-class StepSizePolicy:
-    """Step-size selection rule.
-
-    ``strongly_convex`` -> 1/(2(mu n + L)); ``average_sc`` ->
-    1/(3(mu n + L)); ``adaptive`` -> 1/(3L), needing no mu; ``manual``
-    passes gamma through, and is the only mode that takes one.
-    """
-
-    mode: str
-    gamma: float | None = None
-
-    def __post_init__(self):
-        if self.mode not in ("strongly_convex", "average_sc", "adaptive", "manual"):
-            raise ConfigError(f"unknown step size mode {self.mode!r}")
-        if self.mode == "manual" and not (
-                is_real(self.gamma) and 0 < self.gamma < math.inf):
-            raise ConfigError("manual step size requires a finite gamma > 0")
-        if self.mode != "manual" and self.gamma is not None:
-            raise ConfigError(f"step size mode {self.mode!r} takes no gamma")
-
-    def check_mu(self, mu):
-        """ConfigError if this mode needs mu > 0 and ``mu`` is not."""
-        if self.mode in ("strongly_convex", "average_sc") and not mu > 0:
-            raise ConfigError(f"step size mode {self.mode!r} needs mu > 0; "
+def _check_step(step, mu=None):
+    """ConfigError unless ``step`` is None (the default) or a step that
+    :func:`step_size` takes; with ``mu`` given, also unless its rule,
+    if any, can be formed at that mu."""
+    if isinstance(step, str):
+        if step not in ("strongly_convex", "average_sc", "adaptive"):
+            raise ConfigError(f"unknown step size mode {step!r}")
+        if step != "adaptive" and mu is not None and not mu > 0:
+            raise ConfigError(f"step size mode {step!r} needs mu > 0; "
                               "use the adaptive mode 1/(3L) instead")
+    elif step is not None and not (is_real(step) and 0 < step < math.inf):
+        raise ConfigError("manual step size requires a finite gamma > 0")
 
 
-def step_size(policy: StepSizePolicy, consts: ProblemConstants) -> float:
-    policy.check_mu(consts.mu)
-    if policy.mode == "manual":
-        return float(policy.gamma)
-    if policy.mode == "adaptive":
+def step_size(step, consts: ProblemConstants) -> float:
+    """The step ``step`` on a problem with constants ``consts``, as a
+    config's ``step_size`` states it: a finite number > 0, or a rule,
+    ``strongly_convex`` -> 1/(2(mu n + L)), ``average_sc`` ->
+    1/(3(mu n + L)) or ``adaptive`` -> 1/(3L), which needs no mu."""
+    _check_step(step, consts.mu)
+    if not isinstance(step, str):
+        return float(step)
+    if step == "adaptive":
         return 1.0 / (3.0 * consts.L)
-    if policy.mode == "strongly_convex":
+    if step == "strongly_convex":
         return 1.0 / (2.0 * (consts.mu * consts.n + consts.L))
     return 1.0 / (3.0 * (consts.mu * consts.n + consts.L))
 
@@ -396,31 +375,30 @@ def _check_scaling(gamma, l2):
         raise ConfigError("the explicit form needs l2 >= 0 and gamma * l2 < 1")
 
 
-def check_method(name, *, loss, l1, mu, policy=None, n=None, sampling="iid",
+def check_method(name, *, loss, l1, mu, step=None, n=None, sampling="iid",
                  inner_steps=None) -> Method:
     """Every rule that ties a method to its problem and run options:
     ``loss`` is the loss kind, ``l1`` the L1 strength, ``mu`` the L2
-    strength of the problem, ``n`` the number of points, if known, and
-    ``inner_steps`` svrg's steps per pass, if given.  Returns the
-    method's record."""
+    strength of the problem, ``step`` the step (see :func:`step_size`),
+    ``n`` the number of points, if known, and ``inner_steps`` svrg's
+    steps per pass, if given.  Returns the method's record."""
     info = method_info(name)
     if l1 > 0 and not info.prox:
         raise ConfigError(f"{name} has no proximal support and cannot take "
                           "an L1 regulariser")
     if info.needs_mu and not mu > 0:
         raise ConfigError(f"{name} requires an L2 strength > 0 (mu > 0)")
+    _check_step(step, mu)
     if info.form == "explicit":
-        _check_scaling(policy.gamma if policy is not None else None, mu)
+        _check_scaling(None if isinstance(step, str) else step, mu)
     if name == "midpoint" and n is not None and n < 2:
         raise ConfigError("midpoint requires n >= 2")
     if name == "saga_lazy" and loss != "squared":
         raise ConfigError("the lazy sparse engine only covers squared loss")
-    if policy is not None and info.param_free:
+    if step is not None and info.param_free:
         raise ConfigError(f"{name} is parameter free; drop the step policy")
-    if policy is not None and name == "finito" and policy.mode != "manual":
+    if name == "finito" and isinstance(step, str):
         raise ConfigError("finito accepts only a manual step size override")
-    if policy is not None:
-        policy.check_mu(mu)
     if sampling not in ("iid", "perm"):
         raise ConfigError(f"unknown sampling mode {sampling!r}")
     if sampling != "iid" and name in ("svrg", "saga_lazy"):
@@ -435,7 +413,7 @@ def check_method(name, *, loss, l1, mu, policy=None, n=None, sampling="iid",
     return info
 
 
-def _setup(method, obj, consts=None, policy=None, sampling="iid",
+def _setup(method, obj, consts=None, step=None, sampling="iid",
            inner_steps=None):
     """Check a run of ``method`` on the problem ``obj`` before any work.
     Returns ``obj`` in the method's form (``obj`` itself if it is in
@@ -443,9 +421,9 @@ def _setup(method, obj, consts=None, policy=None, sampling="iid",
     and L of its steps (those of ``consts``, estimated unless given; the
     separate form's components keep none of the L2 strength, so its mu
     is the regulariser's unless ``consts`` give one) and the step of
-    ``policy``: None when the method is parameter free, and without a
-    policy 1/(2 mu n) for finito, otherwise 1/(2(mu n + L)) when mu > 0
-    and 1/(3L) when not."""
+    ``step``: None when the method is parameter free, and by default
+    1/(2 mu n) for finito, otherwise 1/(2(mu n + L)) when mu > 0 and
+    1/(3L) when not."""
     info = method_info(method)
     l2 = obj.split_l2 + obj.reg.l2
     split, h_l2, explicit_l2 = (l2 if info.form == form else 0.0
@@ -461,14 +439,14 @@ def _setup(method, obj, consts=None, policy=None, sampling="iid",
     mu = l2 if info.form == "explicit" else consts.mu or h_l2
     check_method(method, loss=obj.loss.kind, l1=obj.reg.l1,
                  mu=min(mu, l2) if info.needs_mu else mu,
-                 policy=policy, n=obj.n, sampling=sampling,
+                 step=step, n=obj.n, sampling=sampling,
                  inner_steps=inner_steps)
     if info.param_free:
         gamma = None
-    elif policy is None and method == "finito":
+    elif step is None and method == "finito":
         gamma = 1.0 / (2.0 * consts.mu * consts.n)
     else:
-        gamma = step_size(policy or StepSizePolicy(
+        gamma = step_size(step or (
             "strongly_convex" if consts.mu > 0 else "adaptive"), consts)
     if info.form == "explicit":
         _check_scaling(gamma, explicit_l2)
@@ -513,12 +491,14 @@ def _record(obj, k, evals, x, xbar, reference, extra_l2=0.0):
     return rec
 
 
-def run(method, obj, x0, *, epochs, policy=None, seed=0, rng=None,
+def run(method, obj, x0, *, epochs, step=None, seed=0, rng=None,
         trace_every=1, reference=None, consts=None, sampling="iid",
         inner_steps=None) -> RunResult:
     """Run a method for a number of epochs of n steps each on the
     problem ``obj``, whose L2 strength ``obj.split_l2 + obj.reg.l2`` goes
-    where the method's form (:class:`Method`) keeps it.
+    where the method's form (:class:`Method`) keeps it, with the step
+    ``step``: a number, a rule name (see :func:`step_size`) or None,
+    the default of :func:`_setup`.
 
     The gradient table (or stored points) is initialised with a full
     pass at x0, charged n gradient evaluations.  ``sampling`` picks
@@ -549,7 +529,7 @@ def run(method, obj, x0, *, epochs, policy=None, seed=0, rng=None,
         raise ConfigError(f"x0 must be a finite vector of length {obj.d}")
     if rng is None:
         rng = np.random.default_rng(seed)
-    obj, explicit_l2, mu, L, gamma = _setup(method, obj, consts, policy,
+    obj, explicit_l2, mu, L, gamma = _setup(method, obj, consts, step,
                                             sampling, inner_steps)
     if method == "svrg":
         m = obj.n if inner_steps is None else int(inner_steps)

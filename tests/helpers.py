@@ -1,6 +1,7 @@
-"""Helpers that only the tests call: a fixed-point residual oracle, an
-added L2 term, a libsvm writer, a frozen sigmoid and the fingerprint of
-the machine that checked-in outputs depend on."""
+"""Helpers that only the tests call: a fixed-point residual oracle, a
+gradient table's stored gradient, an added L2 term, a libsvm writer, a
+frozen sigmoid and the fingerprint of the machine that checked-in
+outputs depend on."""
 
 import ctypes
 import platform
@@ -26,6 +27,14 @@ def frozen_sigmoid(u):
     e = np.exp(-np.abs(u))
     d = 1.0 + e
     return np.where(u >= 0, 1.0 / d, e / d)
+
+
+def stored_gradient(table, i) -> np.ndarray:
+    """Entry i of the gradient table ``table`` as the stored f_i'(phi_i);
+    its loss part c_i a_i on a scalar table."""
+    if table.mode == "scalar":
+        return table.coeffs[i] * table.obj.points[i]
+    return table.vecs[i].copy()
 
 
 def with_l2(obj, l2) -> FiniteSumObjective:

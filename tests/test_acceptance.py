@@ -14,7 +14,6 @@ from incgrad import (
     Dataset,
     FiniteSumObjective,
     Regularizer,
-    StepSizePolicy,
     estimate_constants,
     make_loss,
     prox_gradient_optimum,
@@ -76,14 +75,14 @@ def _ridge_unit_condition(seed=42):
     return obj, consts
 
 
-def _mean_trajectory(obj, policy, seeds, epochs, field):
+def _mean_trajectory(obj, step, seeds, epochs, field):
     """Trace steps, the mean of ``field`` over ``seeds`` seeded runs of
     ``saga_u`` (saga's iterates, through the compiled table pass), and
     x*.  ``field`` names a trace record attribute, or is a function of
     the record and F*."""
     reference = prox_gradient_optimum(obj)
     runs = [run("saga_u", obj, np.zeros(obj.d), epochs=epochs, seed=s,
-                policy=policy, reference=reference) for s in range(seeds)]
+                step=step, reference=reference) for s in range(seeds)]
     acc = sum(np.array([field(r, reference[1]) if callable(field)
                         else getattr(r, field) for r in res.records])
               for res in runs)
@@ -140,7 +139,7 @@ def test_criterion_3_adaptive_bound_tracking():
     t0 = time.time()
     obj, consts = _ridge_unit_condition()
     ks, mean_dist, x_star = _mean_trajectory(
-        obj, StepSizePolicy("adaptive"), seeds=200, epochs=30,
+        obj, "adaptive", seeds=200, epochs=30,
         field="dist_sq")
     x0 = np.zeros(obj.d)
     worst_ratio = 0.0
@@ -162,7 +161,7 @@ def test_criterion_4_non_strongly_convex_rate():
     assert consts.mu == 0.0
     x0 = np.zeros(d)
     ks, mean_gap, x_star = _mean_trajectory(
-        obj, StepSizePolicy("adaptive"), seeds=200, epochs=30,
+        obj, "adaptive", seeds=200, epochs=30,
         field=lambda rec, f_star: obj.value(rec.xbar) - f_star)
     worst_ratio = 0.0
     for k, m in zip(ks, mean_gap):
@@ -229,7 +228,7 @@ def test_criterion_7_lazy_equals_dense():
         epochs = 3
         seed = trial + 1
         res = run("saga_lazy", with_l2(obj, reg), np.zeros(d), epochs=epochs,
-                  policy=StepSizePolicy("manual", gamma=gamma),
+                  step=gamma,
                   rng=np.random.default_rng(seed))
         replay = np.random.default_rng(seed)
         st = saga_init(obj, np.zeros(d))

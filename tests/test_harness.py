@@ -116,11 +116,10 @@ def test_config_rejects_unknown_fields_and_methods():
 
 def test_method_spec_parsing():
     spec = MethodSpec.from_config({"name": "saga", "step_size": 0.25})
-    assert spec.policy.mode == "manual"
-    assert spec.policy.gamma == 0.25
+    assert spec.step == 0.25
     spec = MethodSpec.from_config({"name": "svrg", "step_size": "adaptive"})
-    assert spec.policy.mode == "adaptive"
-    assert MethodSpec.from_config("sag").policy is None
+    assert spec.step == "adaptive"
+    assert MethodSpec.from_config("sag").step is None
 
 
 def test_config_tables_are_the_parameters_they_fill():
@@ -190,7 +189,7 @@ def test_validate_config_agrees_with_run(name, change):
     obj = canonical_objective(build_dataset(cfg), cfg)
     at_config = _raises_config_error(lambda: validate_config(cfg))
     at_run = _raises_config_error(lambda: run(
-        name, obj, np.zeros(obj.d), epochs=0, policy=cfg.methods[0].policy))
+        name, obj, np.zeros(obj.d), epochs=0, step=cfg.methods[0].step))
     assert at_config == at_run == (name in REJECTED_BY[change])
 
 

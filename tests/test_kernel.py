@@ -24,7 +24,6 @@ from incgrad import (
     ProblemConstants,
     ProxSolveError,
     Regularizer,
-    StepSizePolicy,
     _kernel,
     lazy,
     make_loss,
@@ -66,7 +65,7 @@ def _outcome(fn):
 
 def _svrg_bytes(obj, x0, gamma, **kw):
     res = run("svrg", obj, x0, epochs=3, seed=5,
-              policy=StepSizePolicy("manual", gamma=gamma), **kw)
+              step=gamma, **kw)
     return [r.x.tobytes() for r in res.records], res.xbar.tobytes()
 
 
@@ -78,7 +77,7 @@ def test_divergence_stops_both_paths_at_the_same_step(kernel_paths):
         rng = np.random.default_rng(4)
         outcomes.append(_outcome(lambda: run(
             "svrg", obj, x0, epochs=3, rng=rng,
-            policy=StepSizePolicy("manual", gamma=60.0))))
+            step=60.0)))
         states.append(rng.bit_generator.state)
     assert outcomes[0][0] is DivergenceError and outcomes[0][2] > 1
     assert outcomes == [outcomes[0]] * len(outcomes)
@@ -96,7 +95,7 @@ def test_non_finite_margin_raises_the_same_value_error(kernel_paths):
         rng = np.random.default_rng(0)
         outcomes.append(_outcome(lambda: run(
             "svrg", obj, np.zeros(2), epochs=1, inner_steps=4, rng=rng,
-            consts=consts, policy=StepSizePolicy("manual", gamma=1e-307))))
+            consts=consts, step=1e-307)))
         states.append(rng.bit_generator.state)
     assert outcomes[0] == (ValueError, "x must be finite", None)
     assert outcomes == [outcomes[0]] * len(outcomes)
@@ -329,7 +328,7 @@ def test_table_divergence_stops_both_paths_at_the_same_step(
     obj = make_random_objective(np.random.default_rng(2), kind=kind, n=10,
                                 d=5, split=split)
     got = _outcomes(kernel_paths, method, obj, np.ones(5),
-                    policy=StepSizePolicy("manual", gamma=gamma))
+                    step=gamma)
     assert got[0] is DivergenceError and got[2] > 1
 
 
@@ -507,7 +506,7 @@ def test_table_non_finite_margin_raises_the_same_value_error(method,
     obj = FiniteSumObjective(ds, make_loss("logistic"), split_l2=0.5)
     consts = ProblemConstants(n=2, d=2, L=2.0, mu=0.5)
     got = _outcomes(kernel_paths, method, obj, np.zeros(2), consts=consts,
-                    policy=StepSizePolicy("manual", gamma=1e-307))
+                    step=1e-307)
     assert got == (ValueError, "x must be finite", None)
 
 
@@ -524,7 +523,7 @@ def _overflow_end(kernel_paths, method, split):
             warnings.simplefilter("error")
             res = run(method, obj, np.zeros(2), epochs=3, seed=0,
                       consts=consts,
-                      policy=StepSizePolicy("manual", gamma=1e-307))
+                      step=1e-307)
         rows.append([r.x.tobytes() for r in res.records])
     assert rows == [rows[0]] * len(rows)
     return np.frombuffer(rows[0][-1]).tolist()
@@ -710,7 +709,7 @@ def test_lazy_overflow_within_a_pass_stops_both_paths_at_one_step(
     ds = generate_synthetic("ridge", n=200, d=2000, density=0.005, seed=1)
     obj = FiniteSumObjective(ds, make_loss("squared"), split_l2=1e-10)
     got = _outcomes(kernel_paths, "saga_lazy", obj, np.zeros(ds.d),
-                    policy=StepSizePolicy("manual", gamma=9.9e9))
+                    step=9.9e9)
     assert got == (DivergenceError,
                    "solver diverged at step 123 (non-finite step)", 123)
     assert got[2] < ds.n  # inside the first pass

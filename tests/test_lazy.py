@@ -14,7 +14,7 @@ from incgrad.lazy import (
     lagged_update,
     sparse_saga_lstsq_epoch,
 )
-from incgrad.solvers import StepSizePolicy, run, saga_init, saga_step
+from incgrad.solvers import run, saga_init, saga_step
 from helpers import with_l2
 
 
@@ -130,7 +130,7 @@ def _dense_replay(obj, gamma, reg, epochs, seed):
 
 def _lazy_run(obj, gamma, reg, epochs, rng):
     return run("saga_lazy", with_l2(obj, reg), np.zeros(obj.d), epochs=epochs,
-               rng=rng, policy=StepSizePolicy("manual", gamma=gamma))
+               rng=rng, step=gamma)
 
 
 def _lazy_snapshots(obj, gamma, reg, epochs, seed):
@@ -276,14 +276,14 @@ def test_lazy_run_through_driver_rejects_nonzero_start():
     obj = FiniteSumObjective(ds, make_loss("squared"), split_l2=0.1)
     with pytest.raises(ConfigError):
         run("saga_lazy", obj, np.ones(4), epochs=1,
-            policy=StepSizePolicy("manual", gamma=0.01))
+            step=0.01)
 
 
 def test_lazy_run_epoch_zero():
     ds = generate_synthetic("ridge", n=10, d=4, density=0.5, noise=0.1, seed=1)
     obj = FiniteSumObjective(ds, make_loss("squared"), split_l2=0.1)
     res = run("saga_lazy", obj, np.zeros(4), epochs=0,
-              policy=StepSizePolicy("manual", gamma=0.01))
+              step=0.01)
     assert len(res.records) == 1
     assert np.allclose(res.x, 0.0)
 
@@ -308,7 +308,7 @@ def test_tracing_leaves_the_lazy_trajectory_unchanged(monkeypatch):
     def traced(epochs, trace_every):
         return run("saga_lazy", with_l2(obj, 0.2 / gamma), np.zeros(ds.d),
                    epochs=epochs, seed=4,
-                   policy=StepSizePolicy("manual", gamma=gamma),
+                   step=gamma,
                    trace_every=trace_every,
                    reference=(np.ones(ds.d), 0.0))
 
@@ -333,5 +333,5 @@ def test_lazy_divergence_stops_at_the_end_of_a_pass(gamma):
     obj = FiniteSumObjective(ds, make_loss("squared"), split_l2=1e-10)
     with pytest.raises(DivergenceError) as err:
         run("saga_lazy", obj, np.zeros(ds.d), epochs=5,
-            policy=StepSizePolicy("manual", gamma=gamma))
+            step=gamma)
     assert err.value.step == ds.n

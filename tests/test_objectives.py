@@ -134,6 +134,34 @@ def test_gradient_correctness_property_100_pairs():
 # ---------------------------------------------------------------------------
 # objective values
 
+@pytest.mark.parametrize("kind", ["squared", "logistic"])
+def test_loss_models_keep_a_floating_margins_dtype(kind):
+    # certify's long-double lemma forms f_i and f_i' through the loss
+    # models: a long-double margin gives the bits of the lemma's own old
+    # long-double forms, a float64 margin those of the float64-only
+    # forms, and an integer margin still becomes float64
+    loss = make_loss(kind)
+    t = np.concatenate([[0.0, 709.0, 745.0, 800.0, -800.0],
+                        np.linspace(-40, 40, 161)])
+    b = np.where(np.arange(t.size) % 2, 1.0, -1.0)
+    ld = t.astype(np.longdouble)
+    if kind == "squared":
+        old = (0.5 * (t - b) * (t - b), t - b)
+        old_ld = (np.longdouble(0.5) * (ld - b) ** 2, ld - b)
+    else:
+        u = -b * ld
+        e = np.exp(-np.abs(u))
+        old = (np.logaddexp(0.0, -b * t), -b * frozen_sigmoid(-b * t))
+        old_ld = (np.logaddexp(np.longdouble(0), u),
+                  -b * np.where(u >= 0, 1.0 / (1.0 + e), e / (1.0 + e)))
+    for fn, want, want_ld in zip((loss.value, loss.deriv), old, old_ld):
+        assert np.array_equal(fn(t, b).view(np.int64), want.view(np.int64))
+        got = fn(ld, b)
+        assert got.dtype == np.longdouble
+        assert np.array_equal(got, want_ld)
+        assert fn(t.astype(int), b).dtype == np.float64
+        assert np.asarray(fn(3, 1.0)).dtype == np.float64
+
 def test_sigmoid_and_smooth_value_equal_their_old_formulas():
     # sigmoid divides once by 1 + e, after where() picks 1 or e, and the
     # mean is np.mean's own sum and division

@@ -17,7 +17,17 @@ import sys
 import pytest
 
 from helpers import machine_fingerprint
-from regenerate_outputs import CERTIFY_SEEDS, OUTPUTS, certify_report
+from regenerate_outputs import (
+    CERTIFY_SEEDS,
+    OPTIMUM,
+    OUTPUTS,
+    RUN_SEEDS,
+    RUN_WORKLOADS,
+    WORKLOADS,
+    certify_report,
+    sha256,
+    workload_output,
+)
 
 RECORDED = json.loads((OUTPUTS / "machine.json").read_text())
 
@@ -41,9 +51,52 @@ def test_certify_report_equals_the_checked_in_file(seed, kernel_paths,
     names = [name for _, name in _statuses(want)]
     assert len(names) == 11
     assert _statuses(report) == [("PASS", name) for name in names]
+    _print_skipped(f"certify --seed {seed}", here, capsys)
+
+
+def _print_skipped(what, here, capsys):
     with capsys.disabled():
-        print(f"\ncertify --seed {seed}: byte check skipped on {here}; "
+        print(f"\n{what}: byte check skipped on {here}; "
               f"the file was made on {RECORDED}")
+
+
+def _rows(csv: bytes):
+    """The header and the (method, seed, grad_evals_per_n) of every row:
+    what a trace CSV holds on any machine."""
+    header, *rows = csv.decode().splitlines()
+    return header, [tuple(row.split(",")[:3]) for row in rows]
+
+
+@pytest.mark.parametrize("seed", RUN_SEEDS)
+@pytest.mark.parametrize("name", RUN_WORKLOADS)
+def test_run_csv_equals_the_checked_in_file(name, seed, kernel_paths, capsys):
+    csvs = {path: workload_output("run", name, seed) for path in kernel_paths()}
+    assert len(set(csvs.values())) == 1, "the two paths' CSVs differ"
+    csv = csvs["numpy"]
+    want = (OUTPUTS / f"{name}-{seed}.csv").read_bytes()
+    here = machine_fingerprint()
+    if here == RECORDED:
+        assert csv == want
+        return
+    assert _rows(csv) == _rows(want)
+    _print_skipped(f"run {name} at seed {seed}", here, capsys)
+
+
+def test_optimum_equals_the_checked_in_digest(kernel_paths, capsys):
+    name, seed = OPTIMUM
+    outs = {path: workload_output("optimum", name, seed)
+            for path in kernel_paths()}
+    assert len(set(outs.values())) == 1, "the two paths' optima differ"
+    out = outs["numpy"]
+    want = (OUTPUTS / f"optimum-{name}-{seed}.sha256").read_text().strip()
+    here = machine_fingerprint()
+    if here == RECORDED:
+        assert sha256(out) == want
+        return
+    lines = out.decode().splitlines()
+    assert lines[0].startswith("F_star = ")
+    assert len(lines) == 1 + WORKLOADS[name].config["dataset"]["synthetic"]["d"]
+    _print_skipped(f"optimum {name} at seed {seed}", here, capsys)
 
 
 def _fingerprint_in_a_process(**env):

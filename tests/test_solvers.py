@@ -14,7 +14,6 @@ from incgrad import (
     GradientTable,
     ProblemConstants,
     Regularizer,
-    StepSizePolicy,
     estimate_constants,
     lazy,
     make_loss,
@@ -49,7 +48,8 @@ from incgrad.harness import ExperimentConfig, canonical_objective
 from incgrad.objectives import _solve_margin, scalar_loss_prox
 from incgrad.datasets import generate_synthetic
 from conftest import make_random_objective, midpoint_identity_residual
-from helpers import fixed_point_residual, frozen_sigmoid, with_l2
+from helpers import (fixed_point_residual, frozen_sigmoid, stored_gradient,
+                     with_l2)
 
 
 # ---------------------------------------------------------------------------
@@ -57,39 +57,35 @@ from helpers import fixed_point_residual, frozen_sigmoid, with_l2
 
 def test_step_size_modes():
     consts = ProblemConstants(n=10, d=1, L=10.0, mu=1.0)
-    assert step_size(StepSizePolicy("strongly_convex"), consts) == pytest.approx(1 / 40)
-    assert step_size(StepSizePolicy("average_sc"), consts) == pytest.approx(1 / 60)
-    assert step_size(StepSizePolicy("adaptive"), consts) == pytest.approx(1 / 30)
-    assert step_size(StepSizePolicy("manual", gamma=0.1), consts) == 0.1
+    assert step_size("strongly_convex", consts) == pytest.approx(1 / 40)
+    assert step_size("average_sc", consts) == pytest.approx(1 / 60)
+    assert step_size("adaptive", consts) == pytest.approx(1 / 30)
+    assert step_size(0.1, consts) == 0.1
 
 
-@pytest.mark.parametrize("gamma", [None, 0.0, -1.0, np.nan, np.inf, "0.5"])
+@pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan, np.inf, "0.5"])
 def test_manual_step_size_must_be_finite_and_positive(gamma):
-    # "0.5" ended in a raw TypeError
-    with pytest.raises(ConfigError, match="finite gamma > 0"):
-        StepSizePolicy("manual", gamma=gamma)
+    # "0.5" ended in a raw TypeError; a string names a rule
+    consts = ProblemConstants(n=10, d=1, L=10.0, mu=1.0)
+    with pytest.raises(ConfigError, match="unknown step size mode"
+                       if isinstance(gamma, str) else "finite gamma > 0"):
+        step_size(gamma, consts)
 
 
 @pytest.mark.parametrize("gamma", [True, np.True_])
 def test_manual_step_size_is_not_a_bool(gamma):
     # True stepped at 1.0
+    consts = ProblemConstants(n=10, d=1, L=10.0, mu=1.0)
     with pytest.raises(ConfigError, match="finite gamma > 0"):
-        StepSizePolicy("manual", gamma=gamma)
-
-
-@pytest.mark.parametrize("mode", ["strongly_convex", "average_sc", "adaptive"])
-def test_only_the_manual_step_takes_a_gamma(mode):
-    # the gamma was kept and never read: the run stepped by the mode
-    with pytest.raises(ConfigError, match=f"mode '{mode}' takes no gamma"):
-        StepSizePolicy(mode, gamma=0.5)
+        step_size(gamma, consts)
 
 
 def test_step_size_requires_mu():
     consts = ProblemConstants(n=10, d=1, L=10.0, mu=0.0)
     with pytest.raises(ConfigError, match="adaptive"):
-        step_size(StepSizePolicy("strongly_convex"), consts)
+        step_size("strongly_convex", consts)
     # the adaptive mode is exactly the escape hatch
-    assert step_size(StepSizePolicy("adaptive"), consts) == pytest.approx(1 / 30)
+    assert step_size("adaptive", consts) == pytest.approx(1 / 30)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +145,7 @@ def test_sag_rejects_composite(two_quadratics):
     l1_obj = FiniteSumObjective(obj.dataset, obj.loss, reg=Regularizer(l1=1.0))
     with pytest.raises(ConfigError):
         run("sag", l1_obj, np.array([1.0]), epochs=1,
-            policy=StepSizePolicy("manual", gamma=1 / 6))
+            step=1 / 6)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +193,7 @@ def test_explicit_l2_rejects_degenerate_scaling(two_quadratics):
     obj, _ = two_quadratics
     with pytest.raises(ConfigError):
         run("saga_explicit_l2", with_l2(obj, 2.0), np.array([1.0]), epochs=1,
-            policy=StepSizePolicy("manual", gamma=0.5))
+            step=0.5)
 
 
 def test_explicit_scaling_checked_on_the_computed_step(two_quadratics):
@@ -208,7 +204,7 @@ def test_explicit_scaling_checked_on_the_computed_step(two_quadratics):
     consts = ProblemConstants(n=2, d=1, L=0.1, mu=0.0)
     with pytest.raises(ConfigError):
         run("saga_explicit_l2", with_l2(obj, 1.0), np.array([1.0]), epochs=0,
-            consts=consts, policy=StepSizePolicy("adaptive"))
+            consts=consts, step="adaptive")
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +246,9 @@ def test_u_form_guard_checks_the_new_iterate():
     # must stop at the same step as the plain update
     ds = Dataset.from_dense([[1.0], [1.0]], [1.0, 2.0])
     obj = FiniteSumObjective(ds, make_loss("squared"))
-    policy = StepSizePolicy("manual", gamma=1e13)
     for method in ("saga", "saga_u"):
         with pytest.raises(DivergenceError) as err:
-            run(method, obj, np.zeros(1), epochs=3, policy=policy)
+            run(method, obj, np.zeros(1), epochs=3, step=1e13)
         assert err.value.step == 1, method
 
 
@@ -263,7 +258,7 @@ def test_u_form_guard_checks_the_final_iterate():
     obj = FiniteSumObjective(ds, make_loss("squared"))
     with pytest.raises(DivergenceError) as err:
         run("saga_u", obj, np.zeros(1), epochs=1,
-            policy=StepSizePolicy("manual", gamma=2.2e13))
+            step=2.2e13)
     assert err.value.step == 1
 
 
@@ -272,7 +267,7 @@ def test_u_form_rejects_composite(two_quadratics):
     l1_obj = FiniteSumObjective(obj.dataset, obj.loss, reg=Regularizer(l1=0.5))
     with pytest.raises(ConfigError):
         run("saga_u", l1_obj, np.array([1.0]), epochs=1,
-            policy=StepSizePolicy("manual", gamma=0.1))
+            step=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +277,7 @@ def test_svrg_inner_step_at_snapshot_is_full_gradient_step(two_quadratics):
     obj, _ = two_quadratics
     x0 = np.array([1.0])
     res = run("svrg", obj, x0, epochs=1, inner_steps=1,
-              policy=StepSizePolicy("manual", gamma=1 / 6),
+              step=1 / 6,
               rng=np.random.default_rng(0))
     expected = x0 - (1 / 6) * obj.full_gradient(x0)
     assert res.x == pytest.approx(expected)
@@ -294,7 +289,7 @@ def test_svrg_m1_equals_proximal_gradient_descent():
     x0 = rng.standard_normal(3)
     gamma = 0.07
     res = run("svrg", obj, x0, epochs=12, inner_steps=1,
-              policy=StepSizePolicy("manual", gamma=gamma),
+              step=gamma,
               rng=np.random.default_rng(5))
     x = x0.copy()
     for rec in res.records[1:]:
@@ -305,7 +300,7 @@ def test_svrg_m1_equals_proximal_gradient_descent():
 def test_svrg_eval_accounting_three_per_pass(two_quadratics):
     obj, _ = two_quadratics
     res = run("svrg", obj, np.array([1.0]), epochs=4, inner_steps=obj.n,
-              policy=StepSizePolicy("manual", gamma=0.1),
+              step=0.1,
               rng=np.random.default_rng(1))
     per_n = [r.grad_evals / obj.n for r in res.records]
     assert per_n == pytest.approx([0.0, 3.0, 6.0, 9.0, 12.0])
@@ -366,7 +361,7 @@ def test_svrg_equals_scalar_draw_loop(kind, split, l1, n, m, kernel_paths):
     for path in kernel_paths():
         got_rng = np.random.default_rng(3)
         res = run("svrg", obj, x0, epochs=4, inner_steps=m,
-                  policy=StepSizePolicy("manual", gamma=0.3), rng=got_rng)
+                  step=0.3, rng=got_rng)
         assert [rec.x.tobytes() for rec in res.records[1:]] == [
             x.tobytes() for x in xs], path
         assert res.xbar.tobytes() == xbar.tobytes(), path
@@ -377,7 +372,7 @@ def test_svrg_requires_inner_steps(two_quadratics):
     obj, _ = two_quadratics
     with pytest.raises(ConfigError):
         run("svrg", obj, np.array([1.0]), epochs=1, inner_steps=0,
-            policy=StepSizePolicy("manual", gamma=0.1),
+            step=0.1,
             rng=np.random.default_rng(0))
 
 
@@ -456,11 +451,11 @@ def test_sdca_stored_gradient_identity():
     st = sdca_init(obj, rng.standard_normal(3), mu=mu)
     for j in rng.integers(0, obj.n, size=40):
         j = int(j)
-        z = st.x + gamma * st.table.gradient(j)
+        z = st.x + gamma * stored_gradient(st.table, j)
         sdca_primal_step(st, obj, j, mu)
-        phi_implied = z - gamma * st.table.gradient(j)
-        assert np.linalg.norm(
-            st.table.gradient(j) - obj.component_gradient(j, phi_implied)) <= 1e-10
+        phi_implied = z - gamma * stored_gradient(st.table, j)
+        assert np.linalg.norm(stored_gradient(st.table, j)
+                              - obj.component_gradient(j, phi_implied)) <= 1e-10
 
 
 def test_sdca_converges_to_primal_optimum():
@@ -496,10 +491,10 @@ def test_variant5_blend_weights():
         assert mu * obj.n / (L + mu * obj.n) == beta
         st = sdca_init(obj, x0, mu=mu)
         g_x = obj.component_gradient(2, st.x)
-        old, x_old = st.table.gradient(2), st.x.copy()
+        old, x_old = stored_gradient(st.table, 2), st.x.copy()
         sdca_variant5_step(st, obj, 2, mu, L)
         want = g_x if beta == 1.0 else old
-        assert np.array_equal(st.table.gradient(2), want)
+        assert np.array_equal(stored_gradient(st.table, 2), want)
         assert np.allclose(st.x, x_old - (want - old) / (mu * obj.n))
 
 
@@ -689,10 +684,11 @@ def test_midpoint_zero_gradient_leave_one_out():
     ds = Dataset.from_dense([[1.0], [2.0]], [1.0, 3.0])
     obj = FiniteSumObjective(ds, make_loss("squared"))
     st = finito_init(obj, np.array([1.5]))  # a_2' x = 3 = b_2
-    assert np.allclose(st.table.gradient(1), 0.0)
+    assert np.allclose(stored_gradient(st.table, 1), 0.0)
     mu = 1.0
     sum_phi = st.phi_mean * 2
-    z = (sum_phi - st.phi[0]) / 1 - (st.table.sum() - st.table.gradient(0)) / mu
+    z = ((sum_phi - st.phi[0]) / 1
+         - (st.table.sum() - stored_gradient(st.table, 0)) / mu)
     assert z == pytest.approx(st.phi[1])
 
 
@@ -1023,7 +1019,7 @@ def test_run_saga_tracks_corollary_bound(two_quadratics):
     x0 = np.array([1.0])
     x_star = np.array([0.0])
     res = run("saga", obj, x0, epochs=50, seed=3, consts=consts,
-              policy=StepSizePolicy("manual", gamma=1 / 6),
+              step=1 / 6,
               reference=(x_star, 0.5))
     b0 = bound_value("corollary_sc", obj, consts, x0, x_star, 0)
     assert b0 == pytest.approx(4 / 3)
@@ -1036,7 +1032,7 @@ def test_run_divergence_detected():
     obj = make_random_objective(rng, split=0.0, n=6, d=3)
     with pytest.raises(DivergenceError) as err:
         run("saga", obj, np.zeros(3), epochs=50,
-            policy=StepSizePolicy("manual", gamma=1e8))
+            step=1e8)
     assert err.value.step > 0
 
 
@@ -1152,7 +1148,7 @@ def test_run_equals_hand_loop_of_step_functions(method, form):
     elif form == "loss_only":
         obj = FiniteSumObjective(obj.dataset, obj.loss)
     if method not in ("sdca", "sdca_variant5", "midpoint"):
-        kwargs["policy"] = StepSizePolicy("manual", gamma=gamma)
+        kwargs["step"] = gamma
     x0 = rng.standard_normal(4)
     problem = with_l2(obj, mu) if form == "loss_only" else obj
     res = run(method, problem, x0, epochs=3, seed=11, consts=consts, **kwargs)
@@ -1232,7 +1228,7 @@ def test_support_steps_equal_dense_scalar_steps(method, loss, l1, density):
     problem = with_l2(obj, mu) if method == "saga_explicit_l2" else obj
     x0 = np.random.default_rng(2).standard_normal(obj.d) / 30
     res = run(method, problem, x0, epochs=3, seed=9,
-              policy=StepSizePolicy("manual", gamma=gamma))
+              step=gamma)
     xs = _dense_scalar_table_run(method, obj, x0, gamma, mu, 3, 9)
     for rec, x in zip(res.records[1:], xs):
         assert np.array_equal(rec.x, x)
@@ -1287,7 +1283,7 @@ def test_run_rejects_incompatible_configs(two_quadratics):
     sep = _sdca_problem(rng)
     with pytest.raises(ConfigError):
         run("sdca", sep, np.zeros(3), epochs=1,
-            policy=StepSizePolicy("manual", gamma=0.1))
+            step=0.1)
 
 
 def test_run_rejects_fractional_epochs(two_quadratics):
@@ -1309,7 +1305,7 @@ def test_run_rejects_fractional_inner_steps(two_quadratics):
     obj, _ = two_quadratics
     with pytest.raises(ConfigError, match="whole number of inner steps"):
         run("svrg", obj, np.array([1.0]), epochs=1, inner_steps=2.5,
-            policy=StepSizePolicy("manual", gamma=0.1))
+            step=0.1)
 
 
 @pytest.mark.parametrize("name,message", [
@@ -1325,7 +1321,7 @@ def test_run_rejects_a_bool_count(two_quadratics, name, message):
     kwargs = {"epochs": 2, name: True}
     with pytest.raises(ConfigError, match=message):
         run("svrg", obj, np.array([1.0]),
-            policy=StepSizePolicy("manual", gamma=0.1), **kwargs)
+            step=0.1, **kwargs)
 
 
 ALL_METHODS = ("saga", "saga_u", "sag", "svrg", "finito", "sdca",
@@ -1384,7 +1380,7 @@ def test_run_zero_epochs_pins_every_method(method, start):
         table_sum = GradientTable.at_point(obj, x0).sum()
         want = -(1.0 / (mu * obj.n)) * table_sum
     elif method == "saga_u":
-        gamma = step_size(StepSizePolicy("strongly_convex"),
+        gamma = step_size("strongly_convex",
                           estimate_constants(obj))
         table_sum = GradientTable.at_point(obj, x0).sum()
         want = (x0 + gamma * table_sum) - gamma * table_sum
@@ -1412,7 +1408,7 @@ def test_run_rejects_options_of_other_methods(method, option, value, owners):
             call()
 
 
-def _form_run(method, problem, x0, *, epochs, seed, reference, policy=None):
+def _form_run(method, problem, x0, *, epochs, seed, reference, step=None):
     """A run as it was made before ``run`` took the problem, kept frozen:
     the objective built in the method's form, the explicit L2 term
     handed to the engine, and the checks, step and trace rows of that
@@ -1432,13 +1428,13 @@ def _form_run(method, problem, x0, *, epochs, seed, reference, policy=None):
         consts = replace(consts, mu=obj.reg.l2)
     info = check_method(method, loss=obj.loss.kind, l1=obj.reg.l1,
                         mu=explicit_l2 if form == "explicit" else consts.mu,
-                        policy=policy, n=obj.n)
+                        step=step, n=obj.n)
     if info.param_free:
         gamma = None
-    elif policy is None and method == "finito":
+    elif step is None and method == "finito":
         gamma = 1.0 / (2.0 * consts.mu * consts.n)
     else:
-        gamma = step_size(policy or StepSizePolicy(
+        gamma = step_size(step or (
             "strongly_convex" if consts.mu > 0 else "adaptive"), consts)
     if form == "explicit":
         _check_scaling(gamma, explicit_l2)
@@ -1496,8 +1492,7 @@ def test_run_takes_the_problem_wherever_its_l2_term_is(method, case):
     separate = FiniteSumObjective(ds, make_loss(loss),
                                   reg=Regularizer(l2=l2, l1=l1))
     reference = prox_gradient_optimum(split)
-    opts = dict(epochs=3, seed=1, reference=reference, policy=None
-                if gamma is None else StepSizePolicy("manual", gamma=gamma))
+    opts = dict(epochs=3, seed=1, reference=reference, step=gamma)
 
     def through_run(problem):
         res = run(method, problem, np.zeros(4), **opts)
@@ -1547,12 +1542,12 @@ def _trajectory_cases():
     wide = generate_synthetic("ridge", n=50, d=60, density=1.0, noise=0.3,
                               seed=7)
     cases = {
-        # criterion 2: split L2, dense table, default policy
+        # criterion 2: split L2, dense table, default step
         "corollary": (FiniteSumObjective(ridge, make_loss("squared"),
                                          split_l2=1.0 / 99), None, 30),
-        # criterion 4: no L2, scalar table, adaptive policy
+        # criterion 4: no L2, scalar table, adaptive step
         "nonsc": (FiniteSumObjective(wide, make_loss("squared")),
-                  StepSizePolicy("adaptive"), 30),
+                  "adaptive", 30),
     }
     for seed in (0, 3, 7):  # certify's trajectory problem
         small = generate_synthetic("ridge", n=40, d=8, density=1.0,
@@ -1567,16 +1562,16 @@ def _trajectory_cases():
 def test_saga_u_run_equals_saga_run(case, kernel_paths):
     # saga_u steps through u = x + gamma * sum, so its iterates are
     # saga's up to rounding, on either path
-    obj, policy, epochs = _trajectory_cases()[case]
+    obj, step, epochs = _trajectory_cases()[case]
     x0 = np.zeros(obj.d)
     reference = prox_gradient_optimum(obj)
     saga = {seed: run("saga", obj, x0, epochs=epochs, seed=seed,
-                      policy=policy, reference=reference)
+                      step=step, reference=reference)
             for seed in [0, 5, 11, 1000]}
     for _ in kernel_paths():
         for seed, want in saga.items():
             got = run("saga_u", obj, x0, epochs=epochs, seed=seed,
-                      policy=policy, reference=reference)
+                      step=step, reference=reference)
             assert got.grad_evals == want.grad_evals
             assert [r.k for r in got.records] == [r.k for r in want.records]
             assert ([r.grad_evals for r in got.records]
